@@ -245,8 +245,8 @@ def cmd_electoral(args) -> int:
     ok, witness = patterns.is_electoral(
         session, args.station, args.label, max_states=args.max_states, max_depth=args.max_depth
     )
-    graph = semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth)
-    _write_dot(args, graph)
+    if args.dot:
+        _write_dot(args, semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth))
     _emit(args, {"electoral": ok, "witness": witness}, "electoral" if ok else f"not electoral: {witness}")
     return OK if ok else FAIL
 
@@ -283,13 +283,13 @@ def lcmv_correspondence(program, max_states: int, max_depth: int) -> enc_mod.Cor
     if joint.truncated:
         raise semantics.TruncatedError("target exploration truncated")
     bisim = semantics.weak_bisim_classes(joint, frozenset({"success"}))
-    canon = [syntax.canon_session(s) for s in joint.states]
 
     failures: list[dict] = []
     completeness, max_factor = True, 0
     for i in range(len(source.states)):
         for step, j in source.successors(i):
-            dist = enc_mod._bfs_distance(joint, joint.roots[i], lambda n: canon[n] == canon[joint.roots[j]])
+            literal = joint.congruence[joint.roots[j]]
+            dist = enc_mod._bfs_distance(joint, joint.roots[i], lambda n: joint.congruence[n] == literal)
             if dist is None:
                 want = bisim[joint.roots[j]]
                 dist = enc_mod._bfs_distance(joint, joint.roots[i], lambda n: bisim[n] == want)

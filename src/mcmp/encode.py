@@ -497,7 +497,6 @@ def verify_correspondence(
         raise TruncatedError("target exploration truncated")
     classes = weak_bisim_classes(joint, frozenset({"success"}))
     root_class = {i: classes[joint.roots[i]] for i in range(len(encoded))}
-    canon = [syntax.canon_session(s) for s in joint.states]
 
     failures: list[dict] = []
 
@@ -508,7 +507,8 @@ def verify_correspondence(
     completeness = True
     for i in range(len(source.states)):
         for step, j in source.successors(i):
-            dist = _bfs_distance(joint, joint.roots[i], lambda n: canon[n] == canon[joint.roots[j]])
+            literal = joint.congruence[joint.roots[j]]
+            dist = _bfs_distance(joint, joint.roots[i], lambda n: joint.congruence[n] == literal)
             if dist is None:
                 want = root_class[j]
                 dist = _bfs_distance(joint, joint.roots[i], lambda n: classes[n] == want)

@@ -10,7 +10,7 @@ assumed true, i.e. a greatest fixpoint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,9 @@ class LocalContext:
     def domain(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.entries)
 
-    def with_entry(self, name: str, t: LocalType) -> "LocalContext":
-        return LocalContext(tuple((p, t if p == name else u) for p, u in self.entries))
+    def with_entries(self, new: dict[str, LocalType]) -> "LocalContext":
+        """This context with the types of the participants in new replaced."""
+        return LocalContext(tuple((p, new.get(p, u)) for p, u in self.entries))
 
 
 @dataclass(frozen=True)
@@ -311,27 +312,36 @@ def type_transitions(participant: str, t: LocalType) -> list[tuple[TypeAction, L
     return out
 
 
-def context_steps(delta: LocalContext) -> list[tuple[TypeAction, LocalContext]]:
-    """All synchronisations: p may send (p!q:l(U)) and q may receive the same
-    label with the same payload type from p."""
-    trans = {p: type_transitions(p, t) for p, t in delta.entries}
+def _heads(delta: LocalContext) -> dict[str, TChoice]:
+    """Each participant whose type unfolds to a choice, with that choice."""
+    heads = {p: head(t) for p, t in delta.entries}
+    return {p: h for p, h in heads.items() if isinstance(h, TChoice)}
+
+
+def _context_transitions(delta: LocalContext):
+    """(action, p, p's branch, q, q's branch) for every synchronisation: p
+    may send (p!q:l(U)) and q may receive the same label with the same
+    payload type from p."""
+    heads = _heads(delta)
     out = []
-    for p, _ in delta.entries:
-        for act_p, cont_p in trans[p]:
-            if act_p.kind != "out":
+    for p, hp in heads.items():
+        for bp in hp.branches:
+            q = bp.target
+            hq = heads.get(q)
+            if bp.polarity != "!" or q == p or hq is None:
                 continue
-            q = act_p.peer
-            if q == p or q not in trans:
-                continue
-            for act_q, cont_q in trans[q]:
-                if act_q.kind != "in" or act_q.peer != p:
-                    continue
-                if act_q.label != act_p.label or act_q.payload != act_p.payload:
-                    continue
-                step = TypeAction("ctx", p, q, act_p.label, act_p.payload)
-                succ = delta.with_entry(p, cont_p).with_entry(q, cont_q)
-                out.append((step, succ))
+            for bq in hq.branches:
+                if bq.polarity == "?" and bq.target == p and bq.label == bp.label and bq.payload == bp.payload:
+                    out.append((TypeAction("ctx", p, q, bp.label, bp.payload), p, bp, q, bq))
     return out
+
+
+def context_steps(delta: LocalContext) -> list[tuple[TypeAction, LocalContext]]:
+    """All synchronisations with the contexts they lead to."""
+    return [
+        (act, delta.with_entries({p: bp.cont, q: bq.cont}))
+        for act, p, bp, q, bq in _context_transitions(delta)
+    ]
 
 
 def _canon_type(t: LocalType, env: tuple = ()) -> tuple:
@@ -355,6 +365,18 @@ def _canon_type(t: LocalType, env: tuple = ()) -> tuple:
     raise TypeError(t)
 
 
+def _cont_key(t: LocalType, t_key: tuple, b: TBranch) -> tuple:
+    """_canon_type(b.cont) for a branch b of head(t), given t_key =
+    _canon_type(t).  When t is a choice, t_key holds that form already: its
+    branches are keyed by (target, polarity, label), unique in a
+    well-formed type."""
+    if isinstance(t, TChoice):
+        for item in t_key[1]:
+            if item[0] == b.target and item[1] == b.polarity and item[2] == b.label:
+                return item[4]
+    return _canon_type(b.cont)
+
+
 def canon_context(delta: LocalContext) -> tuple:
     return tuple(sorted((p, _canon_type(t)) for p, t in delta.entries))
 
@@ -364,9 +386,10 @@ class ContextGraph:
     contexts: list[LocalContext]
     edges: list[tuple[int, TypeAction, int]]
     root: int
+    _succ: list[list[tuple[TypeAction, int]]] = field(default_factory=list)
 
     def successors(self, i: int) -> list[tuple[TypeAction, int]]:
-        return [(a, d) for s, a, d in self.edges if s == i]
+        return self._succ[i]
 
     def to_json(self) -> str:
         import json
@@ -383,38 +406,42 @@ class ContextGraph:
 
 
 def explore_contexts(delta: LocalContext) -> ContextGraph:
+    """Every context reachable from delta, identified by canon_context.  A
+    step changes two entries, so a successor's key is its parent's with
+    those two entries replaced; the others are never re-canonicalised."""
     for _, t in delta.entries:
         if not (closed(t) and guarded(t) and well_formed(t)):
             raise ValueError("context entries must be closed, guarded and well-formed")
-    index: dict[tuple, int] = {}
-    contexts: list[LocalContext] = []
+    root_key = canon_context(delta)
+    # the domain never changes, so neither does a participant's place in a key
+    place = {p: k for k, (p, _) in enumerate(root_key)}
+    index: dict[tuple, int] = {root_key: 0}
+    contexts: list[LocalContext] = [delta]
+    keys: list[tuple] = [root_key]
     edges: list[tuple[int, TypeAction, int]] = []
-
-    def visit(d: LocalContext) -> int:
-        key = canon_context(d)
-        if key in index:
-            return index[key]
-        i = len(contexts)
-        index[key] = i
-        contexts.append(d)
-        return i
-
-    root = visit(delta)
-    todo = [root]
-    seen_edges = set()
+    succ: list[list[tuple[TypeAction, int]]] = [[]]
+    todo = [0]
+    # well-formed types have distinct labels per (participant, polarity), so
+    # no two synchronisations from one context are the same edge
     while todo:
         i = todo.pop()
-        before = len(contexts)
-        for act, succ in context_steps(contexts[i]):
-            j = visit(succ)
-            e = (i, act, j)
-            if e not in seen_edges:
-                seen_edges.add(e)
-                edges.append(e)
-            if j >= before:
+        types = dict(contexts[i].entries)
+        for act, p, bp, q, bq in _context_transitions(contexts[i]):
+            key = list(keys[i])
+            for r, b in ((p, bp), (q, bq)):
+                key[place[r]] = (r, _cont_key(types[r], keys[i][place[r]][1], b))
+            key = tuple(key)
+            j = index.get(key)
+            if j is None:
+                j = len(contexts)
+                index[key] = j
+                contexts.append(contexts[i].with_entries({p: bp.cont, q: bq.cont}))
+                keys.append(key)
+                succ.append([])
                 todo.append(j)
-                before = len(contexts)
-    return ContextGraph(contexts, edges, root)
+            edges.append((i, act, j))
+            succ[i].append((act, j))
+    return ContextGraph(contexts, edges, 0, succ)
 
 
 def is_safe(delta: LocalContext):
@@ -423,27 +450,23 @@ def is_safe(delta: LocalContext):
     under reachability.  Returns (ok, counterexample path or None)."""
     graph = explore_contexts(delta)
     paths: dict[int, list[TypeAction]] = {graph.root: []}
-    order = [graph.root]
     for s, act, d in graph.edges:
         if d not in paths:
             paths[d] = paths[s] + [act]
-            order.append(d)
     for i in sorted(paths):
-        d = graph.contexts[i]
-        trans = {p: type_transitions(p, t) for p, t in d.entries}
-        enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in context_steps(d)}
-        for p, _ in d.entries:
-            for act, _ in trans[p]:
-                if act.kind != "out":
+        heads = _heads(graph.contexts[i])
+        enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in graph.successors(i)}
+        for p, hp in heads.items():
+            for b in hp.branches:
+                q = b.target
+                hq = heads.get(q)
+                if b.polarity != "!" or q == p or hq is None:
                     continue
-                q = act.peer
-                if q == p or q not in trans:
-                    continue
-                q_listens = any(a.kind == "in" and a.peer == p for a, _ in trans[q])
-                if q_listens and (p, q, act.label, act.payload) not in enabled:
+                q_listens = any(c.polarity == "?" and c.target == p for c in hq.branches)
+                if q_listens and (p, q, b.label, b.payload) not in enabled:
                     return False, {
                         "path": [_act_json(a) for a in paths[i]],
-                        "offending": _act_json(act),
+                        "offending": _act_json(TypeAction("out", p, q, b.label, b.payload)),
                     }
     return True, None
 
@@ -457,7 +480,7 @@ def is_deadlock_free(delta: LocalContext):
             paths[d] = paths[s] + [act]
     for i in sorted(paths):
         d = graph.contexts[i]
-        if context_steps(d):
+        if graph.successors(i):
             continue
         bad = [p for p, t in d.entries if not isinstance(head(t), End)]
         if bad:

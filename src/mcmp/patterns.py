@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import lcmv, semantics
 from .semantics import Step, TruncatedError, explore
-from .syntax import McmpError, Session, canon_session
+from .syntax import McmpError, Session
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,7 @@ class PatternWitness:
 
 
 def _session_alternatives(m: Session):
-    steps = semantics.enabled_steps(m)
-    return [
-        (step.describe(), step.consumed, canon_session(semantics.apply_step(m, step)))
-        for step in steps
-    ]
+    return [(step.describe(), step.consumed, key) for step, key in semantics.successor_keys(m)]
 
 
 def _cmv_alternatives(p: lcmv.CmvProcess):

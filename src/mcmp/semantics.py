@@ -83,12 +83,15 @@ class Barb:
 
 
 # Resolution: the session with every top-level recursion unfolded once, so a
-# mu never blocks matching.  Cached by value so equal sessions share the same
-# fresh capability ids.
+# mu never blocks matching.  A session without a top-level recursion is its
+# own resolution.  The others are cached by value so equal sessions share the
+# same fresh capability ids.
 _resolve_cache: dict[Session, Session] = {}
 
 
 def resolve(m: Session) -> Session:
+    if not any(isinstance(proc, Rec) for _, proc in m.parts):
+        return m
     cached = _resolve_cache.get(m)
     if cached is not None:
         return cached
@@ -100,13 +103,18 @@ def resolve(m: Session) -> Session:
     return resolved
 
 
-def enabled_steps(m: Session) -> list[Step]:
-    """All enabled steps, deduplicated modulo structural congruence of the
-    picked continuations (steps consuming the same capabilities with
-    alpha-equal continuations are the same step)."""
-    r = resolve(m)
-    steps: list[Step] = []
+# A change is (participant, new process, canon_process of the new process).
+Change = tuple[str, Process, tuple]
+
+
+def _transitions(r: Session) -> list[tuple[Step, tuple[Change, ...]]]:
+    """The enabled steps of the resolved session r in canonical order, each
+    with the changes it makes: one for a conditional, two for a
+    communication.  Steps consuming the same capabilities with alpha-equal
+    continuations are the same step, and only the first is kept."""
+    out: list[tuple[Step, tuple[Change, ...]]] = []
     seen = set()
+    same_comm: dict[tuple, list[tuple[tuple, tuple]]] = {}
     for p, proc in r.parts:
         if isinstance(proc, Cond):
             guard = proc.guard
@@ -116,45 +124,79 @@ def enabled_steps(m: Session) -> list[Step]:
                 key = (kind, step.consumed)
                 if key not in seen:
                     seen.add(key)
-                    steps.append(step)
-    for p, pproc in r.parts:
-        if not isinstance(pproc, Choice):
-            continue
-        for q, qproc in r.parts:
-            if p == q or not isinstance(qproc, Choice):
+                    cont = proc.then if guard.value else proc.els
+                    out.append((step, ((p, cont, canon_process(cont)),)))
+    choices = {p: proc for p, proc in r.parts if isinstance(proc, Choice)}
+    for p, pproc in choices.items():
+        for i, bp in enumerate(pproc.branches):
+            q = bp.prefix.target
+            qproc = choices.get(q)
+            if bp.prefix.polarity != "!" or q == p or qproc is None:
                 continue
-            for i, bp in enumerate(pproc.branches):
-                if bp.prefix.polarity != "!" or bp.prefix.target != q:
+            for j, bq in enumerate(qproc.branches):
+                if bq.prefix.polarity != "?" or bq.prefix.target != p or bq.prefix.label != bp.prefix.label:
                     continue
-                for j, bq in enumerate(qproc.branches):
-                    if bq.prefix.polarity != "?" or bq.prefix.target != p:
-                        continue
-                    if bq.prefix.label != bp.prefix.label:
-                        continue
-                    step = Step(
-                        kind="comm",
-                        consumed=frozenset({pproc.cap, qproc.cap}),
-                        sender=p,
-                        receiver=q,
-                        label=bp.prefix.label,
-                        payload=bp.prefix.payload,
-                        sender_branch=i,
-                        receiver_branch=j,
-                    )
-                    key = (
-                        "comm",
-                        step.consumed,
-                        p,
-                        q,
-                        bp.prefix.label,
-                        canon_process(bp.cont),
-                        canon_process(substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)),
-                    )
-                    if key not in seen:
-                        seen.add(key)
-                        steps.append(step)
-    steps.sort(key=Step.sort_key)
-    return steps
+                step = Step(
+                    kind="comm",
+                    consumed=frozenset({pproc.cap, qproc.cap}),
+                    sender=p,
+                    receiver=q,
+                    label=bp.prefix.label,
+                    payload=bp.prefix.payload,
+                    sender_branch=i,
+                    receiver_branch=j,
+                )
+                q_cont = substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)
+                p_key, q_key = canon_process(bp.cont), canon_process(q_cont)
+                # continuations are compared, not hashed, and only against
+                # those of steps with the same capabilities and label
+                conts = same_comm.setdefault((step.consumed, p, q, bp.prefix.label), [])
+                if (p_key, q_key) not in conts:
+                    conts.append((p_key, q_key))
+                    out.append((step, ((p, bp.cont, p_key), (q, q_cont, q_key))))
+    out.sort(key=lambda t: t[0].sort_key())
+    return out
+
+
+_NIL_KEY = canon_process(Nil())
+
+
+def _rekey(key: tuple, new: dict[str, tuple]) -> tuple:
+    """canon_session of a session whose key is key, after the participants
+    in new changed to processes with the given canonical forms.  Only those
+    entries are replaced (or dropped, for nil); the other entries are the
+    same tuples as in key."""
+    out = []
+    for item in key:
+        k = new.get(item[0])
+        if k is None:
+            out.append(item)
+        elif k != _NIL_KEY:
+            out.append((item[0], k))
+    return tuple(out)
+
+
+def _resolved_key(key: tuple, m: Session, r: Session) -> tuple:
+    """canon_session(r) for r = resolve(m), given key = canon_session(m)."""
+    if r is m:
+        return key
+    unfolded = {name: canon_process(proc) for (name, old), (_, proc) in zip(m.parts, r.parts) if isinstance(old, Rec)}
+    return _rekey(key, unfolded)
+
+
+def enabled_steps(m: Session) -> list[Step]:
+    """All enabled steps, deduplicated modulo structural congruence of the
+    picked continuations (steps consuming the same capabilities with
+    alpha-equal continuations are the same step)."""
+    return [step for step, _ in _transitions(resolve(m))]
+
+
+def successor_keys(m: Session) -> list[tuple[Step, tuple]]:
+    """Each enabled step of m with canon_session of apply_step(m, step),
+    re-canonicalising only the participants the step changes."""
+    r = resolve(m)
+    key = canon_session(r)
+    return [(step, _rekey(key, {p: k for p, _, k in changes})) for step, changes in _transitions(r)]
 
 
 def apply_step(m: Session, step: Step) -> Session:
@@ -166,7 +208,7 @@ def apply_step(m: Session, step: Step) -> Session:
         want = step.kind == "if-tt"
         if not (isinstance(proc.guard, BoolVal) and proc.guard.value == want):
             raise McmpError("step is not enabled")
-        return r.with_part(step.participant, proc.then if want else proc.els)
+        return r.with_parts({step.participant: proc.then if want else proc.els})
     pproc = r.process_of(step.sender)
     qproc = r.process_of(step.receiver)
     if not (isinstance(pproc, Choice) and isinstance(qproc, Choice)):
@@ -185,7 +227,7 @@ def apply_step(m: Session, step: Step) -> Session:
     ):
         raise McmpError("step is not enabled")
     receiver_cont = substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)
-    return r.with_part(step.sender, bp.cont).with_part(step.receiver, receiver_cont)
+    return r.with_parts({step.sender: bp.cont, step.receiver: receiver_cont})
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +293,8 @@ class StateGraph:
     max_states: int
     max_depth: int
     _succ: list[list[tuple[Step, int]]] = field(default_factory=list)
+    # congruence[i] == congruence[j] iff canon_session(states[i]) == canon_session(states[j])
+    congruence: list[int] = field(default_factory=list)
 
     @property
     def root(self) -> int:
@@ -312,32 +356,43 @@ def explore(m: Session, max_states: int = DEFAULT_MAX_STATES, max_depth: int = D
 
 
 def explore_many(ms: list[Session], max_states: int = DEFAULT_MAX_STATES, max_depth: int = DEFAULT_MAX_DEPTH) -> StateGraph:
-    """Deterministic BFS over canonical states from one or more roots."""
+    """Deterministic BFS over canonical states from one or more roots.
+
+    A state is identified by canon_session of the session that reached it,
+    before resolution.  A step changes at most two participants, so a
+    successor's key is its parent's resolved key with those entries
+    replaced; the other participants are never re-canonicalised."""
     if max_states <= 0 or max_depth <= 0:
         raise ValueError("exploration limits must be positive")
     index: dict[tuple, int] = {}
     states: list[Session] = []
+    keys: list[tuple] = []  # keys[i] == canon_session(states[i])
+    classes: dict[tuple, int] = {}
+    congruence: list[int] = []
     edges: list[tuple[int, Step, int]] = []
     succ: list[list[tuple[Step, int]]] = []
     truncated = False
 
-    def intern(s: Session) -> int | None:
+    def intern(s: Session, key: tuple) -> int | None:
         nonlocal truncated
-        key = canon_session(s)
-        if key in index:
-            return index[key]
         if len(states) >= max_states:
             truncated = True
             return None
         i = len(states)
         index[key] = i
-        states.append(resolve(s))
+        r = resolve(s)
+        states.append(r)
+        keys.append(_resolved_key(key, s, r))
+        congruence.append(classes.setdefault(keys[i], len(classes)))
         succ.append([])
         return i
 
     roots = []
     for m in ms:
-        i = intern(m)
+        key = canon_session(m)
+        i = index.get(key)
+        if i is None:
+            i = intern(m, key)
         if i is None:
             raise TruncatedError("state budget exhausted while interning roots")
         roots.append(i)
@@ -350,10 +405,14 @@ def explore_many(ms: list[Session], max_states: int = DEFAULT_MAX_STATES, max_de
             break
         nxt = []
         for i in frontier:
-            for step in enabled_steps(states[i]):
-                j = intern(apply_step(states[i], step))
+            r, key = states[i], keys[i]
+            for step, changes in _transitions(r):
+                succ_key = _rekey(key, {p: k for p, _, k in changes})
+                j = index.get(succ_key)
                 if j is None:
-                    continue
+                    j = intern(r.with_parts({p: proc for p, proc, _ in changes}), succ_key)
+                    if j is None:
+                        continue
                 edges.append((i, step, j))
                 succ[i].append((step, j))
                 if j not in expanded:
@@ -361,7 +420,7 @@ def explore_many(ms: list[Session], max_states: int = DEFAULT_MAX_STATES, max_de
                     nxt.append(j)
         frontier = nxt
         depth += 1
-    return StateGraph(states, edges, roots, truncated, max_states, max_depth, succ)
+    return StateGraph(states, edges, roots, truncated, max_states, max_depth, succ, congruence)
 
 
 def is_convergent(graph: StateGraph) -> bool:

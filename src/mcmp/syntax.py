@@ -140,8 +140,9 @@ class Session:
     def participants(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.parts)
 
-    def with_part(self, name: str, proc: Process) -> "Session":
-        return Session(tuple((p, proc if p == name else q) for p, q in self.parts))
+    def with_parts(self, new: dict[str, Process]) -> "Session":
+        """This session with the processes of the participants in new replaced."""
+        return Session(tuple((p, new.get(p, q)) for p, q in self.parts))
 
 
 class McmpError(Exception):

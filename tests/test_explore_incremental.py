@@ -1,0 +1,368 @@
+"""The explorers key each state incrementally: a successor's key is its
+parent's with the one or two changed participants re-canonicalised.  These
+tests hold them to references that canonicalise every successor in full,
+as the explorers first did."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mcmp import corpus, ltypes, semantics, syntax
+from mcmp.ltypes import End, LocalContext, TBranch, TChoice, TRec, TVar
+from mcmp.syntax import FF, TT, Branch, Choice, Cond, Nil, Prefix, ProcVar, Rec, Session, Success, Var
+
+from genutil import gen_type
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = sorted((ROOT / "fixtures").glob("*.mcmp"))
+
+
+def _fixture(path):
+    return syntax.parse_source(path.read_text())
+
+
+# ---------------------------------------------------------------------------
+# references: full canonicalisation of every successor
+
+
+def reference_explore(ms, max_states=semantics.DEFAULT_MAX_STATES, max_depth=semantics.DEFAULT_MAX_DEPTH):
+    index, states, edges = {}, [], []
+    truncated = False
+
+    def intern(s):
+        nonlocal truncated
+        key = syntax.canon_session(s)
+        if key in index:
+            return index[key]
+        if len(states) >= max_states:
+            truncated = True
+            return None
+        index[key] = len(states)
+        states.append(semantics.resolve(s))
+        return index[key]
+
+    roots = [intern(m) for m in ms]
+    frontier = list(dict.fromkeys(roots))
+    expanded = set(frontier)
+    depth = 0
+    while frontier:
+        if depth >= max_depth:
+            truncated = True
+            break
+        nxt = []
+        for i in frontier:
+            for step in semantics.enabled_steps(states[i]):
+                j = intern(semantics.apply_step(states[i], step))
+                if j is None:
+                    continue
+                edges.append((i, step, j))
+                if j not in expanded:
+                    expanded.add(j)
+                    nxt.append(j)
+        frontier = nxt
+        depth += 1
+    return states, edges, roots, truncated
+
+
+def reference_contexts(delta):
+    index, contexts, edges = {}, [], []
+
+    def visit(d):
+        key = ltypes.canon_context(d)
+        if key not in index:
+            index[key] = len(contexts)
+            contexts.append(d)
+        return index[key]
+
+    root = visit(delta)
+    todo = [root]
+    seen = set()
+    while todo:
+        i = todo.pop()
+        before = len(contexts)
+        for act, succ in ltypes.context_steps(contexts[i]):
+            j = visit(succ)
+            if (i, act, j) not in seen:
+                seen.add((i, act, j))
+                edges.append((i, act, j))
+            if j >= before:
+                todo.append(j)
+                before = len(contexts)
+    return contexts, edges, root
+
+
+def _paths(edges, root):
+    paths = {root: []}
+    for s, act, d in edges:
+        if d not in paths:
+            paths[d] = paths[s] + [act]
+    return paths
+
+
+def reference_is_safe(delta):
+    contexts, edges, root = reference_contexts(delta)
+    paths = _paths(edges, root)
+    for i in sorted(paths):
+        d = contexts[i]
+        trans = {p: ltypes.type_transitions(p, t) for p, t in d.entries}
+        enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in ltypes.context_steps(d)}
+        for p, _ in d.entries:
+            for act, _ in trans[p]:
+                q = act.peer
+                if act.kind != "out" or q == p or q not in trans:
+                    continue
+                q_listens = any(a.kind == "in" and a.peer == p for a, _ in trans[q])
+                if q_listens and (p, q, act.label, act.payload) not in enabled:
+                    return False, {"path": [ltypes._act_json(a) for a in paths[i]], "offending": ltypes._act_json(act)}
+    return True, None
+
+
+def reference_is_deadlock_free(delta):
+    contexts, edges, root = reference_contexts(delta)
+    paths = _paths(edges, root)
+    for i in sorted(paths):
+        d = contexts[i]
+        if ltypes.context_steps(d):
+            continue
+        bad = [p for p, t in d.entries if not isinstance(ltypes.head(t), ltypes.End)]
+        if bad:
+            return False, {"path": [ltypes._act_json(a) for a in paths[i]], "stuck": bad}
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _dual_pair(rng, p, q, depth, var):
+    """Processes for p and q that mirror each other: every output of one is
+    an input of the other.  Choices mix both directions; leaves are nil,
+    success or a jump back to the recursion variable var (when given)."""
+    if depth == 0 or rng.random() < 0.2:
+        if var is not None and depth < 3 and rng.random() < 0.5:
+            return ProcVar(var[0]), ProcVar(var[1])
+        return (Success(), Nil()) if rng.random() < 0.5 else (Nil(), Nil())
+    p_branches, q_branches = [], []
+    for label in rng.sample(["l1", "l2", "l3"], rng.randint(1, 2)):
+        p_cont, q_cont = _dual_pair(rng, p, q, depth - 1, var)
+        if rng.random() < 0.3:
+            q_cont = Cond(Var("y"), q_cont, Success())
+        if rng.random() < 0.5:
+            p_branches.append(Branch(Prefix(q, "!", label, payload=rng.choice([TT, FF])), p_cont))
+            q_branches.append(Branch(Prefix(p, "?", label, var="y"), q_cont))
+        else:
+            q_branches.append(Branch(Prefix(p, "!", label, payload=rng.choice([TT, FF])), q_cont))
+            p_branches.append(Branch(Prefix(q, "?", label, var="y"), p_cont))
+    return Choice(tuple(p_branches)), Choice(tuple(q_branches))
+
+
+def _generated_sessions():
+    """Independent communicating pairs, some recursive, some with a stray
+    participant that nobody answers."""
+    rng = random.Random(515)
+    out = []
+    for _ in range(60):
+        parts = []
+        for k in range(rng.randint(1, 3)):
+            p, q = f"p{k}", f"q{k}"
+            var = ("X", "Y") if rng.random() < 0.5 else None
+            pp, qq = _dual_pair(rng, p, q, 4, var)
+            if var is not None and isinstance(pp, Choice):
+                pp, qq = Rec("X", pp), Rec("Y", qq)
+            parts += [(p, pp), (q, qq)]
+        if rng.random() < 0.3:
+            parts.append(("z", Choice((Branch(Prefix("p0", "!", "l1", payload=TT), Success()),))))
+        out.append(Session(tuple(parts)))
+    return out
+
+
+def _dual_type(rng, depth, var):
+    if depth == 0 or rng.random() < 0.2:
+        if var and depth < 3 and rng.random() < 0.5:
+            return TVar("t"), TVar("t")
+        return End(), End()
+    p_branches, q_branches = [], []
+    for label in rng.sample(["l1", "l2", "l3"], rng.randint(1, 2)):
+        p_cont, q_cont = _dual_type(rng, depth - 1, var)
+        payload = rng.choice(["nat", "bool"])
+        pol = rng.choice("!?")
+        # now and then the partner expects another payload type: unsafe
+        q_payload = payload if rng.random() < 0.9 else ("nat" if payload == "bool" else "bool")
+        p_branches.append(TBranch("q", pol, label, payload, p_cont))
+        q_branches.append(TBranch("p", "?" if pol == "!" else "!", label, q_payload, q_cont))
+    return TChoice(tuple(p_branches)), TChoice(tuple(q_branches))
+
+
+def _generated_contexts():
+    """Contexts of independent mirrored pairs with renamed participants,
+    some recursive and some with mismatched payloads or stray entries."""
+    rng = random.Random(616)
+    out = []
+    for _ in range(60):
+        entries = []
+        for k in range(rng.randint(1, 3)):
+            var = rng.random() < 0.5
+            tp, tq = _dual_type(rng, 4, var)
+            if var:
+                tp, tq = TRec("t", tp), TRec("t", tq)
+                if not (ltypes.guarded(tp) and ltypes.guarded(tq)):
+                    continue
+            rename = {"p": f"p{k}", "q": f"q{k}"}
+            entries += [(f"p{k}", _retarget(tp, rename)), (f"q{k}", _retarget(tq, rename))]
+        if rng.random() < 0.3:
+            entries.append(("z", gen_type(rng, ["p0"], ["l1", "l2"], 2)))
+        if entries:
+            out.append(LocalContext(tuple(entries)))
+    return out
+
+
+def _retarget(t, rename):
+    match t:
+        case TRec(x, body):
+            return TRec(x, _retarget(body, rename))
+        case TChoice(branches):
+            return TChoice(tuple(TBranch(rename.get(b.target, b.target), b.polarity, b.label, b.payload,
+                                         _retarget(b.cont, rename)) for b in branches))
+    return t
+
+
+def _fixture_contexts():
+    return [(path.stem, ctx) for path in FIXTURES for _, ctx in [_fixture(path)] if ctx is not None]
+
+
+# ---------------------------------------------------------------------------
+# sessions
+
+
+def _assert_same_graph(ms, **bounds):
+    g = semantics.explore_many(ms, **bounds)
+    states, edges, roots, truncated = reference_explore(ms, **bounds)
+    assert g.states == states
+    assert g.edges == edges
+    assert g.roots == roots
+    assert g.truncated == truncated
+    # congruence numbers the distinct keys: a bijection between the two
+    keys = [syntax.canon_session(s) for s in g.states]
+    pairs = set(zip(g.congruence, keys))
+    assert len(g.congruence) == len(keys)
+    assert len(pairs) == len(set(g.congruence)) == len(set(keys))
+    for i in range(len(g.states)):
+        assert g.successors(i) == [(step, d) for s, step, d in g.edges if s == i]
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_explore_matches_reference_on_fixtures(path):
+    m, _ = _fixture(path)
+    _assert_same_graph([m])
+    _assert_same_graph([m], max_states=7)
+    _assert_same_graph([m], max_depth=2)
+
+
+def test_explore_matches_reference_on_generated():
+    sessions = _generated_sessions()
+    for m in sessions:
+        _assert_same_graph([m], max_states=400)
+    # several roots at once, as the encoding harness explores them
+    for a, b, c in zip(sessions[0::3], sessions[1::3], sessions[2::3]):
+        _assert_same_graph([a, b, c], max_states=400)
+        _assert_same_graph([a, b, c], max_depth=3)
+
+
+def test_explore_matches_reference_with_conditionals_and_open_payloads():
+    m = syntax.parse_session(
+        "role p = if tt then q!a(x).0 else q!b(ff).ok\n"
+        "role q = p?a(y).rec X.(r!c(y).X + r!d(y).0) + p?b(y).if y then 0 else ok\n"
+        "role r = rec Y.(q?c(z).Y + q?d(z).ok)"
+    )
+    _assert_same_graph([m])
+
+
+# ---------------------------------------------------------------------------
+# contexts
+
+
+def _assert_same_contexts(delta):
+    g = ltypes.explore_contexts(delta)
+    contexts, edges, root = reference_contexts(delta)
+    assert g.contexts == contexts
+    assert g.edges == edges
+    assert g.root == root
+    for i in range(len(g.contexts)):
+        assert g.successors(i) == [(a, d) for s, a, d in g.edges if s == i]
+    assert ltypes.is_safe(delta) == reference_is_safe(delta)
+    assert ltypes.is_deadlock_free(delta) == reference_is_deadlock_free(delta)
+
+
+@pytest.mark.parametrize("name,delta", _fixture_contexts(), ids=lambda v: v if isinstance(v, str) else "")
+def test_explore_contexts_matches_reference_on_fixtures(name, delta):
+    _assert_same_contexts(delta)
+
+
+def test_explore_contexts_matches_reference_on_generated():
+    for delta in _generated_contexts():
+        _assert_same_contexts(delta)
+
+
+def test_verdicts_and_witnesses_on_failing_fixtures():
+    contexts = dict(_fixture_contexts())
+    unsafe = [name for name, delta in contexts.items() if not reference_is_safe(delta)[0]]
+    stuck = [name for name, delta in contexts.items() if not reference_is_deadlock_free(delta)[0]]
+    assert "m_scmp" in unsafe and "election5" in stuck
+    for name in unsafe:
+        ok, witness = ltypes.is_safe(contexts[name])
+        assert not ok and witness == reference_is_safe(contexts[name])[1]
+    for name in stuck:
+        ok, witness = ltypes.is_deadlock_free(contexts[name])
+        assert not ok and witness == reference_is_deadlock_free(contexts[name])[1]
+
+
+# ---------------------------------------------------------------------------
+# resolve
+
+
+def test_resolve_returns_recursion_free_sessions_uncached():
+    cache = semantics._resolve_cache
+    plain = [m for m in _generated_sessions() if not any(isinstance(p, Rec) for _, p in m.parts)]
+    assert plain
+    before = len(cache)
+    for m in plain:
+        assert semantics.resolve(m) is m
+        semantics.explore(m, max_states=200)
+    assert len(cache) == before
+
+
+def test_resolve_caches_unfolded_sessions():
+    m, _ = corpus.load("pingpong_rec")
+    r = semantics.resolve(m)
+    assert r is not m and not any(isinstance(p, Rec) for _, p in r.parts)
+    assert semantics.resolve(m) is r
+
+
+# ---------------------------------------------------------------------------
+# the CLI gives the same bytes whatever the hash seed
+
+
+REPRO_COMMANDS = {
+    "election5": [["safety"], ["df"], ["detect", "--pattern", "m"], ["verify-encoding", "--via", "mcmp-msmp"]],
+    "m_mcbs": [["safety"], ["df"], ["detect", "--pattern", "m"], ["verify-encoding", "--via", "mcbs-bs"]],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REPRO_COMMANDS))
+def test_cli_json_independent_of_hash_seed(fixture):
+    path = str(ROOT / "fixtures" / f"{fixture}.mcmp")
+    outputs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        for command in REPRO_COMMANDS[fixture]:
+            argv = [sys.executable, "-m", "mcmp.cli", "--json", command[0], path, *command[1:]]
+            done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert done.returncode in (0, 1), done.stderr.decode()
+            outputs.setdefault(tuple(command), []).append((done.returncode, done.stdout))
+    for command, (first, second) in outputs.items():
+        assert first == second, command

@@ -86,9 +86,13 @@ def test_sweep_exhaustive_binary_mcbs_scbs_bs():
     assert count == len(procs_p) * len(procs_q)
 
 
+# fixed per shape, so every run sweeps the same sessions
+SWEEP_SEEDS = {"dmp": 9101, "smp": 9102, "mp": 9103}
+
+
 @pytest.mark.parametrize("shape,samples", [("dmp", 4000), ("smp", 3000), ("mp", 3000)])
 def test_sweep_random_directed_shapes_no_m(shape, samples):
-    rng = random.Random(hash(shape) % (2**32))
+    rng = random.Random(SWEEP_SEEDS[shape])
     sessions = (
         gen_session(rng, ["p", "q", "r"], ["l1", "l2"], 2, shape) for _ in range(samples)
     )
