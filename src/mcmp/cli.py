@@ -8,6 +8,7 @@ checked property fails (a witness is reported), 2 on usage or parse errors,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -275,101 +276,30 @@ def cmd_cmv_encode(args) -> int:
 def lcmv_correspondence(program, max_states: int, max_depth: int) -> enc_mod.CorrespondenceReport:
     """Good-encoding harness for the lcmv translation: the source graph is
     the CMV reduction graph, targets are encoded per state."""
-    source = lcmv.explore_cmv(program, max_states=max_states)
-    if source.truncated:
-        raise semantics.TruncatedError("source exploration truncated")
-    encoded = [lcmv.encode_lcmv_to_mcbs(s, lcmv.check_cmv(s)) for s in source.states]
-    joint = semantics.explore_many(encoded, max_states=max_states, max_depth=max_depth)
-    if joint.truncated:
-        raise semantics.TruncatedError("target exploration truncated")
-    bisim = semantics.weak_bisim_classes(joint, frozenset({"success"}))
 
-    failures: list[dict] = []
-    completeness, max_factor = True, 0
-    for i in range(len(source.states)):
-        for step, j in source.successors(i):
-            literal = joint.congruence[joint.roots[j]]
-            dist = enc_mod._bfs_distance(joint, joint.roots[i], lambda n: joint.congruence[n] == literal)
-            if dist is None:
-                want = bisim[joint.roots[j]]
-                dist = enc_mod._bfs_distance(joint, joint.roots[i], lambda n: bisim[n] == want)
-            if dist is None:
-                completeness = False
-                failures.append({"criterion": "completeness", "source_step": step.describe()})
-            else:
-                max_factor = max(max_factor, dist)
-    done = {bisim[joint.roots[i]] for i in range(len(encoded))}
-    soundness = True
-    for n in joint.reachable_from(joint.roots[source.root]):
-        if not any(bisim[k] in done for k in joint.reachable_from(n)):
-            soundness = False
-            failures.append({"criterion": "soundness", "stranded_target_state": n})
-            break
-    src_succ = any(lcmv.cmv_has_success(source.states[i]) for i in _cmv_reachable(source, source.root))
-    tgt_succ = semantics.may_succeed(joint, joint.roots[source.root])
-    success_ok = src_succ == tgt_succ
-    if not success_ok:
-        failures.append({"criterion": "success", "source": src_succ, "target": tgt_succ})
-    src_cycle = _cmv_has_cycle(source)
-    tgt_cycle = enc_mod._has_cycle_from(joint, joint.roots[source.root])
-    divergence_ok = (not tgt_cycle) or src_cycle
-    if not divergence_ok:
-        failures.append({"criterion": "divergence"})
-    # per-component compositionality: translating each parallel component on
-    # its own (same classification) reproduces its slice of the target
-    distributability = True
-    root_classes = lcmv.check_cmv(program)
-    by_name = dict(encoded[source.root].parts)
-    for comp in lcmv._components(program.body):
-        if isinstance(comp, lcmv.CSuccess):
-            continue  # success components get a generated participant name
-        for name, proc in lcmv._encode_component(comp, program.x, program.y, root_classes):
-            if name not in by_name or not syntax.alpha_equal(proc, by_name[name]):
-                distributability = False
-                failures.append({"criterion": "distributability", "participant": name})
-    return enc_mod.CorrespondenceReport(
-        encoding="lcmv-mcbs",
-        completeness=completeness,
-        soundness=soundness,
-        success_sensitive=success_ok,
-        divergence_reflected_to_bound=divergence_ok,
-        distributability_preserved=distributability,
-        max_emulation_factor=max_factor,
-        step_bound=enc_mod.ENCODINGS["lcmv-mcbs"].step_bound,
-        failures=failures,
+    def distributability(target_root: syntax.Session) -> list[str]:
+        # per-component compositionality: translating each parallel component
+        # on its own (same classification) reproduces its slice of the target
+        classes = lcmv.check_cmv(program)
+        by_name = dict(target_root.parts)
+        failing = []
+        for comp in lcmv._components(program.body):
+            if isinstance(comp, lcmv.CSuccess):
+                continue  # success components get a generated participant name
+            for name, proc in lcmv._encode_component(comp, program.x, program.y, classes, itertools.count()):
+                if name not in by_name or not syntax.alpha_equal(proc, by_name[name]):
+                    failing.append(name)
+        return failing
+
+    return enc_mod._correspondence(
+        enc_mod.ENCODINGS["lcmv-mcbs"],
+        lcmv.explore_cmv(program, max_states=max_states),
+        lambda s: lcmv.encode_lcmv_to_mcbs(s, lcmv.check_cmv(s)),
+        lcmv.cmv_has_success,
+        distributability,
+        max_states,
+        max_depth,
     )
-
-
-def _cmv_has_cycle(graph) -> bool:
-    color: dict[int, int] = {}
-    stack = [(graph.root, 0)]
-    color[graph.root] = 1
-    while stack:
-        node, idx = stack.pop()
-        succs = [j for _, j in graph.successors(node)]
-        if idx < len(succs):
-            stack.append((node, idx + 1))
-            d = succs[idx]
-            if color.get(d) == 1:
-                return True
-            if color.get(d, 0) == 0:
-                color[d] = 1
-                stack.append((d, 0))
-        else:
-            color[node] = 2
-    return False
-
-
-def _cmv_reachable(graph, root: int) -> set[int]:
-    seen = {root}
-    todo = [root]
-    while todo:
-        i = todo.pop()
-        for _, j in graph.successors(i):
-            if j not in seen:
-                seen.add(j)
-                todo.append(j)
-    return seen
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import ltypes, semantics, syntax
 from .ltypes import End, LocalContext, LocalType, TBranch, TChoice, TRec, TVar
-from .semantics import StateGraph, TruncatedError, explore, explore_many, weak_bisim_classes
+from .semantics import TruncatedError, explore, explore_many, weak_bisim_classes
 from .syntax import (
     TT,
     Branch,
@@ -339,23 +339,7 @@ def _enc_type_i(t: LocalType, view: _OrderView) -> LocalType:
         case TRec(x, body):
             return TRec(x, _enc_type_i(body, view))
         case TChoice(branches):
-            q = _tchoice_target(branches)
-            outs = tuple(TBranch(q, "!", b.label, b.payload, _enc_type_i(b.cont, view)) for b in branches if b.polarity == "!")
-            ins = tuple(TBranch(q, "?", b.label, b.payload, _enc_type_i(b.cont, view)) for b in branches if b.polarity == "?")
-            less = view.less_than(q)
-            if outs and ins:
-                if less:
-                    inner = TChoice(ins + (TBranch(q, "?", "reset", "bool", TChoice(outs)),))
-                    return TChoice(outs + (TBranch(q, "!", "enc_i", "bool", inner),))
-                return TChoice(ins + (TBranch(q, "?", "enc_i", "bool", TChoice(outs)),))
-            if outs:
-                if less:
-                    return TChoice(outs)
-                return TChoice((TBranch(q, "?", "enc_i", "bool", TChoice(outs)),))
-            if less:
-                return TChoice((TBranch(q, "!", "enc_i", "bool", TChoice(ins)),))
-            inner = TChoice((TBranch(q, "!", "reset", "bool", TChoice(ins)),))
-            return TChoice(ins + (TBranch(q, "?", "enc_i", "bool", inner),))
+            return TChoice(_shallow_i(branches, _tchoice_target(branches), view, _enc_type_i))
     raise TypeError(t)
 
 
@@ -371,14 +355,16 @@ def _enc_type_per_peer(t: LocalType, view: _OrderView) -> LocalType:
                 groups.setdefault(b.target, []).append(b)
             out: list[TBranch] = []
             for q, group in groups.items():
-                out.extend(_shallow_i(tuple(group), q, view))
+                out.extend(_shallow_i(tuple(group), q, view, _enc_type_per_peer))
             return TChoice(tuple(out))
     raise TypeError(t)
 
 
-def _shallow_i(group: tuple[TBranch, ...], q: str, view: _OrderView) -> tuple[TBranch, ...]:
-    outs = tuple(TBranch(q, "!", b.label, b.payload, _enc_type_per_peer(b.cont, view)) for b in group if b.polarity == "!")
-    ins = tuple(TBranch(q, "?", b.label, b.payload, _enc_type_per_peer(b.cont, view)) for b in group if b.polarity == "?")
+def _shallow_i(group: tuple[TBranch, ...], q: str, view: _OrderView, enc_cont) -> tuple[TBranch, ...]:
+    """The i-style translation of one choice toward q, its continuations
+    translated by enc_cont."""
+    outs = tuple(TBranch(q, "!", b.label, b.payload, enc_cont(b.cont, view)) for b in group if b.polarity == "!")
+    ins = tuple(TBranch(q, "?", b.label, b.payload, enc_cont(b.cont, view)) for b in group if b.polarity == "?")
     less = view.less_than(q)
     if outs and ins:
         if less:
@@ -442,39 +428,7 @@ class CorrespondenceReport:
         )
 
     def to_json(self) -> str:
-        data = {
-            "encoding": self.encoding,
-            "completeness": self.completeness,
-            "soundness": self.soundness,
-            "success_sensitive": self.success_sensitive,
-            "divergence_reflected_to_bound": self.divergence_reflected_to_bound,
-            "distributability_preserved": self.distributability_preserved,
-            "max_emulation_factor": self.max_emulation_factor,
-            "step_bound": self.step_bound,
-            "passed": self.passed(),
-            "failures": self.failures,
-        }
-        return json.dumps(data, sort_keys=True, indent=2)
-
-
-def _has_cycle_from(graph: StateGraph, root: int) -> bool:
-    color: dict[int, int] = {}  # 1 on stack, 2 done
-    stack: list[tuple[int, int]] = [(root, 0)]
-    color[root] = 1
-    while stack:
-        node, idx = stack.pop()
-        succs = [d for _, d in graph.successors(node)]
-        if idx < len(succs):
-            stack.append((node, idx + 1))
-            d = succs[idx]
-            if color.get(d) == 1:
-                return True
-            if color.get(d, 0) == 0:
-                color[d] = 1
-                stack.append((d, 0))
-        else:
-            color[node] = 2
-    return False
+        return json.dumps({**asdict(self), "passed": self.passed()}, sort_keys=True, indent=2)
 
 
 def verify_correspondence(
@@ -488,15 +442,39 @@ def verify_correspondence(
     for one source session."""
     e = encoding(enc_id) if isinstance(enc_id, str) else enc_id
     source = explore(m, max_states=max_states, max_depth=max_depth)
+    slices = build_order(m)
+
+    def distributability(target_root: Session) -> list[str]:
+        # each participant component of the target is the translation of the
+        # matching source component (same order slices)
+        return [
+            p
+            for p, proc in m.parts
+            if not syntax.alpha_equal(encode_process(proc, p, slices.get(p, frozenset()), e), target_root.process_of(p))
+        ]
+
+    return _correspondence(
+        e, source, lambda s: encode(s, e, order=slices), semantics.has_success, distributability, max_states, max_depth
+    )
+
+
+def _correspondence(
+    e: EncodingId, source, translate, has_success, distributability, max_states: int, max_depth: int
+) -> CorrespondenceReport:
+    """The good-encoding criteria for the explored source graph: translate
+    maps a source state to its target session, has_success tells whether a
+    source state shows success, and distributability lists the participants
+    of the root's translation that are not the translation of their own
+    source component."""
     if source.truncated:
         raise TruncatedError("source exploration truncated")
-    slices = build_order(m)
-    encoded = [encode(s, e, order=slices) for s in source.states]
+    encoded = [translate(s) for s in source.states]
     joint = explore_many(encoded, max_states=max_states, max_depth=max_depth)
     if joint.truncated:
         raise TruncatedError("target exploration truncated")
     classes = weak_bisim_classes(joint, frozenset({"success"}))
-    root_class = {i: classes[joint.roots[i]] for i in range(len(encoded))}
+    root_class = [classes[n] for n in joint.roots]
+    start = joint.roots[source.root]
 
     failures: list[dict] = []
 
@@ -508,10 +486,9 @@ def verify_correspondence(
     for i in range(len(source.states)):
         for step, j in source.successors(i):
             literal = joint.congruence[joint.roots[j]]
-            dist = _bfs_distance(joint, joint.roots[i], lambda n: joint.congruence[n] == literal)
+            dist = joint.distance(joint.roots[i], lambda n: joint.congruence[n] == literal)
             if dist is None:
-                want = root_class[j]
-                dist = _bfs_distance(joint, joint.roots[i], lambda n: classes[n] == want)
+                dist = joint.distance(joint.roots[i], lambda n: classes[n] == root_class[j])
             if dist is None:
                 completeness = False
                 failures.append({"criterion": "completeness", "source_step": step.describe(), "from_state": i})
@@ -520,38 +497,29 @@ def verify_correspondence(
 
     # soundness: every target derivative can complete to the encoding of a
     # source derivative
-    done_classes = set(root_class.values())
+    done_classes = set(root_class)
     soundness = True
-    for n in joint.reachable_from(joint.roots[source.root]):
-        if not any(classes[k] in done_classes for k in joint.reachable_from(n)):
+    for n in joint.reachable(start):
+        if joint.distance(n, lambda k: classes[k] in done_classes) is None:
             soundness = False
             failures.append({"criterion": "soundness", "stranded_target_state": n})
             break
 
     # success sensitiveness on the roots
-    src_succ = semantics.may_succeed(source, source.root)
-    tgt_succ = semantics.may_succeed(joint, joint.roots[source.root])
+    src_succ = any(has_success(source.states[i]) for i in source.reachable(source.root))
+    tgt_succ = semantics.may_succeed(joint, start)
     success_sensitive = src_succ == tgt_succ
     if not success_sensitive:
         failures.append({"criterion": "success", "source": src_succ, "target": tgt_succ})
 
     # divergence reflection: a target cycle implies a source cycle
-    tgt_diverges = _has_cycle_from(joint, joint.roots[source.root])
-    src_diverges = _has_cycle_from(source, source.root)
-    divergence_ok = (not tgt_diverges) or src_diverges
+    divergence_ok = not joint.has_cycle(start) or source.has_cycle(source.root)
     if not divergence_ok:
         failures.append({"criterion": "divergence"})
 
-    # distributability: each participant component of the target is the
-    # translation of the matching source component (same order slices)
-    distributability = True
-    target_root = encoded[source.root]
-    for p, proc in m.parts:
-        translated = encode_process(proc, p, slices.get(p, frozenset()), e)
-        actual = target_root.process_of(p)
-        if not syntax.alpha_equal(translated, actual):
-            distributability = False
-            failures.append({"criterion": "distributability", "participant": p})
+    failing = distributability(encoded[source.root])
+    for p in failing:
+        failures.append({"criterion": "distributability", "participant": p})
 
     return CorrespondenceReport(
         encoding=e.name,
@@ -559,27 +527,11 @@ def verify_correspondence(
         soundness=soundness,
         success_sensitive=success_sensitive,
         divergence_reflected_to_bound=divergence_ok,
-        distributability_preserved=distributability,
+        distributability_preserved=not failing,
         max_emulation_factor=max_factor,
         step_bound=e.step_bound,
         failures=failures,
     )
-
-
-def _bfs_distance(graph: StateGraph, root: int, accept) -> int | None:
-    from collections import deque
-
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        n = queue.popleft()
-        if accept(n):
-            return dist[n]
-        for _, d in graph.successors(n):
-            if d not in dist:
-                dist[d] = dist[n] + 1
-                queue.append(d)
-    return None
 
 
 def verify_name_invariance(m: Session, enc_id: str | EncodingId, sigma: dict[str, str],

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from . import syntax
+from . import lts, syntax
 from .syntax import (
     TT,
     BoolVal,
@@ -441,51 +442,14 @@ def cmv_has_success(p: CmvProcess) -> bool:
             return False
 
 
-@dataclass
-class CmvGraph:
-    states: list[CmvProcess]
-    edges: list[tuple[int, CmvStep, int]]
-    root: int
-    truncated: bool
+def explore_cmv(p: CmvProcess, max_states: int = 10000) -> lts.Graph:
+    """Every state reachable from p, identified by cmv_canon, in
+    breadth-first order."""
 
-    def successors(self, i: int):
-        return [(s, d) for src, s, d in self.edges if src == i]
+    def transitions(q: CmvProcess, _):
+        return [(step, cmv_canon(succ), succ) for step, succ in cmv_enabled(q)]
 
-
-def explore_cmv(p: CmvProcess, max_states: int = 10000) -> CmvGraph:
-    index: dict[tuple, int] = {}
-    states: list[CmvProcess] = []
-    edges: list[tuple[int, CmvStep, int]] = []
-    truncated = False
-
-    def intern(q: CmvProcess) -> int | None:
-        nonlocal truncated
-        key = cmv_canon(q)
-        if key in index:
-            return index[key]
-        if len(states) >= max_states:
-            truncated = True
-            return None
-        index[key] = len(states)
-        states.append(q)
-        return index[key]
-
-    root = intern(p)
-    todo = [root]
-    done = set()
-    while todo:
-        i = todo.pop()
-        if i in done:
-            continue
-        done.add(i)
-        for step, succ in cmv_enabled(states[i]):
-            j = intern(succ)
-            if j is None:
-                continue
-            edges.append((i, step, j))
-            if j not in done:
-                todo.append(j)
-    return CmvGraph(states, edges, root, truncated)
+    return lts.explore([(cmv_canon(p), p)], transitions, lambda q, _: (q, None), max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +651,6 @@ def _all_choice_caps(p: CmvProcess) -> list[int]:
 # encoding into mixed-choice binary sessions
 
 
-_ok_counter = itertools.count()
-
-
 def encode_lcmv_to_mcbs(p: CmvProcess, classes: dict[int, str] | None = None) -> Session:
     """Drop the restriction, turn the endpoints into participants, and
     translate choices per their internal/external view: internal choices
@@ -700,74 +661,69 @@ def encode_lcmv_to_mcbs(p: CmvProcess, classes: dict[int, str] | None = None) ->
     if classes is None:
         classes = check_cmv(p)
     x, y = p.x, p.y
+    # numbers the ok<n> participants and z<n> binders of this translation
+    serial = itertools.count()
     parts: list[tuple[str, Process]] = []
     for comp in _components(p.body):
-        parts.extend(_encode_component(comp, x, y, classes))
+        parts.extend(_encode_component(comp, x, y, classes, serial))
     return Session(tuple(parts))
 
 
-def _free_endpoints(p: CmvProcess, endpoints: set[str]) -> set[str]:
-    return _endpoints_of(p, endpoints)
-
-
-def _encode_component(comp: CmvProcess, x: str, y: str, classes: dict[int, str]) -> list[tuple[str, Process]]:
+def _encode_component(
+    comp: CmvProcess, x: str, y: str, classes: dict[int, str], serial: Iterator[int]
+) -> list[tuple[str, Process]]:
     match comp:
         case Inact():
             return []
         case CSuccess():
-            return [(f"ok{next(_ok_counter)}", Success())]
+            return [(f"ok{next(serial)}", Success())]
         case CChoice(endpoint, _, _):
             if endpoint not in (x, y):
                 raise McmpError(f"free endpoint {endpoint!r} is not bound by the restriction")
-            used = _free_endpoints(comp, {x, y})
+            used = _endpoints_of(comp, {x, y})
             if used == {x, y}:
                 return [(endpoint, Nil())]
             peer = y if endpoint == x else x
-            return [(endpoint, _encode_proc(comp, peer, classes))]
-        case CCond(g, t, e, cap):
-            used = sorted(_free_endpoints(comp, {x, y}))
+            return [(endpoint, _encode_proc(comp, peer, classes, serial))]
+        case CCond():
+            used = sorted(_endpoints_of(comp, {x, y}))
             if len(used) != 1:
                 raise McmpError("conditional components must use exactly one endpoint")
             endpoint = used[0]
             peer = y if endpoint == x else x
-            return [(endpoint, syntax.Cond(g, _encode_proc(t, peer, classes), _encode_proc(e, peer, classes), cap))]
+            return [(endpoint, _encode_proc(comp, peer, classes, serial))]
         case _:
             raise McmpError(f"cannot place component {render_cmv(comp)!r} under a participant")
 
 
-def _encode_proc(p: CmvProcess, peer: str, classes: dict[int, str]) -> Process:
+def _encode_proc(p: CmvProcess, peer: str, classes: dict[int, str], serial: Iterator[int]) -> Process:
+    def enc(q: CmvProcess) -> Process:
+        return _encode_proc(q, peer, classes, serial)
+
     match p:
         case Inact():
             return Nil()
         case CSuccess():
             return Success()
         case CCond(g, t, e, cap):
-            return syntax.Cond(g, _encode_proc(t, peer, classes), _encode_proc(e, peer, classes), cap)
+            return syntax.Cond(g, enc(t), enc(e), cap)
         case CChoice(_, branches, cap):
             view = classes.get(cap, "internal")
             out: list[Branch] = []
             if view == "internal":
                 for b in branches:
                     if b.polarity == "!":
-                        out.append(
-                            Branch(Prefix(peer, "!", f"{b.label}.o", payload=b.payload), _encode_proc(b.cont, peer, classes))
-                        )
+                        out.append(Branch(Prefix(peer, "!", f"{b.label}.o", payload=b.payload), enc(b.cont)))
                     else:
-                        inner = Choice(
-                            (Branch(Prefix(peer, "?", b.label, var=b.var), _encode_proc(b.cont, peer, classes)),)
-                        )
+                        inner = Choice((Branch(Prefix(peer, "?", b.label, var=b.var), enc(b.cont)),))
                         out.append(Branch(Prefix(peer, "!", f"{b.label}.i", payload=TT), inner))
             else:
                 for b in branches:
                     if b.polarity == "!":
-                        inner = Choice(
-                            (Branch(Prefix(peer, "!", b.label, payload=b.payload), _encode_proc(b.cont, peer, classes)),)
-                        )
-                        out.append(Branch(Prefix(peer, "?", f"{b.label}.i", var=f"z{next(_ok_counter)}"), inner))
+                        inner = Choice((Branch(Prefix(peer, "!", b.label, payload=b.payload), enc(b.cont)),))
+                        out.append(Branch(Prefix(peer, "?", f"{b.label}.i", var=f"z{next(serial)}"), inner))
                     else:
-                        out.append(
-                            Branch(Prefix(peer, "?", f"{b.label}.o", var=b.var), _encode_proc(b.cont, peer, classes))
-                        )
+                        out.append(Branch(Prefix(peer, "?", f"{b.label}.o", var=b.var), enc(b.cont)))
             return Choice(tuple(out), cap)
         case CPar():
             raise McmpError("parallel composition under a prefix is outside the fragment")

@@ -10,7 +10,10 @@ assumed true, i.e. a greatest fixpoint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
+
+from . import lts
 
 
 @dataclass(frozen=True)
@@ -381,19 +384,12 @@ def canon_context(delta: LocalContext) -> tuple:
     return tuple(sorted((p, _canon_type(t)) for p, t in delta.entries))
 
 
-@dataclass
-class ContextGraph:
-    contexts: list[LocalContext]
-    edges: list[tuple[int, TypeAction, int]]
-    root: int
-    _succ: list[list[tuple[TypeAction, int]]] = field(default_factory=list)
-
-    def successors(self, i: int) -> list[tuple[TypeAction, int]]:
-        return self._succ[i]
+class ContextGraph(lts.Graph):
+    @property
+    def contexts(self) -> list[LocalContext]:
+        return self.states
 
     def to_json(self) -> str:
-        import json
-
         data = {
             "root": self.root,
             "contexts": [
@@ -406,55 +402,44 @@ class ContextGraph:
 
 
 def explore_contexts(delta: LocalContext) -> ContextGraph:
-    """Every context reachable from delta, identified by canon_context.  A
-    step changes two entries, so a successor's key is its parent's with
-    those two entries replaced; the others are never re-canonicalised."""
+    """Every context reachable from delta, identified by canon_context, in
+    breadth-first order.  A step changes two entries, so a successor's key
+    is its parent's with those two entries replaced; the others are never
+    re-canonicalised."""
     for _, t in delta.entries:
         if not (closed(t) and guarded(t) and well_formed(t)):
             raise ValueError("context entries must be closed, guarded and well-formed")
     root_key = canon_context(delta)
     # the domain never changes, so neither does a participant's place in a key
     place = {p: k for k, (p, _) in enumerate(root_key)}
-    index: dict[tuple, int] = {root_key: 0}
-    contexts: list[LocalContext] = [delta]
-    keys: list[tuple] = [root_key]
-    edges: list[tuple[int, TypeAction, int]] = []
-    succ: list[list[tuple[TypeAction, int]]] = [[]]
-    todo = [0]
+
     # well-formed types have distinct labels per (participant, polarity), so
     # no two synchronisations from one context are the same edge
-    while todo:
-        i = todo.pop()
-        types = dict(contexts[i].entries)
-        for act, p, bp, q, bq in _context_transitions(contexts[i]):
-            key = list(keys[i])
+    def transitions(context: LocalContext, key: tuple):
+        types = dict(context.entries)
+        out = []
+        for act, p, bp, q, bq in _context_transitions(context):
+            succ_key = list(key)
             for r, b in ((p, bp), (q, bq)):
-                key[place[r]] = (r, _cont_key(types[r], keys[i][place[r]][1], b))
-            key = tuple(key)
-            j = index.get(key)
-            if j is None:
-                j = len(contexts)
-                index[key] = j
-                contexts.append(contexts[i].with_entries({p: bp.cont, q: bq.cont}))
-                keys.append(key)
-                succ.append([])
-                todo.append(j)
-            edges.append((i, act, j))
-            succ[i].append((act, j))
-    return ContextGraph(contexts, edges, 0, succ)
+                succ_key[place[r]] = (r, _cont_key(types[r], key[place[r]][1], b))
+            out.append((act, tuple(succ_key), (context, {p: bp.cont, q: bq.cont})))
+        return out
+
+    def build(seed, key: tuple) -> tuple[LocalContext, tuple]:
+        base, new = seed
+        return (base.with_entries(new) if new else base), key
+
+    return ContextGraph(**vars(lts.explore([(root_key, (delta, {}))], transitions, build)))
 
 
 def is_safe(delta: LocalContext):
     """Whenever some p has an output toward a q that is listening to p at all,
     the exact (label, payload) of the output must be able to fire; closed
-    under reachability.  Returns (ok, counterexample path or None)."""
+    under reachability.  Returns (ok, counterexample or None); the
+    counterexample's path is a shortest one to an unsafe context."""
     graph = explore_contexts(delta)
-    paths: dict[int, list[TypeAction]] = {graph.root: []}
-    for s, act, d in graph.edges:
-        if d not in paths:
-            paths[d] = paths[s] + [act]
-    for i in sorted(paths):
-        heads = _heads(graph.contexts[i])
+    for i, context in enumerate(graph.contexts):
+        heads = _heads(context)
         enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in graph.successors(i)}
         for p, hp in heads.items():
             for b in hp.branches:
@@ -465,26 +450,22 @@ def is_safe(delta: LocalContext):
                 q_listens = any(c.polarity == "?" and c.target == p for c in hq.branches)
                 if q_listens and (p, q, b.label, b.payload) not in enabled:
                     return False, {
-                        "path": [_act_json(a) for a in paths[i]],
+                        "path": [_act_json(a) for a in graph.path(i)],
                         "offending": _act_json(TypeAction("out", p, q, b.label, b.payload)),
                     }
     return True, None
 
 
 def is_deadlock_free(delta: LocalContext):
-    """Every reachable stuck context is all-end.  Returns (ok, evidence)."""
+    """Every reachable stuck context is all-end.  Returns (ok, evidence); the
+    evidence's path is a shortest one to a stuck context."""
     graph = explore_contexts(delta)
-    paths: dict[int, list[TypeAction]] = {graph.root: []}
-    for s, act, d in graph.edges:
-        if d not in paths:
-            paths[d] = paths[s] + [act]
-    for i in sorted(paths):
-        d = graph.contexts[i]
+    for i, context in enumerate(graph.contexts):
         if graph.successors(i):
             continue
-        bad = [p for p, t in d.entries if not isinstance(head(t), End)]
+        bad = [p for p, t in context.entries if not isinstance(head(t), End)]
         if bad:
-            return False, {"path": [_act_json(a) for a in paths[i]], "stuck": bad}
+            return False, {"path": [_act_json(a) for a in graph.path(i)], "stuck": bad}
     return True, None
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import lts
+from .lts import TruncatedError
 from .syntax import (
     BoolVal,
     Branch,
@@ -280,39 +282,10 @@ def distributable_components(m: Session) -> list[Session]:
 # exploration
 
 
-class TruncatedError(McmpError):
-    pass
-
-
 @dataclass
-class StateGraph:
-    states: list[Session]
-    edges: list[tuple[int, Step, int]]
-    roots: list[int]
-    truncated: bool
-    max_states: int
-    max_depth: int
-    _succ: list[list[tuple[Step, int]]] = field(default_factory=list)
+class StateGraph(lts.Graph):
     # congruence[i] == congruence[j] iff canon_session(states[i]) == canon_session(states[j])
     congruence: list[int] = field(default_factory=list)
-
-    @property
-    def root(self) -> int:
-        return self.roots[0]
-
-    def successors(self, i: int) -> list[tuple[Step, int]]:
-        return self._succ[i]
-
-    def reachable_from(self, i: int) -> set[int]:
-        seen = {i}
-        todo = [i]
-        while todo:
-            s = todo.pop()
-            for _, d in self._succ[s]:
-                if d not in seen:
-                    seen.add(d)
-                    todo.append(d)
-        return seen
 
     def to_dot(self, state_label=None) -> str:
         lines = ["digraph states {"]
@@ -362,65 +335,23 @@ def explore_many(ms: list[Session], max_states: int = DEFAULT_MAX_STATES, max_de
     before resolution.  A step changes at most two participants, so a
     successor's key is its parent's resolved key with those entries
     replaced; the other participants are never re-canonicalised."""
-    if max_states <= 0 or max_depth <= 0:
-        raise ValueError("exploration limits must be positive")
-    index: dict[tuple, int] = {}
-    states: list[Session] = []
-    keys: list[tuple] = []  # keys[i] == canon_session(states[i])
     classes: dict[tuple, int] = {}
     congruence: list[int] = []
-    edges: list[tuple[int, Step, int]] = []
-    succ: list[list[tuple[Step, int]]] = []
-    truncated = False
 
-    def intern(s: Session, key: tuple) -> int | None:
-        nonlocal truncated
-        if len(states) >= max_states:
-            truncated = True
-            return None
-        i = len(states)
-        index[key] = i
+    def transitions(r: Session, key: tuple):
+        return [(step, _rekey(key, {p: k for p, _, k in changes}), (r, changes)) for step, changes in _transitions(r)]
+
+    def build(seed, key: tuple) -> tuple[Session, tuple]:
+        base, changes = seed
+        s = base.with_parts({p: proc for p, proc, _ in changes}) if changes else base
         r = resolve(s)
-        states.append(r)
-        keys.append(_resolved_key(key, s, r))
-        congruence.append(classes.setdefault(keys[i], len(classes)))
-        succ.append([])
-        return i
+        resolved_key = _resolved_key(key, s, r)
+        congruence.append(classes.setdefault(resolved_key, len(classes)))
+        return r, resolved_key
 
-    roots = []
-    for m in ms:
-        key = canon_session(m)
-        i = index.get(key)
-        if i is None:
-            i = intern(m, key)
-        if i is None:
-            raise TruncatedError("state budget exhausted while interning roots")
-        roots.append(i)
-    frontier = list(dict.fromkeys(roots))
-    expanded = set(frontier)
-    depth = 0
-    while frontier:
-        if depth >= max_depth:
-            truncated = True
-            break
-        nxt = []
-        for i in frontier:
-            r, key = states[i], keys[i]
-            for step, changes in _transitions(r):
-                succ_key = _rekey(key, {p: k for p, _, k in changes})
-                j = index.get(succ_key)
-                if j is None:
-                    j = intern(r.with_parts({p: proc for p, proc, _ in changes}), succ_key)
-                    if j is None:
-                        continue
-                edges.append((i, step, j))
-                succ[i].append((step, j))
-                if j not in expanded:
-                    expanded.add(j)
-                    nxt.append(j)
-        frontier = nxt
-        depth += 1
-    return StateGraph(states, edges, roots, truncated, max_states, max_depth, succ, congruence)
+    roots = [(canon_session(m), (m, ())) for m in ms]
+    graph = lts.explore(roots, transitions, build, max_states, max_depth)
+    return StateGraph(**vars(graph), congruence=congruence)
 
 
 def is_convergent(graph: StateGraph) -> bool:
@@ -428,30 +359,11 @@ def is_convergent(graph: StateGraph) -> bool:
     real divergence)."""
     if graph.truncated:
         raise TruncatedError("cannot decide convergence on a truncated graph")
-    color = [0] * len(graph.states)  # 0 unseen, 1 on stack, 2 done
-
-    def dfs(i: int) -> bool:
-        color[i] = 1
-        for _, j in graph.successors(i):
-            if color[j] == 1:
-                return False
-            if color[j] == 0 and not dfs(j):
-                return False
-        color[i] = 2
-        return True
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(graph.states) * 2 + 100))
-    try:
-        return all(dfs(i) for i in range(len(graph.states)) if color[i] == 0)
-    finally:
-        sys.setrecursionlimit(old)
+    return not graph.has_cycle()
 
 
 def may_succeed(graph: StateGraph, i: int) -> bool:
-    return any(has_success(graph.states[j]) for j in graph.reachable_from(i))
+    return any(has_success(graph.states[j]) for j in graph.reachable(i))
 
 
 def must_succeed(graph: StateGraph, i: int) -> bool:
@@ -502,11 +414,8 @@ def maximal_executions(m: Session, max_states: int = DEFAULT_MAX_STATES, max_dep
         counts[i] = result
         return result
 
-    total = count(graph.root)
-    terminals = sorted(
-        j for j in graph.reachable_from(graph.root) if not graph.successors(j)
-    )
-    return total, [graph.states[j] for j in terminals]
+    # the graph has one root, so every state in it is reachable
+    return count(graph.root), [s for i, s in enumerate(graph.states) if not graph.successors(i)]
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +433,7 @@ def weak_bisim_classes(graph: StateGraph, observables: frozenset[str] = frozense
     if graph.truncated:
         raise TruncatedError("bisimulation needs a complete graph")
     n = len(graph.states)
-    reach = [sorted(graph.reachable_from(i)) for i in range(n)]
+    reach = [sorted(graph.reachable(i)) for i in range(n)]
 
     def observable_key(i: int):
         key = []

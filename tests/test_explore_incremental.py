@@ -82,7 +82,7 @@ def reference_contexts(delta):
     todo = [root]
     seen = set()
     while todo:
-        i = todo.pop()
+        i = todo.pop(0)
         before = len(contexts)
         for act, succ in ltypes.context_steps(contexts[i]):
             j = visit(succ)
@@ -103,21 +103,36 @@ def _paths(edges, root):
     return paths
 
 
+def _unsafe_output(d):
+    """The first output in d whose receiver listens to the sender but cannot
+    take it, or None."""
+    trans = {p: ltypes.type_transitions(p, t) for p, t in d.entries}
+    enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in ltypes.context_steps(d)}
+    for p, _ in d.entries:
+        for act, _ in trans[p]:
+            q = act.peer
+            if act.kind != "out" or q == p or q not in trans:
+                continue
+            q_listens = any(a.kind == "in" and a.peer == p for a, _ in trans[q])
+            if q_listens and (p, q, act.label, act.payload) not in enabled:
+                return act
+    return None
+
+
+def _stuck(d):
+    """The participants of d not at end when d has no step, else []."""
+    if ltypes.context_steps(d):
+        return []
+    return [p for p, t in d.entries if not isinstance(ltypes.head(t), ltypes.End)]
+
+
 def reference_is_safe(delta):
     contexts, edges, root = reference_contexts(delta)
     paths = _paths(edges, root)
     for i in sorted(paths):
-        d = contexts[i]
-        trans = {p: ltypes.type_transitions(p, t) for p, t in d.entries}
-        enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in ltypes.context_steps(d)}
-        for p, _ in d.entries:
-            for act, _ in trans[p]:
-                q = act.peer
-                if act.kind != "out" or q == p or q not in trans:
-                    continue
-                q_listens = any(a.kind == "in" and a.peer == p for a, _ in trans[q])
-                if q_listens and (p, q, act.label, act.payload) not in enabled:
-                    return False, {"path": [ltypes._act_json(a) for a in paths[i]], "offending": ltypes._act_json(act)}
+        act = _unsafe_output(contexts[i])
+        if act is not None:
+            return False, {"path": [ltypes._act_json(a) for a in paths[i]], "offending": ltypes._act_json(act)}
     return True, None
 
 
@@ -125,13 +140,27 @@ def reference_is_deadlock_free(delta):
     contexts, edges, root = reference_contexts(delta)
     paths = _paths(edges, root)
     for i in sorted(paths):
-        d = contexts[i]
-        if ltypes.context_steps(d):
-            continue
-        bad = [p for p, t in d.entries if not isinstance(ltypes.head(t), ltypes.End)]
+        bad = _stuck(contexts[i])
         if bad:
             return False, {"path": [ltypes._act_json(a) for a in paths[i]], "stuck": bad}
     return True, None
+
+
+def _depths(edges, root):
+    """The fewest steps from root to each context."""
+    depth, level, frontier = {root: 0}, 0, {root}
+    while frontier:
+        level += 1
+        frontier = {d for s, _, d in edges if s in frontier and d not in depth}
+        depth.update(dict.fromkeys(frontier, level))
+    return depth
+
+
+def _replay(delta, path):
+    """The context that the actions of path lead to from delta."""
+    for act in path:
+        delta = next(succ for a, succ in ltypes.context_steps(delta) if ltypes._act_json(a) == act)
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +324,15 @@ def _assert_same_contexts(delta):
         assert g.successors(i) == [(a, d) for s, a, d in g.edges if s == i]
     assert ltypes.is_safe(delta) == reference_is_safe(delta)
     assert ltypes.is_deadlock_free(delta) == reference_is_deadlock_free(delta)
+    # a witness path replays to a violating context, and none is nearer
+    depth = _depths(edges, root)
+    for check, violates in ((ltypes.is_safe, _unsafe_output), (ltypes.is_deadlock_free, _stuck)):
+        ok, witness = check(delta)
+        nearest = min((depth[i] for i, d in enumerate(contexts) if violates(d)), default=None)
+        assert ok == (nearest is None)
+        if not ok:
+            assert violates(_replay(delta, witness["path"]))
+            assert len(witness["path"]) == nearest
 
 
 @pytest.mark.parametrize("name,delta", _fixture_contexts(), ids=lambda v: v if isinstance(v, str) else "")

@@ -147,6 +147,14 @@ def test_encode_success_sensitive_fixtures():
         assert src_succ == semantics.may_succeed(g, g.root), name
 
 
+def test_encode_is_deterministic_across_calls():
+    # ok<n> participants and z<n> binders are numbered afresh by each call
+    for name in corpus.ENCODING_FIXTURES["lcmv-mcbs"]:
+        p = parse_cmv(corpus.CMV[name])
+        first = syntax.render_session(encode_lcmv_to_mcbs(p))
+        assert syntax.render_session(encode_lcmv_to_mcbs(p)) == first, name
+
+
 def test_correspondence_on_lcmv_fixtures():
     for name in corpus.ENCODING_FIXTURES["lcmv-mcbs"]:
         p = parse_cmv(corpus.CMV[name])

@@ -1,0 +1,145 @@
+"""The exploration kernel and its graph walks, on hand-written transition
+functions over integer states (each state is its own key)."""
+
+import random
+import sys
+
+import pytest
+
+from mcmp import lts
+
+
+def explore(successors, roots=(0,), **bounds):
+    """Explore from roots, where successors(s) lists the states s steps to;
+    an edge's label is the pair (s, t).  Also returns the keys build was
+    called for, in order."""
+    built = []
+
+    def step(s, _):
+        return [((s, t), t, t) for t in successors(s)]
+
+    def build(seed, key):
+        assert seed == key
+        built.append(key)
+        return seed, None
+
+    return lts.explore([(r, r) for r in roots], step, build, **bounds), built
+
+
+def pairs(g):
+    """The edges as (from state, to state)."""
+    return [(g.states[i], g.states[j]) for i, _, j in g.edges]
+
+
+N = 10_000
+
+
+def chain(n):
+    return lambda s: [s + 1] if s + 1 < n else []
+
+
+def test_chain_deeper_than_the_recursion_limit():
+    assert N > sys.getrecursionlimit()
+    g, built = explore(chain(N))
+    assert g.states == list(range(N)) and built == list(range(N))
+    assert not g.truncated
+    assert g.reachable(0) == list(range(N))
+    assert g.reachable(N - 1) == [N - 1]
+    assert g.distance(0, lambda j: g.states[j] == N - 1) == N - 1
+    assert g.distance(0, lambda j: True) == 0
+    assert g.distance(5, lambda j: g.states[j] == 2) is None
+    assert not g.has_cycle() and not g.has_cycle(0) and not g.has_cycle(N // 2)
+    assert g.path(N - 1) == [(s, s + 1) for s in range(N - 1)]
+
+
+def test_cycle_at_the_far_end():
+    # 0 -> -1 -> -2 is a dead end beside the long chain 0 -> 1 -> ... -> N-1,
+    # whose last state steps back to N-100
+    def successors(s):
+        if s == 0:
+            return [1, -1]
+        if s < 0:
+            return [s - 1] if s > -2 else []
+        return [s + 1] if s + 1 < N else [N - 100]
+
+    g, _ = explore(successors)
+    index = {s: i for i, s in enumerate(g.states)}
+    assert g.has_cycle() and g.has_cycle(index[0]) and g.has_cycle(index[N - 50])
+    assert not g.has_cycle(index[-1])
+    assert sorted(g.states[j] for j in g.reachable(index[N - 1])) == list(range(N - 100, N))
+    assert g.distance(index[N - 1], lambda j: g.states[j] == N - 2) == 99
+    assert g.distance(index[N - 1], lambda j: g.states[j] == 0) is None
+
+
+def test_self_loop():
+    g, _ = explore(lambda s: [s])
+    assert g.states == [0] and pairs(g) == [(0, 0)] and g.successors(0) == [((0, 0), 0)]
+    assert g.has_cycle() and g.has_cycle(0)
+    assert g.reachable(0) == [0]
+    assert g.path(0) == []
+
+
+def test_roots_that_share_states():
+    # 5 is a root and also reached from the root 0; the repeated root 0 is
+    # one state
+    g, built = explore(chain(10), roots=(0, 5, 0))
+    assert g.roots == [0, 1, 0] and g.root == 0
+    assert g.states == [0, 5, 1, 6, 2, 7, 3, 8, 4, 9]
+    assert sorted(built) == list(range(10))
+    assert (4, 5) in pairs(g)
+    assert g.path(g.states.index(5)) == []
+    assert g.path(g.states.index(9)) == [(5, 6), (6, 7), (7, 8), (8, 9)]
+    assert g.path(g.states.index(4)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_max_states_cuts_successors():
+    # a binary tree whose every state also steps back to 0
+    g, built = explore(lambda s: [2 * s + 1, 2 * s + 2, 0], max_states=5)
+    assert g.truncated
+    assert g.states == [0, 1, 2, 3, 4] and built == [0, 1, 2, 3, 4]
+    # edges to known states stay, edges to states past the budget go
+    assert pairs(g) == [(0, 1), (0, 2), (0, 0), (1, 3), (1, 4), (1, 0), (2, 0), (3, 0), (4, 0)]
+
+
+def test_max_states_cuts_roots():
+    with pytest.raises(lts.TruncatedError):
+        explore(chain(10), roots=(0, 1, 2), max_states=2)
+    g, _ = explore(chain(10), roots=(0, 0, 1), max_states=2)
+    assert g.roots == [0, 0, 1] and g.states == [0, 1] and g.truncated
+
+
+def test_max_depth_cut():
+    g, _ = explore(chain(10), max_depth=3)
+    # the states 3 steps away are found but not expanded
+    assert g.states == [0, 1, 2, 3] and g.truncated
+    assert g.successors(3) == []
+    g, _ = explore(chain(4), max_depth=4)
+    assert g.states == [0, 1, 2, 3] and not g.truncated
+
+
+def test_unbounded_by_default():
+    g, _ = explore(chain(3000))
+    assert len(g.states) == 3000 and not g.truncated
+
+
+def test_path_is_a_shortest_path():
+    rng = random.Random(4242)
+    n = 300
+    adjacency = {s: rng.sample(range(n), rng.randint(0, 3)) for s in range(n)}
+    g, _ = explore(lambda s: adjacency[s])
+    assert len(g.states) > 100
+    for i, s in enumerate(g.states):
+        path = g.path(i)
+        # the labels replay from the root to i along edges of the graph
+        at = g.states[g.root]
+        for a, b in path:
+            assert a == at and b in adjacency[a]
+            at = b
+        assert at == s
+        assert len(path) == g.distance(g.root, lambda j: j == i)
+
+
+@pytest.mark.parametrize("bounds", [{"max_states": 0}, {"max_depth": 0}, {"max_states": -3}])
+def test_bounds_must_be_positive(bounds):
+    with pytest.raises(ValueError):
+        explore(chain(3), **bounds)
