@@ -32,6 +32,11 @@ def main(argv: list[str] | None = None) -> int:
     except semantics.TruncatedError as e:
         _emit(args, {"error": str(e), "truncated": True}, f"truncated: {e}")
         return TRUNCATED
+    except RecursionError:
+        # the parser and the term walks recurse once per nesting level
+        message = "nesting depth: the input nests deeper than the recursion limit allows"
+        _emit(args, {"error": message, "truncated": True}, f"truncated: {message}")
+        return TRUNCATED
     except (syntax.McmpError, ValueError) as e:
         _emit(args, {"error": str(e)}, f"error: {e}")
         return USAGE
@@ -148,14 +153,14 @@ def cmd_check(args) -> int:
 
 def cmd_safety(args) -> int:
     _, context = _load_session(args, need_types=True)
-    ok, witness = ltypes.is_safe(context)
+    ok, witness = ltypes.is_safe(context, args.max_states, args.max_depth)
     _emit(args, {"safe": ok, "witness": witness}, "safe" if ok else f"not safe: {witness}")
     return OK if ok else FAIL
 
 
 def cmd_df(args) -> int:
     _, context = _load_session(args, need_types=True)
-    ok, witness = ltypes.is_deadlock_free(context)
+    ok, witness = ltypes.is_deadlock_free(context, args.max_states, args.max_depth)
     _emit(args, {"deadlock_free": ok, "witness": witness}, "deadlock-free" if ok else f"not deadlock-free: {witness}")
     return OK if ok else FAIL
 

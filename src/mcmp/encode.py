@@ -28,10 +28,10 @@ from .syntax import (
     Rec,
     Session,
     Success,
+    choices,
     classify,
     free_value_vars,
     is_reserved_label,
-    refresh_caps,
     session_participants,
 )
 
@@ -168,7 +168,7 @@ class _Encoder:
                 return p
             case Rec(x, body):
                 return Rec(x, self.proc(body, view))
-            case Cond(g, t, e, _):
+            case Cond(g, t, e):
                 return Cond(g, self.proc(t, view), self.proc(e, view))
             case Choice():
                 return self.choice(p, view)
@@ -213,10 +213,6 @@ class _Encoder:
         def send(label: str, cont: Process) -> Branch:
             return Branch(Prefix(q, "!", label, payload=TT), cont)
 
-        def again(bs: list[Branch]) -> Choice:
-            # duplicated continuation copies need fresh capability ids
-            return Choice(tuple(Branch(b.prefix, refresh_caps(b.cont)) for b in bs))
-
         if style == "o":
             if outs and ins:
                 raise McmpError("separate-choice source required, found a mixed choice")
@@ -230,7 +226,7 @@ class _Encoder:
             less = view.less_than(q)
             if outs and ins:
                 if less:
-                    inner = Choice(tuple(t_in(ins)) + (recv("reset", again(t_out(outs))),))
+                    inner = Choice(tuple(t_in(ins)) + (recv("reset", Choice(tuple(t_out(outs)))),))
                     return Choice(tuple(t_out(outs)) + (send("enc_i", inner),))
                 return Choice(tuple(t_in(ins)) + (recv("enc_i", Choice(tuple(t_out(outs)))),))
             if outs:
@@ -239,13 +235,13 @@ class _Encoder:
                 return Choice((recv("enc_i", Choice(tuple(t_out(outs)))),))
             if less:
                 return Choice((send("enc_i", Choice(tuple(t_in(ins)))),))
-            return Choice(tuple(t_in(ins)) + (recv("enc_i", Choice((send("reset", again(t_in(ins))),))),))
+            return Choice(tuple(t_in(ins)) + (recv("enc_i", Choice((send("reset", Choice(tuple(t_in(ins)))),))),))
 
         assert style == "oi"
         less = view.less_than(q)
         if outs and ins:
             if less:
-                inner = Choice(tuple(t_in(ins)) + (recv("reset", again(t_out(outs))),))
+                inner = Choice(tuple(t_in(ins)) + (recv("reset", Choice(tuple(t_out(outs)))),))
                 guarded_outs = tuple(recv("enc_o", Choice((b,))) for b in t_out(outs))
                 return Choice(guarded_outs + (recv("enc_o", Choice((send("enc_i", inner),))),))
             inner = Choice(tuple(t_in(ins)) + (recv("enc_i", Choice(tuple(t_out(outs)))),))
@@ -256,28 +252,16 @@ class _Encoder:
             return Choice((send("enc_o", Choice((recv("enc_i", Choice(tuple(t_out(outs)))),))),))
         if less:
             return Choice((recv("enc_o", Choice((send("enc_i", Choice(tuple(t_in(ins)))),))),))
-        inner = Choice(tuple(t_in(ins)) + (recv("enc_i", Choice((send("reset", again(t_in(ins))),))),))
+        inner = Choice(tuple(t_in(ins)) + (recv("enc_i", Choice((send("reset", Choice(tuple(t_in(ins)))),))),))
         return Choice((send("enc_o", inner),))
 
 
 def _check_no_reserved(m: Session) -> None:
-    def walk(p: Process):
-        match p:
-            case Choice(branches):
-                for b in branches:
-                    if is_reserved_label(b.prefix.label):
-                        raise McmpError(f"label {b.prefix.label!r} is reserved for encodings")
-                    walk(b.cont)
-            case Cond(_, t, e):
-                walk(t)
-                walk(e)
-            case Rec(_, body):
-                walk(body)
-            case _:
-                pass
-
     for _, proc in m.parts:
-        walk(proc)
+        for c in choices(proc):
+            for b in c.branches:
+                if is_reserved_label(b.prefix.label):
+                    raise McmpError(f"label {b.prefix.label!r} is reserved for encodings")
 
 
 def encode(m: Session, enc_id: str | EncodingId, order: dict[str, frozenset] | None = None) -> Session:

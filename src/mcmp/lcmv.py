@@ -29,7 +29,6 @@ from .syntax import (
     Success,
     Value,
     Var,
-    fresh_cap,
     render_value,
 )
 
@@ -66,11 +65,16 @@ class CBranch:
     cont: "CmvProcess" = None  # type: ignore[assignment]
 
 
+# Numbers every choice occurrence as it is built; check_cmv reports its
+# internal/external view per occurrence under this number.
+_choice_ids = itertools.count()
+
+
 @dataclass(frozen=True)
 class CChoice:
     endpoint: str
     branches: tuple[CBranch, ...]
-    cap: int = field(default_factory=fresh_cap)
+    cap: int = field(default_factory=_choice_ids.__next__)
 
     def __post_init__(self):
         assert self.branches
@@ -81,7 +85,6 @@ class CCond:
     guard: Value
     then: "CmvProcess"
     els: "CmvProcess"
-    cap: int = field(default_factory=fresh_cap)
 
 
 CmvProcess = Inact | CSuccess | CPar | CRes | CChoice | CCond
@@ -265,7 +268,7 @@ def _render_single(p: CmvProcess) -> str:
             return "0"
         case CSuccess():
             return "ok"
-        case CCond(g, t, e, _):
+        case CCond(g, t, e):
             return f"if {render_value(g)} then {_render_single(t)} else {_render_single(e)}"
         case CChoice(endpoint, branches, _):
             parts = []
@@ -325,8 +328,8 @@ def _subst_val(p: CmvProcess, value: Value, var: str) -> CmvProcess:
                 else:
                     new.append(CBranch(b.label, "?", var=b.var, cont=_subst_val(b.cont, value, var)))
             return CChoice(endpoint, tuple(new), cap)
-        case CCond(g, t, e, cap):
-            return CCond(sv(g), _subst_val(t, value, var), _subst_val(e, value, var), cap)
+        case CCond(g, t, e):
+            return CCond(sv(g), _subst_val(t, value, var), _subst_val(e, value, var))
         case CPar(l, r):
             return CPar(_subst_val(l, value, var), _subst_val(r, value, var))
         case _:
@@ -335,6 +338,9 @@ def _subst_val(p: CmvProcess, value: Value, var: str) -> CmvProcess:
 
 @dataclass(frozen=True)
 class CmvStep:
+    """consumed holds the positions, in the state's parallel components, of
+    the components whose top-level term the step consumes."""
+
     kind: str  # 'comm', 'if-tt', 'if-ff'
     consumed: frozenset[int]
     label: str | None = None
@@ -345,7 +351,7 @@ class CmvStep:
 
 
 def cmv_enabled(p: CmvProcess) -> list[tuple[CmvStep, CmvProcess]]:
-    """All single-step successors under the lin rules with the capabilities
+    """All single-step successors under the lin rules with the components
     each step consumes."""
     if not isinstance(p, CRes):
         raise McmpError("reduction expects the outermost restriction")
@@ -356,7 +362,7 @@ def cmv_enabled(p: CmvProcess) -> list[tuple[CmvStep, CmvProcess]]:
         if isinstance(c, CCond) and isinstance(c.guard, BoolVal):
             kind = "if-tt" if c.guard.value else "if-ff"
             succ = comps[:i] + [c.then if c.guard.value else c.els] + comps[i + 1 :]
-            out.append((CmvStep(kind, frozenset({c.cap}), detail=f"{kind}@{i}"), CRes(x, y, _rebuild(succ))))
+            out.append((CmvStep(kind, frozenset({i}), detail=f"{kind}@{i}"), CRes(x, y, _rebuild(succ))))
     for i, ci in enumerate(comps):
         if not isinstance(ci, CChoice):
             continue
@@ -377,7 +383,7 @@ def cmv_enabled(p: CmvProcess) -> list[tuple[CmvStep, CmvProcess]]:
                     succ[j] = cont_j
                     step = CmvStep(
                         "comm",
-                        frozenset({ci.cap, cj.cap}),
+                        frozenset({i, j}),
                         label=bi.label,
                         detail=f"{ci.endpoint}->{cj.endpoint}:{bi.label}({render_value(bi.payload)})",
                     )
@@ -409,7 +415,7 @@ def cmv_canon(p: CmvProcess) -> tuple:
                 return ("0",)
             case CSuccess():
                 return ("ok",)
-            case CCond(g, t, e, _):
+            case CCond(g, t, e):
                 return ("if", cval(g), walk(t, env), walk(e, env))
             case CChoice(endpoint, branches, _):
                 items = []
@@ -464,9 +470,12 @@ class CmvEnd:
 @dataclass(frozen=True)
 class CmvChoiceT:
     """Abstract endpoint protocol: branch signatures with continuations; the
-    view (internal/external) is solved for separately."""
+    view (internal/external) is solved for separately.  caps are the choice
+    occurrences it stands for: one, or several alternative ones (in the arms
+    of a conditional, or under different branches) merged because their
+    protocols are equal."""
 
-    cap: int
+    caps: tuple[int, ...]
     branches: tuple[tuple[str, str, str, "CmvType"], ...]  # (label, polarity, payload-type, cont)
 
 
@@ -525,13 +534,13 @@ def _protocol(p: CmvProcess, endpoint: str, endpoints: set[str], env: dict[str, 
                     key = (label, pol)
                     if key in merged:
                         old_payload, old_cont = merged[key]
-                        if old_payload != payload or not _types_equal(old_cont, cont):
+                        cont = _merge(old_cont, cont) if old_payload == payload else None
+                        if cont is None:
                             raise CmvTypeError(
                                 f"branches {label}{pol} on {endpoint} disagree on their types"
                             )
-                    else:
-                        merged[key] = (payload, cont)
-                return CmvChoiceT(cap, tuple(sorted((l, pol, pl, c) for (l, pol), (pl, c) in merged.items())))
+                    merged[key] = (payload, cont)
+                return CmvChoiceT((cap,), tuple(sorted((l, pol, pl, c) for (l, pol), (pl, c) in merged.items())))
             kinds = []
             for b in branches:
                 inner_env = dict(env, **{b.var: "bool"}) if b.polarity == "?" else env
@@ -554,26 +563,31 @@ def _merge_equal(kinds: list[CmvType], endpoint: str) -> CmvType:
     used = [k for k in kinds if not isinstance(k, CmvEnd)]
     if not used:
         return CmvEnd()
-    first = used[0]
+    merged = used[0]
     for other in used[1:]:
-        if not _types_equal(first, other):
+        merged = _merge(merged, other)
+        if merged is None:
             raise CmvTypeError(f"endpoint {endpoint} is used at different types in alternative branches")
     if len(used) != len(kinds):
         raise CmvTypeError(f"endpoint {endpoint} is dropped in some branches (not linear)")
-    return first
+    return merged
 
 
-def _types_equal(a: CmvType, b: CmvType) -> bool:
+def _merge(a: CmvType, b: CmvType) -> CmvType | None:
+    """The protocol a and b both are, standing for the occurrences of both
+    at every node, so that each of them gets classified; None when they
+    differ."""
     if isinstance(a, CmvEnd) and isinstance(b, CmvEnd):
-        return True
-    if isinstance(a, CmvChoiceT) and isinstance(b, CmvChoiceT):
-        if len(a.branches) != len(b.branches):
-            return False
-        for (la, pa, ua, ca), (lb, pb, ub, cb) in zip(a.branches, b.branches):
-            if (la, pa, ua) != (lb, pb, ub) or not _types_equal(ca, cb):
-                return False
-        return True
-    return False
+        return a
+    if not (isinstance(a, CmvChoiceT) and isinstance(b, CmvChoiceT)) or len(a.branches) != len(b.branches):
+        return None
+    branches = []
+    for (la, pa, ua, ca), (lb, pb, ub, cb) in zip(a.branches, b.branches):
+        cont = _merge(ca, cb) if (la, pa, ua) == (lb, pb, ub) else None
+        if cont is None:
+            return None
+        branches.append((la, pa, ua, cont))
+    return CmvChoiceT(a.caps + b.caps, tuple(branches))
 
 
 def _dual_assign(tx: CmvType, ty: CmvType, assign: dict[int, str], x_internal: bool) -> bool:
@@ -598,8 +612,8 @@ def _dual_assign(tx: CmvType, ty: CmvType, assign: dict[int, str], x_internal: b
         a, b = (nxt_int, nxt_ext) if x_internal else (nxt_ext, nxt_int)
         if not _dual_or_backtrack(a, b, assign):
             return False
-    assign[internal.cap] = "internal"
-    assign[external.cap] = "external"
+    assign.update(dict.fromkeys(internal.caps, "internal"))
+    assign.update(dict.fromkeys(external.caps, "external"))
     return True
 
 
@@ -705,8 +719,8 @@ def _encode_proc(p: CmvProcess, peer: str, classes: dict[int, str], serial: Iter
             return Nil()
         case CSuccess():
             return Success()
-        case CCond(g, t, e, cap):
-            return syntax.Cond(g, enc(t), enc(e), cap)
+        case CCond(g, t, e):
+            return syntax.Cond(g, enc(t), enc(e))
         case CChoice(_, branches, cap):
             view = classes.get(cap, "internal")
             out: list[Branch] = []
@@ -724,7 +738,7 @@ def _encode_proc(p: CmvProcess, peer: str, classes: dict[int, str], serial: Iter
                         out.append(Branch(Prefix(peer, "?", f"{b.label}.i", var=f"z{next(serial)}"), inner))
                     else:
                         out.append(Branch(Prefix(peer, "?", f"{b.label}.o", var=b.var), enc(b.cont)))
-            return Choice(tuple(out), cap)
+            return Choice(tuple(out))
         case CPar():
             raise McmpError("parallel composition under a prefix is outside the fragment")
         case CRes():

@@ -401,11 +401,11 @@ class ContextGraph(lts.Graph):
         return json.dumps(data, sort_keys=True, indent=2)
 
 
-def explore_contexts(delta: LocalContext) -> ContextGraph:
+def explore_contexts(delta: LocalContext, max_states: int | None = None, max_depth: int | None = None) -> ContextGraph:
     """Every context reachable from delta, identified by canon_context, in
-    breadth-first order.  A step changes two entries, so a successor's key
-    is its parent's with those two entries replaced; the others are never
-    re-canonicalised."""
+    breadth-first order, within the optional bounds.  A step changes two
+    entries, so a successor's key is its parent's with those two entries
+    replaced; the others are never re-canonicalised."""
     for _, t in delta.entries:
         if not (closed(t) and guarded(t) and well_formed(t)):
             raise ValueError("context entries must be closed, guarded and well-formed")
@@ -429,15 +429,25 @@ def explore_contexts(delta: LocalContext) -> ContextGraph:
         base, new = seed
         return (base.with_entries(new) if new else base), key
 
-    return ContextGraph(**vars(lts.explore([(root_key, (delta, {}))], transitions, build)))
+    return ContextGraph(**vars(lts.explore([(root_key, (delta, {}))], transitions, build, max_states, max_depth)))
 
 
-def is_safe(delta: LocalContext):
+def _explore_complete(delta: LocalContext, max_states: int | None, max_depth: int | None) -> ContextGraph:
+    # a context cut off by a bound lacks some or all of its successors, so it
+    # would read as unsafe or stuck
+    graph = explore_contexts(delta, max_states, max_depth)
+    if graph.truncated:
+        raise lts.TruncatedError("context exploration truncated")
+    return graph
+
+
+def is_safe(delta: LocalContext, max_states: int | None = None, max_depth: int | None = None):
     """Whenever some p has an output toward a q that is listening to p at all,
     the exact (label, payload) of the output must be able to fire; closed
     under reachability.  Returns (ok, counterexample or None); the
-    counterexample's path is a shortest one to an unsafe context."""
-    graph = explore_contexts(delta)
+    counterexample's path is a shortest one to an unsafe context.  Raises
+    TruncatedError when a bound cuts the exploration short."""
+    graph = _explore_complete(delta, max_states, max_depth)
     for i, context in enumerate(graph.contexts):
         heads = _heads(context)
         enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in graph.successors(i)}
@@ -456,10 +466,11 @@ def is_safe(delta: LocalContext):
     return True, None
 
 
-def is_deadlock_free(delta: LocalContext):
+def is_deadlock_free(delta: LocalContext, max_states: int | None = None, max_depth: int | None = None):
     """Every reachable stuck context is all-end.  Returns (ok, evidence); the
-    evidence's path is a shortest one to a stuck context."""
-    graph = explore_contexts(delta)
+    evidence's path is a shortest one to a stuck context.  Raises
+    TruncatedError when a bound cuts the exploration short."""
+    graph = _explore_complete(delta, max_states, max_depth)
     for i, context in enumerate(graph.contexts):
         if graph.successors(i):
             continue

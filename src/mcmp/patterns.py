@@ -22,7 +22,8 @@ from .syntax import McmpError, Session
 class PatternWitness:
     kind: str  # 'm' or 'star'
     steps: tuple[str, ...]
-    consumed: tuple[tuple[int, ...], ...]
+    # per step, the participants it consumes (component positions for lcmv)
+    consumed: tuple[tuple[str | int, ...], ...]
     conflict_edges: tuple[tuple[int, int], ...]
 
     def to_json(self) -> str:

@@ -1,6 +1,7 @@
-"""Reduction semantics over sessions: step enumeration with capability-based
-identity, bounded exploration, success/barb observables, conflict analysis
-and a weak reduction bisimulation checker on finite graphs.
+"""Reduction semantics over sessions: step enumeration with steps identified
+by the participants they consume, bounded exploration, success/barb
+observables, conflict analysis and a weak reduction bisimulation checker on
+finite graphs.
 """
 
 from __future__ import annotations
@@ -34,15 +35,18 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class Step:
-    """A reduction step identified by the capability ids it consumes.
+    """A reduction step identified by what it consumes.
 
-    kind is 'comm', 'if-tt' or 'if-ff'.  For communications the branch
-    indices select the summands (the same pair of capabilities can be reduced
-    by several alternative steps picking different summands).
+    kind is 'comm', 'if-tt' or 'if-ff'.  Every participant is one sequential
+    process, so the choice or conditional a step consumes is the top-level
+    term of a participant, and consumed names those participants: sender and
+    receiver, or the one participant of a conditional.  For communications
+    the branch indices select the summands (the same pair of participants can
+    be reduced by several alternative steps picking different summands).
     """
 
     kind: str
-    consumed: frozenset[int]
+    consumed: frozenset[str]
     sender: str | None = None
     receiver: str | None = None
     label: str | None = None
@@ -84,25 +88,13 @@ class Barb:
         return f"{self.participant}?{self.peer}:{self.label}"
 
 
-# Resolution: the session with every top-level recursion unfolded once, so a
-# mu never blocks matching.  A session without a top-level recursion is its
-# own resolution.  The others are cached by value so equal sessions share the
-# same fresh capability ids.
-_resolve_cache: dict[Session, Session] = {}
-
-
 def resolve(m: Session) -> Session:
+    """The session with every top-level recursion unfolded, so a mu never
+    blocks matching.  A session without a top-level recursion is its own
+    resolution."""
     if not any(isinstance(proc, Rec) for _, proc in m.parts):
         return m
-    cached = _resolve_cache.get(m)
-    if cached is not None:
-        return cached
-    parts = tuple((name, head_normal(proc)) for name, proc in m.parts)
-    resolved = Session(parts)
-    _resolve_cache[m] = resolved
-    if len(_resolve_cache) > 200000:
-        _resolve_cache.clear()
-    return resolved
+    return Session(tuple((name, head_normal(proc)) for name, proc in m.parts))
 
 
 # A change is (participant, new process, canon_process of the new process).
@@ -112,22 +104,17 @@ Change = tuple[str, Process, tuple]
 def _transitions(r: Session) -> list[tuple[Step, tuple[Change, ...]]]:
     """The enabled steps of the resolved session r in canonical order, each
     with the changes it makes: one for a conditional, two for a
-    communication.  Steps consuming the same capabilities with alpha-equal
-    continuations are the same step, and only the first is kept."""
+    communication.  Steps between the same participants with the same label
+    and alpha-equal continuations are the same step, and only the first is
+    kept."""
     out: list[tuple[Step, tuple[Change, ...]]] = []
-    seen = set()
     same_comm: dict[tuple, list[tuple[tuple, tuple]]] = {}
     for p, proc in r.parts:
-        if isinstance(proc, Cond):
-            guard = proc.guard
-            if isinstance(guard, BoolVal):
-                kind = "if-tt" if guard.value else "if-ff"
-                step = Step(kind=kind, consumed=frozenset({proc.cap}), participant=p)
-                key = (kind, step.consumed)
-                if key not in seen:
-                    seen.add(key)
-                    cont = proc.then if guard.value else proc.els
-                    out.append((step, ((p, cont, canon_process(cont)),)))
+        if isinstance(proc, Cond) and isinstance(proc.guard, BoolVal):
+            kind = "if-tt" if proc.guard.value else "if-ff"
+            cont = proc.then if proc.guard.value else proc.els
+            step = Step(kind=kind, consumed=frozenset({p}), participant=p)
+            out.append((step, ((p, cont, canon_process(cont)),)))
     choices = {p: proc for p, proc in r.parts if isinstance(proc, Choice)}
     for p, pproc in choices.items():
         for i, bp in enumerate(pproc.branches):
@@ -140,7 +127,7 @@ def _transitions(r: Session) -> list[tuple[Step, tuple[Change, ...]]]:
                     continue
                 step = Step(
                     kind="comm",
-                    consumed=frozenset({pproc.cap, qproc.cap}),
+                    consumed=frozenset({p, q}),
                     sender=p,
                     receiver=q,
                     label=bp.prefix.label,
@@ -151,8 +138,8 @@ def _transitions(r: Session) -> list[tuple[Step, tuple[Change, ...]]]:
                 q_cont = substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)
                 p_key, q_key = canon_process(bp.cont), canon_process(q_cont)
                 # continuations are compared, not hashed, and only against
-                # those of steps with the same capabilities and label
-                conts = same_comm.setdefault((step.consumed, p, q, bp.prefix.label), [])
+                # those of steps with the same participants and label
+                conts = same_comm.setdefault((p, q, bp.prefix.label), [])
                 if (p_key, q_key) not in conts:
                     conts.append((p_key, q_key))
                     out.append((step, ((p, bp.cont, p_key), (q, q_cont, q_key))))
@@ -188,8 +175,8 @@ def _resolved_key(key: tuple, m: Session, r: Session) -> tuple:
 
 def enabled_steps(m: Session) -> list[Step]:
     """All enabled steps, deduplicated modulo structural congruence of the
-    picked continuations (steps consuming the same capabilities with
-    alpha-equal continuations are the same step)."""
+    picked continuations (steps between the same participants with the same
+    label and alpha-equal continuations are the same step)."""
     return [step for step, _ in _transitions(resolve(m))]
 
 
@@ -202,20 +189,29 @@ def successor_keys(m: Session) -> list[tuple[Step, tuple]]:
 
 
 def apply_step(m: Session, step: Step) -> Session:
+    """The session after step, which must be enabled in m: the top-level
+    terms of the participants it consumes must offer what it names."""
     r = resolve(m)
     if step.kind in ("if-tt", "if-ff"):
         proc = r.process_of(step.participant)
-        if not (isinstance(proc, Cond) and proc.cap in step.consumed):
-            raise McmpError("step is not enabled")
         want = step.kind == "if-tt"
-        if not (isinstance(proc.guard, BoolVal) and proc.guard.value == want):
+        if not (
+            step.consumed == {step.participant}
+            and isinstance(proc, Cond)
+            and isinstance(proc.guard, BoolVal)
+            and proc.guard.value == want
+        ):
             raise McmpError("step is not enabled")
         return r.with_parts({step.participant: proc.then if want else proc.els})
     pproc = r.process_of(step.sender)
     qproc = r.process_of(step.receiver)
-    if not (isinstance(pproc, Choice) and isinstance(qproc, Choice)):
-        raise McmpError("step is not enabled")
-    if not {pproc.cap, qproc.cap} == set(step.consumed):
+    if not (
+        step.consumed == {step.sender, step.receiver}
+        and isinstance(pproc, Choice)
+        and isinstance(qproc, Choice)
+        and 0 <= step.sender_branch < len(pproc.branches)
+        and 0 <= step.receiver_branch < len(qproc.branches)
+    ):
         raise McmpError("step is not enabled")
     bp = pproc.branches[step.sender_branch]
     bq = qproc.branches[step.receiver_branch]
@@ -226,6 +222,7 @@ def apply_step(m: Session, step: Step) -> Session:
         or bq.prefix.target != step.sender
         or bp.prefix.label != step.label
         or bq.prefix.label != step.label
+        or bp.prefix.payload != step.payload
     ):
         raise McmpError("step is not enabled")
     receiver_cont = substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)

@@ -1,23 +1,14 @@
 """Abstract syntax, parsing and printing for mixed-choice multiparty sessions.
 
-Participants and labels are plain strings.  Every choice and conditional
-occurrence carries an integer capability id; a reduction step consumes the
-ids of the occurrences it removes, which is what conflict analysis keys on.
-Capability ids are ignored by alpha-equivalence and structural congruence.
+Participants and labels are plain strings.  Terms are plain values: equal
+terms are interchangeable wherever they occur, and nothing in them depends
+on what else the process built or parsed.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
-
-
-_cap_counter = itertools.count()
-
-
-def fresh_cap() -> int:
-    return next(_cap_counter)
+from dataclasses import dataclass
 
 
 RESERVED_LABELS = ("enc_o", "enc_i", "reset")
@@ -103,7 +94,6 @@ class Branch:
 @dataclass(frozen=True)
 class Choice:
     branches: tuple[Branch, ...]
-    cap: int = field(default_factory=fresh_cap)
 
     def __post_init__(self):
         assert self.branches
@@ -114,7 +104,6 @@ class Cond:
     guard: Value
     then: "Process"
     els: "Process"
-    cap: int = field(default_factory=fresh_cap)
 
 
 Process = Nil | Success | ProcVar | Rec | Choice | Cond
@@ -160,14 +149,15 @@ class ParseError(McmpError):
 # helpers over processes
 
 
-def mentioned_participants(proc: Process) -> set[str]:
-    out: set[str] = set()
+def choices(proc: Process) -> list[Choice]:
+    """Every choice occurrence in proc, outermost first."""
+    out: list[Choice] = []
 
     def walk(p: Process):
         match p:
             case Choice(branches):
+                out.append(p)
                 for b in branches:
-                    out.add(b.prefix.target)
                     walk(b.cont)
             case Cond(_, t, e):
                 walk(t)
@@ -179,6 +169,10 @@ def mentioned_participants(proc: Process) -> set[str]:
 
     walk(proc)
     return out
+
+
+def mentioned_participants(proc: Process) -> set[str]:
+    return {b.prefix.target for c in choices(proc) for b in c.branches}
 
 
 def session_participants(m: Session) -> set[str]:
@@ -215,121 +209,71 @@ def free_value_vars(proc: Process) -> set[str]:
     return walk(proc, frozenset())
 
 
-def capability_ids(proc: Process) -> list[int]:
-    out: list[int] = []
-
-    def walk(p: Process):
-        match p:
-            case Choice(branches, cap):
-                out.append(cap)
-                for b in branches:
-                    walk(b.cont)
-            case Cond(_, t, e, cap):
-                out.append(cap)
-                walk(t)
-                walk(e)
-            case Rec(_, body):
-                walk(body)
-            case _:
-                pass
-
-    walk(proc)
-    return out
-
-
-def session_capability_ids(m: Session) -> list[int]:
-    out: list[int] = []
-    for _, proc in m.parts:
-        out.extend(capability_ids(proc))
-    return out
-
-
-def refresh_caps(proc: Process) -> Process:
-    """Copy of proc with fresh capability ids on every occurrence."""
-    match proc:
-        case Choice(branches, _):
-            return Choice(tuple(Branch(b.prefix, refresh_caps(b.cont)) for b in branches))
-        case Cond(g, t, e, _):
-            return Cond(g, refresh_caps(t), refresh_caps(e))
-        case Rec(x, body):
-            return Rec(x, refresh_caps(body))
-        case _:
-            return proc
-
-
 # ---------------------------------------------------------------------------
 # substitution
 
 
 def substitute_value(proc: Process, value: Value, var: str) -> Process:
-    """Capture-avoiding substitution proc[value/var]; capability ids kept."""
+    """Capture-avoiding substitution proc[value/var]."""
 
     def subst_v(v: Value) -> Value:
         if isinstance(v, Var) and v.name == var:
             return value
         return v
 
-    def walk(p: Process, shadowed: bool) -> Process:
-        if shadowed:
-            return p
+    def walk(p: Process) -> Process:
         match p:
-            case Choice(branches, cap):
+            case Choice(branches):
                 new = []
                 for b in branches:
                     pre = b.prefix
                     if pre.polarity == "!":
                         new_pre = Prefix(pre.target, "!", pre.label, payload=subst_v(pre.payload))
-                        new.append(Branch(new_pre, walk(b.cont, False)))
+                        new.append(Branch(new_pre, walk(b.cont)))
                     else:
                         if pre.var == var:
                             new.append(Branch(pre, b.cont))
-                        elif isinstance(value, Var) and pre.var == value.name and var in _fv(b.cont):
+                        elif isinstance(value, Var) and pre.var == value.name and var in free_value_vars(b.cont):
                             renamed_var, renamed = _rename_binder(pre.var, b.cont)
                             new_pre = Prefix(pre.target, "?", pre.label, var=renamed_var)
-                            new.append(Branch(new_pre, walk(renamed, False)))
+                            new.append(Branch(new_pre, walk(renamed)))
                         else:
-                            new.append(Branch(pre, walk(b.cont, False)))
-                return Choice(tuple(new), cap)
-            case Cond(g, t, e, cap):
-                return Cond(subst_v(g), walk(t, False), walk(e, False), cap)
+                            new.append(Branch(pre, walk(b.cont)))
+                return Choice(tuple(new))
+            case Cond(g, t, e):
+                return Cond(subst_v(g), walk(t), walk(e))
             case Rec(x, body):
-                return Rec(x, walk(body, False))
+                return Rec(x, walk(body))
             case _:
                 return p
 
-    def _fv(p: Process) -> set[str]:
-        return free_value_vars(p)
-
-    return walk(proc, False)
-
-
-_rename_counter = itertools.count()
+    return walk(proc)
 
 
 def _rename_binder(old: str, body: Process) -> tuple[str, Process]:
-    new = f"{old}_{next(_rename_counter)}"
-    while new in free_value_vars(body):
-        new = f"{old}_{next(_rename_counter)}"
+    """A name old_<n> not free in body, with the smallest such n, and body
+    with old renamed to it; the same body always gets the same name."""
+    free = free_value_vars(body)
+    n = 0
+    while f"{old}_{n}" in free:
+        n += 1
+    new = f"{old}_{n}"
     return new, substitute_value(body, Var(new), old)
 
 
 def substitute_proc(proc: Process, repl: Process, var: str) -> Process:
-    """proc[repl/var] on process variables; each inserted copy of repl gets
-    fresh capability ids so unfolding never duplicates an id."""
+    """proc[repl/var] on process variables."""
     match proc:
         case ProcVar(name) if name == var:
-            return refresh_caps(repl)
+            return repl
         case Rec(x, body):
             if x == var:
                 return proc
             return Rec(x, substitute_proc(body, repl, var))
-        case Choice(branches, cap):
-            return Choice(
-                tuple(Branch(b.prefix, substitute_proc(b.cont, repl, var)) for b in branches),
-                cap,
-            )
-        case Cond(g, t, e, cap):
-            return Cond(g, substitute_proc(t, repl, var), substitute_proc(e, repl, var), cap)
+        case Choice(branches):
+            return Choice(tuple(Branch(b.prefix, substitute_proc(b.cont, repl, var)) for b in branches))
+        case Cond(g, t, e):
+            return Cond(g, substitute_proc(t, repl, var), substitute_proc(e, repl, var))
         case _:
             return proc
 
@@ -353,7 +297,7 @@ def head_normal(proc: Process) -> Process:
 
 
 # ---------------------------------------------------------------------------
-# alpha-normal canonical forms (capability ids erased)
+# alpha-normal canonical forms
 
 
 def canon_process(proc: Process, env: tuple[tuple[str, int], ...] = ()) -> tuple:
@@ -381,9 +325,9 @@ def canon_process(proc: Process, env: tuple[tuple[str, int], ...] = ()) -> tuple
             case Rec(x, body):
                 inner = env + ((("X", x), len(env)),)
                 return ("rec", walk(body, inner))
-            case Cond(g, t, e, _):
+            case Cond(g, t, e):
                 return ("if", cval(g, env), walk(t, env), walk(e, env))
-            case Choice(branches, _):
+            case Choice(branches):
                 items = []
                 for b in branches:
                     pre = b.prefix
@@ -424,7 +368,7 @@ def struct_congruent(m1: Session, m2: Session) -> bool:
 
 def apply_rename(m: Session, sigma: dict[str, str]) -> Session:
     """Rename participants by the bijection sigma, in roles and prefixes.
-    Names outside dom(sigma) are left unchanged; capability ids preserved."""
+    Names outside dom(sigma) are left unchanged."""
     if len(set(sigma.values())) != len(sigma):
         raise McmpError("renaming is not a bijection")
 
@@ -433,7 +377,7 @@ def apply_rename(m: Session, sigma: dict[str, str]) -> Session:
 
     def walk(p: Process) -> Process:
         match p:
-            case Choice(branches, cap):
+            case Choice(branches):
                 new = []
                 for b in branches:
                     pre = b.prefix
@@ -442,9 +386,9 @@ def apply_rename(m: Session, sigma: dict[str, str]) -> Session:
                     else:
                         np = Prefix(ren(pre.target), "?", pre.label, var=pre.var)
                     new.append(Branch(np, walk(b.cont)))
-                return Choice(tuple(new), cap)
-            case Cond(g, t, e, cap):
-                return Cond(g, walk(t), walk(e), cap)
+                return Choice(tuple(new))
+            case Cond(g, t, e):
+                return Cond(g, walk(t), walk(e))
             case Rec(x, body):
                 return Rec(x, walk(body))
             case _:
@@ -475,27 +419,6 @@ def is_symmetric(m: Session, sigma: dict[str, str]) -> bool:
 # subcalculus classification
 
 SUBCALCULI = ("MCMP", "MSMP", "SCMP", "DMP", "SMP", "MP", "MCBS", "SCBS", "BS")
-
-
-def _choice_shapes(proc: Process) -> list[Choice]:
-    out: list[Choice] = []
-
-    def walk(p: Process):
-        match p:
-            case Choice(branches):
-                out.append(p)
-                for b in branches:
-                    walk(b.cont)
-            case Cond(_, t, e):
-                walk(t)
-                walk(e)
-            case Rec(_, body):
-                walk(body)
-            case _:
-                pass
-
-    walk(proc)
-    return out
 
 
 def _ok_msmp(c: Choice) -> bool:
@@ -530,18 +453,18 @@ def _ok_mp(c: Choice) -> bool:
 
 def classify(m: Session) -> set[str]:
     """Every subcalculus whose syntactic restriction m satisfies."""
-    choices = [c for _, proc in m.parts for c in _choice_shapes(proc)]
+    occurrences = [c for _, proc in m.parts for c in choices(proc)]
     binary = len(session_participants(m)) <= 2
     out = {"MCMP"}
-    if all(_ok_msmp(c) for c in choices):
+    if all(_ok_msmp(c) for c in occurrences):
         out.add("MSMP")
-    if all(_ok_scmp(c) for c in choices):
+    if all(_ok_scmp(c) for c in occurrences):
         out.add("SCMP")
-    if all(_ok_dmp(c) for c in choices):
+    if all(_ok_dmp(c) for c in occurrences):
         out.add("DMP")
-    if all(_ok_smp(c) for c in choices):
+    if all(_ok_smp(c) for c in occurrences):
         out.add("SMP")
-    if all(_ok_mp(c) for c in choices):
+    if all(_ok_mp(c) for c in occurrences):
         out.add("MP")
     if binary:
         if "MCMP" in out:
@@ -897,9 +820,9 @@ def render_process(proc: Process) -> str:
             return name
         case Rec(x, body):
             return f"rec {x}.{_render_cont(body)}"
-        case Cond(g, t, e, _):
+        case Cond(g, t, e):
             return f"if {render_value(g)} then {_render_cont(t)} else {_render_cont(e)}"
-        case Choice(branches, _):
+        case Choice(branches):
             parts = []
             for b in branches:
                 pre = b.prefix

@@ -102,18 +102,18 @@ def _check(gamma: SharedContext, proc: Process, t: LocalType, where: str, errors
                 errors.append(CheckError("not-subtype", where, f"{where}: process variable {name} has type {ltypes.render_type(declared)}, not a subtype of {ltypes.render_type(t)}"))
         case Rec(x, body):
             _check(gamma.bind_proc(x, t), body, t, where, errors)
-        case Cond(guard, then, els, cap):
+        case Cond(guard, then, els):
             try:
                 gt = type_value(gamma, guard)
                 if gt != "bool":
-                    errors.append(CheckError("payload-mismatch", f"cap:{cap}", f"{where}: conditional guard has type {gt}, expected bool"))
+                    errors.append(CheckError("payload-mismatch", where, f"{where}: conditional guard has type {gt}, expected bool"))
             except TypeCheckError as e:
                 errors.extend(e.errors)
             _check(gamma, then, t, where + "/then", errors)
             _check(gamma, els, t, where + "/else", errors)
-        case Choice(branches, cap):
+        case Choice(branches):
             if not isinstance(h, TChoice):
-                errors.append(CheckError("not-subtype", f"cap:{cap}", f"{where}: choice cannot have type {ltypes.render_type(t)}"))
+                errors.append(CheckError("not-subtype", where, f"{where}: choice cannot have type {ltypes.render_type(t)}"))
                 return
             declared = {(b.target, b.polarity, b.label): b for b in h.branches}
             for b in branches:
@@ -122,13 +122,13 @@ def _check(gamma: SharedContext, proc: Process, t: LocalType, where: str, errors
                 decl = declared.get(key)
                 if decl is None:
                     kind = "missing-branch"
-                    errors.append(CheckError(kind, f"cap:{cap}", f"{where}: no declared branch for {pre.target}{pre.polarity}{pre.label}"))
+                    errors.append(CheckError(kind, where, f"{where}: no declared branch for {pre.target}{pre.polarity}{pre.label}"))
                     continue
                 if pre.polarity == "!":
                     try:
                         vt = type_value(gamma, pre.payload)
                         if vt != decl.payload:
-                            errors.append(CheckError("payload-mismatch", f"cap:{cap}", f"{where}: payload of {pre.target}!{pre.label} has type {vt}, declared {decl.payload}"))
+                            errors.append(CheckError("payload-mismatch", where, f"{where}: payload of {pre.target}!{pre.label} has type {vt}, declared {decl.payload}"))
                             continue
                     except TypeCheckError as e:
                         errors.extend(e.errors)
@@ -139,7 +139,7 @@ def _check(gamma: SharedContext, proc: Process, t: LocalType, where: str, errors
             offered = {(b.prefix.target, b.prefix.polarity, b.prefix.label) for b in branches}
             for key, decl in declared.items():
                 if decl.polarity == "?" and key not in offered:
-                    errors.append(CheckError("uncovered-input-branch", f"cap:{cap}", f"{where}: declared input branch {decl.target}?{decl.label} has no summand"))
+                    errors.append(CheckError("uncovered-input-branch", where, f"{where}: declared input branch {decl.target}?{decl.label} has no summand"))
         case _:
             raise TypeError(proc)
 

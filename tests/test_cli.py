@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mcmp import cli, corpus
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +122,32 @@ def test_truncation_exit_code(fixture_dir, capsys):
     assert code == 3
 
 
+def test_safety_and_df_honour_bounds(fixture_dir, capsys):
+    # a context cut off by a bound would otherwise read as stuck or unsafe
+    for command in ("safety", "df"):
+        code, out = run(capsys, "--json", command, str(fixture_dir / "election5.mcmp"), "--max-depth", "1")
+        assert code == 3 and json.loads(out)["truncated"]
+        code, _ = run(capsys, command, str(fixture_dir / "election5.mcmp"), "--max-states", "2")
+        assert code == 3
+
+
+def test_deep_nesting_is_truncation_not_traceback(tmp_path):
+    # a 1200-message chain nests deeper than the recursion limit
+    n = 1200
+    p = [f"q!l{i}(tt)" if i % 2 == 0 else f"q?l{i}(x{i})" for i in range(n)]
+    q = [f"p?l{i}(x{i})" if i % 2 == 0 else f"p!l{i}(ff)" for i in range(n)]
+    path = tmp_path / "chain.mcmp"
+    path.write_text(f"role p = {'.'.join(p)}.ok\nrole q = {'.'.join(q)}.0\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    for command in ("check", "simulate"):
+        argv = [sys.executable, "-m", "mcmp.cli", "--json", command, str(path)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stdout)["truncated"]
+
+
 def test_dot_output(fixture_dir, capsys, tmp_path):
     dot = tmp_path / "graph.dot"
     code, _ = run(capsys, "--dot", str(dot), "simulate", str(fixture_dir / "ping.mcmp"))
@@ -138,3 +170,15 @@ def test_json_output_deterministic(fixture_dir, capsys):
     _, c1 = run(capsys, "--json", "classify", str(fixture_dir / "election6.mcmp"))
     _, c2 = run(capsys, "--json", "classify", str(fixture_dir / "election6.mcmp"))
     assert c1 == c2
+
+
+def test_json_output_independent_of_earlier_parses(fixture_dir, capsys):
+    # nothing a command prints depends on what the process parsed before
+    commands = [
+        ["--json", "detect", str(fixture_dir / "m_scmp.mcmp"), "--pattern", "m"],
+        ["--json", "check", str(fixture_dir / "p11.mcmp")],
+    ]
+    first = [run(capsys, *argv) for argv in commands]
+    for name in ("election5", "election6", "pingpong_rec", "mixed2"):
+        run(capsys, "simulate", str(fixture_dir / f"{name}.mcmp"))
+    assert [run(capsys, *argv) for argv in commands] == first

@@ -126,15 +126,6 @@ def test_target_membership(enc_id):
         assert e.target in syntax.classify(enc), (name, render_session(enc))
 
 
-def test_encoded_sessions_have_unique_capability_ids():
-    # duplicated reset continuations must carry fresh ids
-    for enc_id in sorted(set(ENCODINGS) - {"lcmv-mcbs"}):
-        for name in corpus.ENCODING_FIXTURES[enc_id]:
-            m, _ = corpus.load(name)
-            caps = syntax.session_capability_ids(run_encode(m, enc_id))
-            assert len(caps) == len(set(caps)), (enc_id, name)
-
-
 def test_encoding_injective_on_fixture_corpus():
     for enc_id in sorted(set(ENCODINGS) - {"lcmv-mcbs"}):
         seen = {}
@@ -168,7 +159,7 @@ def _replace_cont(proc, index, repl):
     branches = list(proc.branches)
     b = branches[index]
     branches[index] = syntax.Branch(b.prefix, repl)
-    return syntax.Choice(tuple(branches), proc.cap)
+    return syntax.Choice(tuple(branches))
 
 
 def test_compositionality_splice_subterms():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mcmp import corpus, ltypes, semantics, syntax
+from mcmp import ltypes, semantics, syntax
 from mcmp.ltypes import End, LocalContext, TBranch, TChoice, TRec, TVar
 from mcmp.syntax import FF, TT, Branch, Choice, Cond, Nil, Prefix, ProcVar, Rec, Session, Success, Var
 
@@ -363,21 +363,10 @@ def test_verdicts_and_witnesses_on_failing_fixtures():
 
 
 def test_resolve_returns_recursion_free_sessions_uncached():
-    cache = semantics._resolve_cache
     plain = [m for m in _generated_sessions() if not any(isinstance(p, Rec) for _, p in m.parts)]
     assert plain
-    before = len(cache)
     for m in plain:
         assert semantics.resolve(m) is m
-        semantics.explore(m, max_states=200)
-    assert len(cache) == before
-
-
-def test_resolve_caches_unfolded_sessions():
-    m, _ = corpus.load("pingpong_rec")
-    r = semantics.resolve(m)
-    assert r is not m and not any(isinstance(p, Rec) for _, p in r.parts)
-    assert semantics.resolve(m) is r
 
 
 # ---------------------------------------------------------------------------

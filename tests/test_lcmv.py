@@ -163,6 +163,38 @@ def test_correspondence_on_lcmv_fixtures():
         assert report.max_emulation_factor <= 2, name
 
 
+# the same endpoint at the same protocol in both arms of a conditional: the
+# classifier merges the arms' choices and must classify each of them
+MERGED_OCCURRENCES = [
+    "(new x y)(if ff then lin x (a!tt.ok + b!tt.0) else lin x (a!ff.ok + b!ff.0) | lin y (a?z.0))",
+    "(new x y)(if tt then lin x (a!tt.lin x (c!tt.ok) + b!tt.0) else lin x (a!ff.lin x (c!ff.0) + b!ff.0)"
+    " | lin y (a?z.lin y (c?w.0)))",
+]
+
+
+@pytest.mark.parametrize("text", MERGED_OCCURRENCES)
+def test_check_classifies_merged_occurrences(text):
+    p = parse_cmv(text)
+    cond, _ = lcmv._components(p.body)
+    classes = check_cmv(p)
+    # y has no b?, so x's outermost choice must be the external one
+    then_views = [classes[c.cap] for c in _choices(cond.then)]
+    assert then_views[0] == "external"
+    assert [classes[c.cap] for c in _choices(cond.els)] == then_views
+    report = lcmv_correspondence(p, max_states=5000, max_depth=128)
+    assert report.passed(), report.to_json()
+
+
+def _choices(p):
+    match p:
+        case CChoice(_, branches):
+            return [p] + [c for b in branches for c in _choices(b.cont)]
+        case lcmv.CCond(_, t, e) | lcmv.CPar(t, e):
+            return _choices(t) + _choices(e)
+        case _:
+            return []
+
+
 def test_explore_cmv_canonical_merges_congruent():
     p = parse_cmv("(new x y)(0 | 0 | lin x (l!tt.0) | lin y (l?z.0))")
     q = parse_cmv("(new x y)(lin y (l?z.0) | lin x (l!tt.0))")

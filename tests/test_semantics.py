@@ -119,6 +119,28 @@ def test_apply_step_rejects_stale_step():
     after = apply_step(m, s1)
     with pytest.raises(McmpError):
         apply_step(after, s2)
+    # the same participants still talk, but not by the summand or the
+    # payload the stale step names
+    m = parse_session("role p = q!a(tt).q!b(tt).0 + q!c(tt).0 role q = p?a(x).p?b(y).0 + p?c(x).0")
+    (_, stale) = enabled_steps(m)
+    with pytest.raises(McmpError):
+        apply_step(apply_step(m, enabled_steps(m)[0]), stale)
+    m = parse_session("role p = q!l(tt).q!l(ff).0 role q = p?l(x).p?l(y).0")
+    (stale,) = enabled_steps(m)
+    with pytest.raises(McmpError):
+        apply_step(apply_step(m, stale), stale)
+
+
+@pytest.mark.parametrize("name", ["mixed2", "pingpong_rec", "cond_demo", "election5"])
+def test_apply_step_accepts_step_of_separately_parsed_copy(name):
+    # a step names the participants it consumes, so it is enabled in every
+    # equal session, not only in the one it was enumerated on
+    m, _ = corpus.load(name)
+    copy, _ = corpus.load(name)
+    steps = enabled_steps(copy)
+    assert steps and steps == enabled_steps(m)
+    for step in steps:
+        assert apply_step(m, step) == apply_step(copy, step)
 
 
 def test_explore_single_state():

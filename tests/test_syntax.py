@@ -29,7 +29,6 @@ from mcmp.syntax import (
     struct_congruent,
     substitute_proc,
     substitute_value,
-    session_capability_ids,
     unfold_rec,
 )
 
@@ -122,16 +121,23 @@ def test_substitute_value_capture_avoiding():
     assert inner.branches[0].prefix.payload == Var("y")
 
 
+def test_substitute_value_renames_binders_deterministically():
+    # the fresh name depends on the term alone, not on earlier substitutions
+    body = parse_process("q?w(y).q!l(x).0")
+    first = substitute_value(body, Var("y"), "x")
+    assert first.branches[0].prefix.var == "y_0"
+    assert substitute_value(body, Var("y"), "x") == first
+    # a candidate free in the body is skipped
+    crowded = substitute_value(parse_process("q?w(y).q!l(x).q!m(y_0).0"), Var("y"), "x")
+    assert crowded.branches[0].prefix.var == "y_1"
+
+
 def test_substitute_proc_and_unfold():
     assert substitute_proc(syntax.ProcVar("X"), Nil(), "X") == Nil()
     rec = parse_process("rec X.(a?l(x).X)")
     unfolded = unfold_rec(rec)
     assert isinstance(unfolded, Choice)
     assert isinstance(unfolded.branches[0].cont, syntax.Rec)
-    # the copied occurrence gets fresh capability ids
-    m = Session((("p", unfolded),))
-    caps = session_capability_ids(m)
-    assert len(caps) == len(set(caps))
 
 
 def test_unfold_p10_guarded():
@@ -173,7 +179,7 @@ def test_congruence_equivalence_and_parallel_congruence():
         assert struct_congruent(m, extra)
         shuffled = Session(
             tuple(
-                (n, Choice(tuple(reversed(p.branches)), p.cap) if isinstance(p, Choice) else p)
+                (n, Choice(tuple(reversed(p.branches))) if isinstance(p, Choice) else p)
                 for n, p in m.parts
             )
         )
@@ -261,10 +267,3 @@ def test_symmetry_requires_closed_renaming():
     m = parse_session("role p = q!l(tt).0 role q = p?l(x).0")
     with pytest.raises(syntax.McmpError):
         is_symmetric(m, {"p": "zz"})
-
-
-def test_capability_ids_unique_in_corpus():
-    for name in sorted(corpus.SESSIONS):
-        m, _ = corpus.load(name)
-        caps = session_capability_ids(m)
-        assert len(caps) == len(set(caps)), name
