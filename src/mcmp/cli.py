@@ -179,7 +179,11 @@ def cmd_simulate(args) -> int:
             print(f"-> {step.describe()}")
             print(syntax.render_session(semantics.resolve(current)), end="")
         current = semantics.apply_step(current, step)
-    stuck = not semantics.enabled_steps(current)
+    # stuck, not terminated: no step is enabled, yet some participant is
+    # neither inaction nor success
+    stuck = not semantics.enabled_steps(current) and any(
+        not isinstance(p, (syntax.Nil, syntax.Success)) for _, p in semantics.resolve(current).parts
+    )
     if args.dot:
         graph = semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth)
         _write_dot(args, graph)
@@ -264,7 +268,7 @@ def cmd_cmv_check(args) -> int:
     except lcmv.CmvTypeError as e:
         _emit(args, {"ok": False, "error": str(e)}, f"untypable: {e}")
         return FAIL
-    payload = {"ok": True, "choices": {str(c): v for c, v in sorted(classes.items())}}
+    payload = {"ok": True, "choices": classes}
     _emit(args, payload, "linear and classifiable: " + json.dumps(payload["choices"], sort_keys=True))
     return OK
 
@@ -288,10 +292,10 @@ def lcmv_correspondence(program, max_states: int, max_depth: int) -> enc_mod.Cor
         classes = lcmv.check_cmv(program)
         by_name = dict(target_root.parts)
         failing = []
-        for comp in lcmv._components(program.body):
+        for position, comp in enumerate(lcmv._components(program.body)):
             if isinstance(comp, lcmv.CSuccess):
                 continue  # success components get a generated participant name
-            for name, proc in lcmv._encode_component(comp, program.x, program.y, classes, itertools.count()):
+            for name, proc in lcmv._encode_component(comp, program.x, program.y, classes, itertools.count(), position):
                 if name not in by_name or not syntax.alpha_equal(proc, by_name[name]):
                     failing.append(name)
         return failing

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import lts, syntax
 from .syntax import (
@@ -65,16 +65,10 @@ class CBranch:
     cont: "CmvProcess" = None  # type: ignore[assignment]
 
 
-# Numbers every choice occurrence as it is built; check_cmv reports its
-# internal/external view per occurrence under this number.
-_choice_ids = itertools.count()
-
-
 @dataclass(frozen=True)
 class CChoice:
     endpoint: str
     branches: tuple[CBranch, ...]
-    cap: int = field(default_factory=_choice_ids.__next__)
 
     def __post_init__(self):
         assert self.branches
@@ -155,7 +149,7 @@ class _CmvParser:
         if self.peek()[0] != "eof":
             t = self.peek()
             raise syntax.ParseError(f"unexpected trailing input {t[1]!r}", t[2], t[3])
-        if _contains_res(body):
+        if any(isinstance(q, CRes) for _, q in _subterms(body)):
             t = self.peek()
             raise syntax.ParseError("only a single outermost restriction is supported", t[2], t[3])
         return CRes(x, y, body)
@@ -228,18 +222,21 @@ class _CmvParser:
         raise syntax.ParseError(f"expected a value, found {t[1]!r}", t[2], t[3])
 
 
-def _contains_res(p: CmvProcess) -> bool:
-    match p:
-        case CRes():
-            return True
-        case CPar(l, r):
-            return _contains_res(l) or _contains_res(r)
-        case CCond(_, t, e):
-            return _contains_res(t) or _contains_res(e)
-        case CChoice(_, branches):
-            return any(_contains_res(b.cont) for b in branches)
-        case _:
-            return False
+def _subterms(p: CmvProcess, path: str = "") -> list[tuple[str, CmvProcess]]:
+    """p and every term under it, each with its path below path (see
+    check_cmv); the walk does not enter restrictions."""
+    out, todo = [], [(path, p)]
+    while todo:
+        path, q = todo.pop()
+        out.append((path, q))
+        match q:
+            case CChoice(_, branches):
+                todo.extend((f"{path}.{k}", b.cont) for k, b in enumerate(branches))
+            case CPar(l, r):
+                todo.extend([(f"{path}.l", l), (f"{path}.r", r)])
+            case CCond(_, t, e):
+                todo.extend([(f"{path}.then", t), (f"{path}.else", e)])
+    return out
 
 
 def parse_cmv(text: str) -> CmvProcess:
@@ -270,7 +267,7 @@ def _render_single(p: CmvProcess) -> str:
             return "ok"
         case CCond(g, t, e):
             return f"if {render_value(g)} then {_render_single(t)} else {_render_single(e)}"
-        case CChoice(endpoint, branches, _):
+        case CChoice(endpoint, branches):
             parts = []
             for b in branches:
                 if b.polarity == "!":
@@ -318,7 +315,7 @@ def _subst_val(p: CmvProcess, value: Value, var: str) -> CmvProcess:
         return value if isinstance(v, Var) and v.name == var else v
 
     match p:
-        case CChoice(endpoint, branches, cap):
+        case CChoice(endpoint, branches):
             new = []
             for b in branches:
                 if b.polarity == "!":
@@ -327,7 +324,7 @@ def _subst_val(p: CmvProcess, value: Value, var: str) -> CmvProcess:
                     new.append(b)
                 else:
                     new.append(CBranch(b.label, "?", var=b.var, cont=_subst_val(b.cont, value, var)))
-            return CChoice(endpoint, tuple(new), cap)
+            return CChoice(endpoint, tuple(new))
         case CCond(g, t, e):
             return CCond(sv(g), _subst_val(t, value, var), _subst_val(e, value, var))
         case CPar(l, r):
@@ -417,7 +414,7 @@ def cmv_canon(p: CmvProcess) -> tuple:
                 return ("ok",)
             case CCond(g, t, e):
                 return ("if", cval(g), walk(t, env), walk(e, env))
-            case CChoice(endpoint, branches, _):
+            case CChoice(endpoint, branches):
                 items = []
                 for b in branches:
                     if b.polarity == "!":
@@ -470,12 +467,12 @@ class CmvEnd:
 @dataclass(frozen=True)
 class CmvChoiceT:
     """Abstract endpoint protocol: branch signatures with continuations; the
-    view (internal/external) is solved for separately.  caps are the choice
+    view (internal/external) is solved for separately.  paths are the choice
     occurrences it stands for: one, or several alternative ones (in the arms
     of a conditional, or under different branches) merged because their
     protocols are equal."""
 
-    caps: tuple[int, ...]
+    paths: tuple[str, ...]
     branches: tuple[tuple[str, str, str, "CmvType"], ...]  # (label, polarity, payload-type, cont)
 
 
@@ -487,18 +484,7 @@ class CmvTypeError(McmpError):
 
 
 def _endpoints_of(p: CmvProcess, endpoints: set[str]) -> set[str]:
-    match p:
-        case CChoice(endpoint, branches):
-            out = {endpoint} if endpoint in endpoints else set()
-            for b in branches:
-                out |= _endpoints_of(b.cont, endpoints)
-            return out
-        case CPar(l, r):
-            return _endpoints_of(l, endpoints) | _endpoints_of(r, endpoints)
-        case CCond(_, t, e):
-            return _endpoints_of(t, endpoints) | _endpoints_of(e, endpoints)
-        case _:
-            return set()
+    return {q.endpoint for _, q in _subterms(p) if isinstance(q, CChoice) and q.endpoint in endpoints}
 
 
 def _value_type(v: Value, env: dict[str, str]) -> str:
@@ -512,22 +498,23 @@ def _value_type(v: Value, env: dict[str, str]) -> str:
     return t
 
 
-def _protocol(p: CmvProcess, endpoint: str, endpoints: set[str], env: dict[str, str]) -> CmvType:
-    """The abstract protocol endpoint plays in p; equal across conditional
-    and choice branches (linear contexts)."""
+def _protocol(p: CmvProcess, endpoint: str, env: dict[str, str], path: str) -> CmvType:
+    """The abstract protocol endpoint plays in p, found at path in the
+    program; equal across conditional and choice branches (linear
+    contexts)."""
     match p:
         case Inact() | CSuccess():
             return CmvEnd()
-        case CChoice(ep, branches, cap):
+        case CChoice(ep, branches):
             if ep == endpoint:
                 sigs = []
-                for b in branches:
+                for k, b in enumerate(branches):
                     if b.polarity == "!":
                         payload = _value_type(b.payload, env)
-                        cont = _protocol(b.cont, endpoint, endpoints, env)
+                        cont = _protocol(b.cont, endpoint, env, f"{path}.{k}")
                     else:
                         payload = "bool"
-                        cont = _protocol(b.cont, endpoint, endpoints, dict(env, **{b.var: "bool"}))
+                        cont = _protocol(b.cont, endpoint, dict(env, **{b.var: "bool"}), f"{path}.{k}")
                     sigs.append((b.label, b.polarity, payload, cont))
                 merged: dict[tuple[str, str], tuple[str, CmvType]] = {}
                 for label, pol, payload, cont in sigs:
@@ -540,23 +527,29 @@ def _protocol(p: CmvProcess, endpoint: str, endpoints: set[str], env: dict[str, 
                                 f"branches {label}{pol} on {endpoint} disagree on their types"
                             )
                     merged[key] = (payload, cont)
-                return CmvChoiceT((cap,), tuple(sorted((l, pol, pl, c) for (l, pol), (pl, c) in merged.items())))
+                return CmvChoiceT((path,), tuple(sorted((l, pol, pl, c) for (l, pol), (pl, c) in merged.items())))
             kinds = []
-            for b in branches:
+            for k, b in enumerate(branches):
                 inner_env = dict(env, **{b.var: "bool"}) if b.polarity == "?" else env
-                kinds.append(_protocol(b.cont, endpoint, endpoints, inner_env))
+                kinds.append(_protocol(b.cont, endpoint, inner_env, f"{path}.{k}"))
             return _merge_equal(kinds, endpoint)
         case CCond(_, t, e):
-            return _merge_equal([_protocol(t, endpoint, endpoints, env), _protocol(e, endpoint, endpoints, env)], endpoint)
+            arms = [_protocol(t, endpoint, env, f"{path}.then"), _protocol(e, endpoint, env, f"{path}.else")]
+            return _merge_equal(arms, endpoint)
         case CPar(l, r):
-            lf = _endpoints_of(l, {endpoint})
-            rf = _endpoints_of(r, {endpoint})
-            if lf and rf:
-                raise CmvTypeError(f"endpoint {endpoint} is used in parallel components (not linear)")
-            return _protocol(l if lf else r, endpoint, endpoints, env) if (lf or rf) else CmvEnd()
+            return _protocol_in_par([(f"{path}.l", l), (f"{path}.r", r)], endpoint, env)
         case CRes():
             raise CmvTypeError("inner restrictions are outside the fragment")
     raise TypeError(p)
+
+
+def _protocol_in_par(parts: list[tuple[str, CmvProcess]], endpoint: str, env: dict[str, str]) -> CmvType:
+    """The protocol endpoint plays in parallel parts, given with their
+    paths; a linear endpoint is used in one of them at most."""
+    used = [(path, q) for path, q in parts if _endpoints_of(q, {endpoint})]
+    if len(used) > 1:
+        raise CmvTypeError(f"endpoint {endpoint} is used in parallel components (not linear)")
+    return _protocol(used[0][1], endpoint, env, used[0][0]) if used else CmvEnd()
 
 
 def _merge_equal(kinds: list[CmvType], endpoint: str) -> CmvType:
@@ -587,10 +580,10 @@ def _merge(a: CmvType, b: CmvType) -> CmvType | None:
         if cont is None:
             return None
         branches.append((la, pa, ua, cont))
-    return CmvChoiceT(a.caps + b.caps, tuple(branches))
+    return CmvChoiceT(a.paths + b.paths, tuple(branches))
 
 
-def _dual_assign(tx: CmvType, ty: CmvType, assign: dict[int, str], x_internal: bool) -> bool:
+def _dual_assign(tx: CmvType, ty: CmvType, assign: dict[str, str], x_internal: bool) -> bool:
     """Assign internal/external views so that the internal side's branches are
     matched dually (same label, dual polarity, same payload) on the external
     side, recursing along matched continuations."""
@@ -612,12 +605,12 @@ def _dual_assign(tx: CmvType, ty: CmvType, assign: dict[int, str], x_internal: b
         a, b = (nxt_int, nxt_ext) if x_internal else (nxt_ext, nxt_int)
         if not _dual_or_backtrack(a, b, assign):
             return False
-    assign.update(dict.fromkeys(internal.caps, "internal"))
-    assign.update(dict.fromkeys(external.caps, "external"))
+    assign.update(dict.fromkeys(internal.paths, "internal"))
+    assign.update(dict.fromkeys(external.paths, "external"))
     return True
 
 
-def _dual_or_backtrack(tx: CmvType, ty: CmvType, assign: dict[int, str]) -> bool:
+def _dual_or_backtrack(tx: CmvType, ty: CmvType, assign: dict[str, str]) -> bool:
     for x_internal in (True, False):
         trial = dict(assign)
         if _dual_assign(tx, ty, trial, x_internal):
@@ -627,45 +620,33 @@ def _dual_or_backtrack(tx: CmvType, ty: CmvType, assign: dict[int, str]) -> bool
     return False
 
 
-def check_cmv(p: CmvProcess) -> dict[int, str]:
+def check_cmv(p: CmvProcess) -> dict[str, str]:
     """Classify every choice occurrence as internal or external such that the
     two endpoints' uses are dual; raises CmvTypeError otherwise.  The solver
-    tries the first endpoint as internal first, so ties resolve that way."""
+    tries the first endpoint as internal first, so ties resolve that way.
+    An occurrence is keyed by its path in the program: the position of its
+    parallel component, then .k under branch k, .then/.else in the arms of
+    a conditional and .l/.r in a parallel composition."""
     if not isinstance(p, CRes):
         raise CmvTypeError("expected a single outermost restriction")
-    endpoints = {p.x, p.y}
-    tx = _protocol(p.body, p.x, endpoints, {})
-    ty = _protocol(p.body, p.y, endpoints, {})
-    assign: dict[int, str] = {}
+    components = [(str(k), c) for k, c in enumerate(_components(p.body))]
+    tx = _protocol_in_par(components, p.x, {})
+    ty = _protocol_in_par(components, p.y, {})
+    assign: dict[str, str] = {}
     if not _dual_or_backtrack(tx, ty, assign):
         raise CmvTypeError("no internal/external assignment makes the endpoints dual")
-    for cap in _all_choice_caps(p.body):
-        assign.setdefault(cap, "internal")
+    for path, c in components:
+        for sub, q in _subterms(c, path):
+            if isinstance(q, CChoice):
+                assign.setdefault(sub, "internal")
     return assign
-
-
-def _all_choice_caps(p: CmvProcess) -> list[int]:
-    match p:
-        case CChoice(_, branches, cap):
-            out = [cap]
-            for b in branches:
-                out.extend(_all_choice_caps(b.cont))
-            return out
-        case CPar(l, r):
-            return _all_choice_caps(l) + _all_choice_caps(r)
-        case CCond(_, t, e):
-            return _all_choice_caps(t) + _all_choice_caps(e)
-        case CRes(_, _, body):
-            return _all_choice_caps(body)
-        case _:
-            return []
 
 
 # ---------------------------------------------------------------------------
 # encoding into mixed-choice binary sessions
 
 
-def encode_lcmv_to_mcbs(p: CmvProcess, classes: dict[int, str] | None = None) -> Session:
+def encode_lcmv_to_mcbs(p: CmvProcess, classes: dict[str, str] | None = None) -> Session:
     """Drop the restriction, turn the endpoints into participants, and
     translate choices per their internal/external view: internal choices
     announce on l.o / l.i labels, external choices answer dually.  A
@@ -678,41 +659,42 @@ def encode_lcmv_to_mcbs(p: CmvProcess, classes: dict[int, str] | None = None) ->
     # numbers the ok<n> participants and z<n> binders of this translation
     serial = itertools.count()
     parts: list[tuple[str, Process]] = []
-    for comp in _components(p.body):
-        parts.extend(_encode_component(comp, x, y, classes, serial))
+    for position, comp in enumerate(_components(p.body)):
+        parts.extend(_encode_component(comp, x, y, classes, serial, position))
     return Session(tuple(parts))
 
 
 def _encode_component(
-    comp: CmvProcess, x: str, y: str, classes: dict[int, str], serial: Iterator[int]
+    comp: CmvProcess, x: str, y: str, classes: dict[str, str], serial: Iterator[int], position: int
 ) -> list[tuple[str, Process]]:
+    """The participants of the component at position in the program."""
     match comp:
         case Inact():
             return []
         case CSuccess():
             return [(f"ok{next(serial)}", Success())]
-        case CChoice(endpoint, _, _):
+        case CChoice(endpoint, _):
             if endpoint not in (x, y):
                 raise McmpError(f"free endpoint {endpoint!r} is not bound by the restriction")
             used = _endpoints_of(comp, {x, y})
             if used == {x, y}:
                 return [(endpoint, Nil())]
             peer = y if endpoint == x else x
-            return [(endpoint, _encode_proc(comp, peer, classes, serial))]
+            return [(endpoint, _encode_proc(comp, peer, classes, serial, str(position)))]
         case CCond():
             used = sorted(_endpoints_of(comp, {x, y}))
             if len(used) != 1:
                 raise McmpError("conditional components must use exactly one endpoint")
             endpoint = used[0]
             peer = y if endpoint == x else x
-            return [(endpoint, _encode_proc(comp, peer, classes, serial))]
+            return [(endpoint, _encode_proc(comp, peer, classes, serial, str(position)))]
         case _:
             raise McmpError(f"cannot place component {render_cmv(comp)!r} under a participant")
 
 
-def _encode_proc(p: CmvProcess, peer: str, classes: dict[int, str], serial: Iterator[int]) -> Process:
-    def enc(q: CmvProcess) -> Process:
-        return _encode_proc(q, peer, classes, serial)
+def _encode_proc(p: CmvProcess, peer: str, classes: dict[str, str], serial: Iterator[int], path: str) -> Process:
+    def enc(q: CmvProcess, step: int | str) -> Process:
+        return _encode_proc(q, peer, classes, serial, f"{path}.{step}")
 
     match p:
         case Inact():
@@ -720,24 +702,24 @@ def _encode_proc(p: CmvProcess, peer: str, classes: dict[int, str], serial: Iter
         case CSuccess():
             return Success()
         case CCond(g, t, e):
-            return syntax.Cond(g, enc(t), enc(e))
-        case CChoice(_, branches, cap):
-            view = classes.get(cap, "internal")
+            return syntax.Cond(g, enc(t, "then"), enc(e, "else"))
+        case CChoice(_, branches):
+            view = classes.get(path, "internal")
             out: list[Branch] = []
             if view == "internal":
-                for b in branches:
+                for k, b in enumerate(branches):
                     if b.polarity == "!":
-                        out.append(Branch(Prefix(peer, "!", f"{b.label}.o", payload=b.payload), enc(b.cont)))
+                        out.append(Branch(Prefix(peer, "!", f"{b.label}.o", payload=b.payload), enc(b.cont, k)))
                     else:
-                        inner = Choice((Branch(Prefix(peer, "?", b.label, var=b.var), enc(b.cont)),))
+                        inner = Choice((Branch(Prefix(peer, "?", b.label, var=b.var), enc(b.cont, k)),))
                         out.append(Branch(Prefix(peer, "!", f"{b.label}.i", payload=TT), inner))
             else:
-                for b in branches:
+                for k, b in enumerate(branches):
                     if b.polarity == "!":
-                        inner = Choice((Branch(Prefix(peer, "!", b.label, payload=b.payload), enc(b.cont)),))
+                        inner = Choice((Branch(Prefix(peer, "!", b.label, payload=b.payload), enc(b.cont, k)),))
                         out.append(Branch(Prefix(peer, "?", f"{b.label}.i", var=f"z{next(serial)}"), inner))
                     else:
-                        out.append(Branch(Prefix(peer, "?", f"{b.label}.o", var=b.var), enc(b.cont)))
+                        out.append(Branch(Prefix(peer, "?", f"{b.label}.o", var=b.var), enc(b.cont, k)))
             return Choice(tuple(out))
         case CPar():
             raise McmpError("parallel composition under a prefix is outside the fragment")

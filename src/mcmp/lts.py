@@ -77,21 +77,27 @@ class Graph:
         return labels[::-1]
 
     def has_cycle(self, i: int | None = None) -> bool:
-        """Some cycle is reachable from i (from anywhere when i is None).
-        Peeling off states that no unpeeled state leads to leaves exactly
-        the states on or behind a cycle."""
-        nodes = range(len(self.states)) if i is None else self.reachable(i)
-        indegree = dict.fromkeys(nodes, 0)
-        for n in indegree:
-            for _, j in self._succ[n]:
-                indegree[j] += 1
-        peeled = [n for n, k in indegree.items() if k == 0]
-        for n in peeled:  # grows while it is walked
-            for _, j in self._succ[n]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    peeled.append(j)
-        return len(peeled) < len(indegree)
+        """Some cycle is reachable from i (from anywhere when i is None)."""
+        starts = range(len(self.states)) if i is None else [i]
+        return topological_order(starts, self.successors) is None
+
+
+def topological_order(starts, successors) -> list | None:
+    """The nodes reachable from starts, each before every node it leads to,
+    or None when a cycle is reachable; successors(node) lists its (label,
+    node) edges.  Peeling off nodes that no unpeeled node leads to (Kahn's
+    algorithm) leaves exactly the nodes on or behind a cycle."""
+    indegree = {n: 0 for n, _ in _bfs(starts, successors)}
+    for n in indegree:
+        for _, j in successors(n):
+            indegree[j] += 1
+    peeled = [n for n, k in indegree.items() if k == 0]
+    for n in peeled:  # grows while it is walked
+        for _, j in successors(n):
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                peeled.append(j)
+    return peeled if len(peeled) == len(indegree) else None
 
 
 def explore(roots, step, build, max_states: int | None = None, max_depth: int | None = None) -> Graph:

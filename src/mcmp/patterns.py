@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from . import lcmv, semantics
+from . import lcmv, lts, semantics
 from .semantics import Step, TruncatedError, explore
 from .syntax import McmpError, Session
 
@@ -122,21 +122,35 @@ def _is_star_cycle(group) -> bool:
     return True
 
 
+# what the maximal paths from a state announce is kept up to "two or
+# more": no leader, one leader (which), or _SEVERAL
+_SEVERAL = "several"
+
+
+def _join(seen: frozenset[str], outcome):
+    """The outcome of a path that announces seen before one with outcome."""
+    if outcome == _SEVERAL or len(seen | outcome) > 1:
+        return _SEVERAL
+    return seen | outcome
+
+
 def is_electoral(
     m: Session,
     station: str,
     label: str,
     max_states: int = semantics.DEFAULT_MAX_STATES,
     max_depth: int = semantics.DEFAULT_MAX_DEPTH,
-    max_paths: int = 100000,
 ):
     """True iff every maximal execution unguards exactly one announcement
     barb (an output toward the station with the given label) across its
-    states.  Returns (flag, counterexample path or None)."""
+    states.  Returns (flag, counterexample path or None); the counterexample
+    is the first failing path of a depth-first walk that tries a state's
+    last successor first."""
     graph = explore(m, max_states=max_states, max_depth=max_depth)
     if graph.truncated:
         raise TruncatedError("electoral check needs a complete graph")
-    if not semantics.is_convergent(graph):
+    order = lts.topological_order([graph.root], graph.successors)
+    if order is None:
         raise McmpError("electoral check needs a convergent session")
 
     def announcers(i: int) -> frozenset[str]:
@@ -146,18 +160,22 @@ def is_electoral(
             if b.kind == "out" and b.peer == station and b.label == label
         )
 
-    budget = max_paths
-    stack: list[tuple[int, list[str], frozenset[str]]] = [(graph.root, [], announcers(graph.root))]
-    while stack:
-        i, path, seen = stack.pop()
-        budget -= 1
-        if budget < 0:
-            raise TruncatedError("electoral path budget exhausted")
-        succs = graph.successors(i)
-        if not succs:
-            if len(seen) != 1:
-                return False, {"path": path, "announcers": sorted(seen)}
-            continue
-        for step, j in succs:
-            stack.append((j, path + [step.describe()], seen | announcers(j)))
-    return True, None
+    # outcomes[i] holds the outcomes of the maximal paths from i: at most
+    # one per participant, plus no leader and _SEVERAL
+    outcomes: dict[int, set] = {}
+    for i in reversed(order):
+        here = announcers(i)
+        below = set().union(*(outcomes[j] for _, j in graph.successors(i))) or {frozenset()}
+        outcomes[i] = {_join(here, o) for o in below}
+
+    def can_fail(seen: frozenset[str], i: int) -> bool:
+        return any(_join(seen, o) in (_SEVERAL, frozenset()) for o in outcomes[i])
+
+    i, path, seen = graph.root, [], announcers(graph.root)
+    if not can_fail(seen, i):
+        return True, None
+    while graph.successors(i):
+        step, i = next((step, j) for step, j in reversed(graph.successors(i)) if can_fail(seen, j))
+        path.append(step.describe())
+        seen |= announcers(i)
+    return False, {"path": path, "announcers": sorted(seen)}

@@ -364,33 +364,18 @@ def may_succeed(graph: StateGraph, i: int) -> bool:
 
 
 def must_succeed(graph: StateGraph, i: int) -> bool:
-    """Every maximal path from i passes a success state."""
+    """Every maximal path from i passes a success state.  Paths stop at
+    success states, so a cycle that lies only behind one does not count."""
     if graph.truncated:
         raise TruncatedError("must-succeed needs a complete graph")
-    memo: dict[int, bool] = {}
-    on_stack: set[int] = set()
 
-    def good(j: int) -> bool:
-        if j in memo:
-            return memo[j]
-        if has_success(graph.states[j]):
-            memo[j] = True
-            return True
-        if j in on_stack:
-            raise McmpError("must-succeed requires a convergent subgraph")
-        succs = graph.successors(j)
-        if not succs:
-            memo[j] = False
-            return False
-        on_stack.add(j)
-        try:
-            result = all(good(d) for _, d in succs)
-        finally:
-            on_stack.discard(j)
-        memo[j] = result
-        return result
+    def successors(j: int) -> list[tuple[Step, int]]:
+        return [] if has_success(graph.states[j]) else graph.successors(j)
 
-    return good(i)
+    order = lts.topological_order([i], successors)
+    if order is None:
+        raise McmpError("must-succeed requires a convergent subgraph")
+    return all(successors(j) or has_success(graph.states[j]) for j in order)
 
 
 def maximal_executions(m: Session, max_states: int = DEFAULT_MAX_STATES, max_depth: int = DEFAULT_MAX_DEPTH):
@@ -399,20 +384,15 @@ def maximal_executions(m: Session, max_states: int = DEFAULT_MAX_STATES, max_dep
     graph = explore(m, max_states=max_states, max_depth=max_depth)
     if graph.truncated:
         raise TruncatedError("exploration truncated")
-    if not is_convergent(graph):
+    order = lts.topological_order([graph.root], graph.successors)
+    if order is None:
         raise McmpError("maximal executions undefined on divergent sessions")
-    counts: dict[int, int] = {}
-
-    def count(i: int) -> int:
-        if i in counts:
-            return counts[i]
-        succs = graph.successors(i)
-        result = 1 if not succs else sum(count(j) for _, j in succs)
-        counts[i] = result
-        return result
-
-    # the graph has one root, so every state in it is reachable
-    return count(graph.root), [s for i, s in enumerate(graph.states) if not graph.successors(i)]
+    # the graph has one root, so every state in it is in the order
+    counts = [1] * len(graph.states)
+    for i in reversed(order):
+        if graph.successors(i):
+            counts[i] = sum(counts[j] for _, j in graph.successors(i))
+    return counts[graph.root], [s for i, s in enumerate(graph.states) if not graph.successors(i)]
 
 
 # ---------------------------------------------------------------------------

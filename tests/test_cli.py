@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mcmp import cli, corpus
+from mcmp import cli, corpus, encode
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,7 +70,8 @@ def test_simulate(fixture_dir, capsys):
     code, out = run(capsys, "--json", "simulate", str(fixture_dir / "ping.mcmp"))
     assert code == 0
     data = json.loads(out)
-    assert data["stuck"] and data["success"]
+    # p = ok and q = 0: terminated, not stuck
+    assert not data["stuck"] and data["success"]
 
 
 def test_detect_m(fixture_dir, capsys):
@@ -182,3 +183,35 @@ def test_json_output_independent_of_earlier_parses(fixture_dir, capsys):
     for name in ("election5", "election6", "pingpong_rec", "mixed2"):
         run(capsys, "simulate", str(fixture_dir / f"{name}.mcmp"))
     assert [run(capsys, *argv) for argv in commands] == first
+
+
+def _contract_cases():
+    """Every command on every fixture, every encoding for encode and
+    verify-encoding, with the fixture given by file name."""
+    for name in sorted({**corpus.SESSIONS, **corpus.UNTYPED}):
+        path = f"{name}.mcmp"
+        for command in ("check", "safety", "df", "simulate", "classify"):
+            yield [command, path]
+        for pattern in ("m", "star"):
+            yield ["detect", path, "--pattern", pattern]
+        yield ["electoral", path, "--station", "station", "--label", "elect"]
+        for command in ("encode", "verify-encoding"):
+            for via in sorted(encode.ENCODINGS):
+                yield [command, path, "--via", via]
+    for name in sorted(corpus.CMV):
+        path = f"{name}.cmv"
+        yield from (["cmv", "check", path], ["cmv", "encode", path], ["verify-encoding", path, "--via", "lcmv-mcbs"])
+
+
+@pytest.mark.parametrize("argv", list(_contract_cases()), ids=" ".join)
+def test_cli_contract(fixture_dir, capsys, argv):
+    # the README's contract: a known exit code, JSON on stdout, a witness
+    # with every failed property, and the same bytes when asked again
+    argv = ["--json"] + [str(fixture_dir / a) if a.endswith((".mcmp", ".cmv")) else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code in (0, 1, 2, 3)
+    data = json.loads(out)
+    if code == 1:
+        witnessed = any(data.get(key) for key in ("errors", "witness", "failures", "error"))
+        assert witnessed or (argv[1] == "detect" and data["found"] is False), out
+    assert run(capsys, *argv) == (code, out)

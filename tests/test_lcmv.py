@@ -80,11 +80,11 @@ def test_check_classifies_ping():
     p = parse_cmv(corpus.CMV_PING)
     classes = check_cmv(p)
     comps = lcmv._components(p.body)
-    x_choice = next(c for c in comps if c.endpoint == "x")
-    y_choice = next(c for c in comps if c.endpoint == "y")
+    x_choice = next(str(k) for k, c in enumerate(comps) if c.endpoint == "x")
+    y_choice = next(str(k) for k, c in enumerate(comps) if c.endpoint == "y")
     # the solver prefers the first endpoint internal
-    assert classes[x_choice.cap] == "internal"
-    assert classes[y_choice.cap] == "external"
+    assert classes[x_choice] == "internal"
+    assert classes[y_choice] == "external"
 
 
 def test_check_rejects_unmatched_inputs_both_sides():
@@ -178,19 +178,22 @@ def test_check_classifies_merged_occurrences(text):
     cond, _ = lcmv._components(p.body)
     classes = check_cmv(p)
     # y has no b?, so x's outermost choice must be the external one
-    then_views = [classes[c.cap] for c in _choices(cond.then)]
+    then_views = [classes[path] for path in _choice_paths(cond.then, "0.then")]
     assert then_views[0] == "external"
-    assert [classes[c.cap] for c in _choices(cond.els)] == then_views
+    assert [classes[path] for path in _choice_paths(cond.els, "0.else")] == then_views
     report = lcmv_correspondence(p, max_states=5000, max_depth=128)
     assert report.passed(), report.to_json()
 
 
-def _choices(p):
+def _choice_paths(p, path):
+    """The paths of the choice occurrences in p, which sits at path."""
     match p:
         case CChoice(_, branches):
-            return [p] + [c for b in branches for c in _choices(b.cont)]
-        case lcmv.CCond(_, t, e) | lcmv.CPar(t, e):
-            return _choices(t) + _choices(e)
+            return [path] + [c for k, b in enumerate(branches) for c in _choice_paths(b.cont, f"{path}.{k}")]
+        case lcmv.CCond(_, t, e):
+            return _choice_paths(t, f"{path}.then") + _choice_paths(e, f"{path}.else")
+        case lcmv.CPar(l, r):
+            return _choice_paths(l, f"{path}.l") + _choice_paths(r, f"{path}.r")
         case _:
             return []
 

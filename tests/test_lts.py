@@ -143,3 +143,39 @@ def test_path_is_a_shortest_path():
 def test_bounds_must_be_positive(bounds):
     with pytest.raises(ValueError):
         explore(chain(3), **bounds)
+
+
+def edges(successors):
+    """successors(s) lists the states s steps to, as topological_order
+    wants them: (label, state) pairs."""
+    return lambda s: [(None, t) for t in successors(s)]
+
+
+def test_topological_order_of_a_chain_deeper_than_the_recursion_limit():
+    assert N > sys.getrecursionlimit()
+    assert lts.topological_order([0], edges(chain(N))) == list(range(N))
+    assert lts.topological_order([N - 3], edges(chain(N))) == [N - 3, N - 2, N - 1]
+
+
+def test_topological_order_is_none_on_a_reachable_cycle():
+    # 0 -> 1 -> 2 -> 1, and 3 -> 0 leads into the cycle too
+    successors = edges(lambda s: {0: [1], 1: [2], 2: [1], 3: [0]}[s])
+    assert lts.topological_order([0], successors) is None
+    assert lts.topological_order([3], successors) is None
+    assert lts.topological_order([0], edges(lambda s: [s])) is None
+
+
+def test_topological_order_respects_every_edge_of_a_random_dag():
+    rng = random.Random(5150)
+    n = 400
+    # edges only go to larger numbers, so the graph is acyclic
+    adjacency = {s: rng.sample(range(s + 1, n), min(n - s - 1, rng.randint(0, 4))) for s in range(n)}
+    starts = [0, 7, 7, 200]
+    order = lts.topological_order(starts, edges(lambda s: adjacency[s]))
+    position = {s: k for k, s in enumerate(order)}
+    assert len(position) == len(order)
+    reached = {j for j, _ in lts._bfs(starts, edges(lambda s: adjacency[s]))}
+    assert set(order) == reached
+    for s in order:
+        for t in adjacency[s]:
+            assert position[s] < position[t]

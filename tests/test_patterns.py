@@ -161,6 +161,83 @@ def test_electoral_rejects_divergence():
         is_electoral(m, "station", "elect")
 
 
+def _electoral_by_paths(m, station, label):
+    """The reference for is_electoral: enumerate every maximal path, trying
+    a state's last successor first, and report the first one that does not
+    announce exactly one leader."""
+    graph = semantics.explore(m)
+
+    def announcers(i):
+        return frozenset(
+            b.participant
+            for b in semantics.barbs(graph.states[i])
+            if b.kind == "out" and b.peer == station and b.label == label
+        )
+
+    stack = [(graph.root, [], announcers(graph.root))]
+    while stack:
+        i, path, seen = stack.pop()
+        succs = graph.successors(i)
+        if not succs:
+            if len(seen) != 1:
+                return False, {"path": path, "announcers": sorted(seen)}
+            continue
+        for step, j in succs:
+            stack.append((j, path + [step.describe()], seen | announcers(j)))
+    return True, None
+
+
+def _announcements(m):
+    """Every (peer, label) some reachable state outputs on."""
+    graph = semantics.explore(m)
+    return sorted({(b.peer, b.label) for s in graph.states for b in semantics.barbs(s) if b.kind == "out"})
+
+
+def _agrees_with_reference(m, station, label):
+    if not semantics.is_convergent(semantics.explore(m)):
+        with pytest.raises(syntax.McmpError):
+            is_electoral(m, station, label)
+        return
+    assert is_electoral(m, station, label) == _electoral_by_paths(m, station, label), (
+        syntax.render_session(m),
+        station,
+        label,
+    )
+
+
+def test_electoral_matches_path_enumeration_on_corpus():
+    for name, text in sorted({**corpus.SESSIONS, **corpus.UNTYPED}.items()):
+        m, _ = syntax.parse_source(text)
+        variants = [m] + [Session(tuple((n, Nil() if n == r else p) for n, p in m.parts)) for r, _ in m.parts]
+        for v in variants:
+            for station, label in [("station", "elect")] + _announcements(v):
+                _agrees_with_reference(v, station, label)
+
+
+def test_electoral_matches_path_enumeration_on_random_sessions():
+    rng = random.Random(8128)
+    names, labels = ["p", "q", "r"], ["l1", "l2"]
+    for _ in range(300):
+        m = gen_session(rng, names, labels, 3, "mcmp")
+        _agrees_with_reference(m, rng.choice(names), rng.choice(labels))
+
+
+def test_electoral_has_no_path_budget():
+    # four independent 3-message chains; the first chain's initiator then
+    # announces to the station w: 320 states, over a million maximal paths
+    roles = []
+    for i in range(4):
+        tail = ".w!elect(tt).0" if i == 0 else ".0"
+        roles.append(f"role a{i} = b{i}!m1(tt).b{i}?m2(x).b{i}!m3(tt){tail}")
+        roles.append(f"role b{i} = a{i}?m1(x).a{i}!m2(tt).a{i}?m3(y).0")
+    roles.append("role w = a0?elect(x).0")
+    m = parse_session(" ".join(roles))
+    assert len(semantics.explore(m).states) == 320
+    count, _ = semantics.maximal_executions(m)
+    assert count > 100_000
+    assert is_electoral(m, "w", "elect") == (True, None)
+
+
 def test_star_witness_matches_recomputation():
     m, _ = corpus.load("star_msmp")
     w = detect_star(m)

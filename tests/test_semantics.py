@@ -101,6 +101,36 @@ def test_must_succeed_rejects_divergent_subgraph():
         must_succeed(g, g.root)
 
 
+def test_must_succeed_ignores_a_cycle_behind_success():
+    # after a, p is ok for good while q and r loop: every maximal path has
+    # passed a success state before the loop
+    m = parse_session(
+        "role p = q!a(tt).ok role q = p?a(x).rec X.(r!l(tt).X) role r = rec Y.(q?l(y).Y)"
+    )
+    g = explore(m)
+    assert not is_convergent(g)
+    assert must_succeed(g, g.root)
+
+
+def _relay(n):
+    """r0 passes a message along r1, ..., r(n-1), which succeeds: one path
+    of n - 1 steps."""
+    roles = ["role r0 = r1!m(tt).0"]
+    roles += [f"role r{i} = r{i - 1}?m(x).r{i + 1}!m(x).0" for i in range(1, n - 1)]
+    roles.append(f"role r{n - 1} = r{n - 2}?m(x).ok")
+    return parse_session(" ".join(roles))
+
+
+def test_walks_on_a_path_deeper_than_the_recursion_limit():
+    m = _relay(700)
+    count, terminals = maximal_executions(m, max_depth=705)
+    assert count == 1
+    assert [syntax.canon_session(s) for s in terminals] == [syntax.canon_session(parse_session("role r699 = ok"))]
+    g = explore(m, max_depth=705)
+    assert len(g.states) == 700 and not g.truncated
+    assert must_succeed(g, g.root)
+
+
 def test_explore_requires_positive_limits():
     with pytest.raises(ValueError):
         explore(parse_session("role p = 0"), max_states=0)
