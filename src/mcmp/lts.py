@@ -100,6 +100,25 @@ def topological_order(starts, successors) -> list | None:
     return peeled if len(peeled) == len(indegree) else None
 
 
+def memo(cache: dict | None, key, compute, *terms):
+    """compute(*terms), memoised in cache under key when a cache is given.
+
+    Explorers keep one cache per exploration and key a pair's steps by the
+    participants' names and the ids of their terms.  A key is stored only
+    the second time it is met: along chains and loops no pair recurs, and
+    storing every first sight kept each known successor's terms alive for
+    nothing.  A stored entry holds terms, so no id in its key is reused
+    while it lives."""
+    if cache is None:
+        return compute(*terms)
+    entry = cache.get(key)
+    if entry:
+        return entry[1]
+    value = compute(*terms)
+    cache[key] = () if entry is None else (terms, value)
+    return value
+
+
 def explore(roots, step, build, max_states: int | None = None, max_depth: int | None = None) -> Graph:
     """Breadth-first exploration from roots, given as (key, seed) pairs;
     roots with equal keys are one state.  Past max_states states, edges to

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import lts
 
@@ -321,30 +322,52 @@ def _heads(delta: LocalContext) -> dict[str, TChoice]:
     return {p: h for p, h in heads.items() if isinstance(h, TChoice)}
 
 
-def _context_transitions(delta: LocalContext):
-    """(action, p, p's branch, q, q's branch) for every synchronisation: p
-    may send (p!q:l(U)) and q may receive the same label with the same
-    payload type from p."""
+def _sync_steps(p: str, tp: LocalType, hp: TChoice, kp: tuple, q: str, tq: LocalType, hq: TChoice, kq: tuple):
+    """The synchronisations in which p sends to q, which depend on their
+    types alone (tp and tq, with heads hp and hq and canonical forms kp and
+    kq): p may send p!q:l(U) and q may receive the same label with the same
+    payload type from p.  Each is (p's branch index, action, the new types,
+    their entries in the successor's key)."""
+    out = []
+    for i, bp in enumerate(hp.branches):
+        if bp.polarity != "!" or bp.target != q:
+            continue
+        for bq in hq.branches:
+            if bq.polarity == "?" and bq.target == p and bq.label == bp.label and bq.payload == bp.payload:
+                act = TypeAction("ctx", p, q, bp.label, bp.payload)
+                new_keys = ((p, _cont_key(tp, kp, bp)), (q, _cont_key(tq, kq, bq)))
+                out.append((i, act, {p: bp.cont, q: bq.cont}, new_keys))
+    return out
+
+
+def _context_transitions(delta: LocalContext, key: tuple, cache: dict | None = None):
+    """Every synchronisation of delta, whose canonical form is key, as
+    (sender's branch index, action, the new types, their entries in the
+    successor's key): senders in entry order, then by the sender's branch,
+    then by the receiver's.  Given an exploration's cache, the
+    synchronisations of each pair of types are enumerated once."""
+    types = dict(delta.entries)
+    keys = dict(key)
     heads = _heads(delta)
     out = []
     for p, hp in heads.items():
-        for bp in hp.branches:
-            q = bp.target
-            hq = heads.get(q)
-            if bp.polarity != "!" or q == p or hq is None:
-                continue
-            for bq in hq.branches:
-                if bq.polarity == "?" and bq.target == p and bq.label == bp.label and bq.payload == bp.payload:
-                    out.append((TypeAction("ctx", p, q, bp.label, bp.payload), p, bp, q, bq))
+        found, peers = [], []
+        for b in hp.branches:
+            q = b.target
+            if b.polarity == "!" and q != p and q in heads and q not in peers:
+                peers.append(q)
+                tp, tq = types[p], types[q]
+                found += lts.memo(cache, (p, id(tp), q, id(tq)), _sync_steps, p, tp, hp, keys[p], q, tq, heads[q], keys[q])
+        # back to p's branch order; the sort is stable, so the receiver's
+        # branches of one sender branch stay in order
+        found.sort(key=itemgetter(0))
+        out += found
     return out
 
 
 def context_steps(delta: LocalContext) -> list[tuple[TypeAction, LocalContext]]:
     """All synchronisations with the contexts they lead to."""
-    return [
-        (act, delta.with_entries({p: bp.cont, q: bq.cont}))
-        for act, p, bp, q, bq in _context_transitions(delta)
-    ]
+    return [(act, delta.with_entries(new)) for _, act, new, _ in _context_transitions(delta, canon_context(delta))]
 
 
 def _canon_type(t: LocalType, env: tuple = ()) -> tuple:
@@ -405,24 +428,26 @@ def explore_contexts(delta: LocalContext, max_states: int | None = None, max_dep
     """Every context reachable from delta, identified by canon_context, in
     breadth-first order, within the optional bounds.  A step changes two
     entries, so a successor's key is its parent's with those two entries
-    replaced; the others are never re-canonicalised."""
+    replaced; the others are never re-canonicalised.  The synchronisations
+    of a pair of types met in several contexts are enumerated once per call
+    (see lts.memo)."""
     for _, t in delta.entries:
         if not (closed(t) and guarded(t) and well_formed(t)):
             raise ValueError("context entries must be closed, guarded and well-formed")
     root_key = canon_context(delta)
     # the domain never changes, so neither does a participant's place in a key
     place = {p: k for k, (p, _) in enumerate(root_key)}
+    cache: dict = {}
 
     # well-formed types have distinct labels per (participant, polarity), so
     # no two synchronisations from one context are the same edge
     def transitions(context: LocalContext, key: tuple):
-        types = dict(context.entries)
         out = []
-        for act, p, bp, q, bq in _context_transitions(context):
+        for _, act, new, new_keys in _context_transitions(context, key, cache):
             succ_key = list(key)
-            for r, b in ((p, bp), (q, bq)):
-                succ_key[place[r]] = (r, _cont_key(types[r], key[place[r]][1], b))
-            out.append((act, tuple(succ_key), (context, {p: bp.cont, q: bq.cont})))
+            for item in new_keys:
+                succ_key[place[item[0]]] = item
+            out.append((act, tuple(succ_key), (context, new)))
         return out
 
     def build(seed, key: tuple) -> tuple[LocalContext, tuple]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import lts
 from .lts import TruncatedError
@@ -97,53 +98,74 @@ def resolve(m: Session) -> Session:
     return Session(tuple((name, head_normal(proc)) for name, proc in m.parts))
 
 
-# A change is (participant, new process, canon_process of the new process).
-Change = tuple[str, Process, tuple]
+# A transition is (the step's sort key, the step, the new process of each
+# participant it changes, the canonical form of each such process): one
+# participant for a conditional, two for a communication.
+Transition = tuple[tuple, Step, dict[str, Process], dict[str, tuple]]
 
 
-def _transitions(r: Session) -> list[tuple[Step, tuple[Change, ...]]]:
-    """The enabled steps of the resolved session r in canonical order, each
-    with the changes it makes: one for a conditional, two for a
-    communication.  Steps between the same participants with the same label
-    and alpha-equal continuations are the same step, and only the first is
-    kept."""
-    out: list[tuple[Step, tuple[Change, ...]]] = []
-    same_comm: dict[tuple, list[tuple[tuple, tuple]]] = {}
-    for p, proc in r.parts:
-        if isinstance(proc, Cond) and isinstance(proc.guard, BoolVal):
-            kind = "if-tt" if proc.guard.value else "if-ff"
-            cont = proc.then if proc.guard.value else proc.els
-            step = Step(kind=kind, consumed=frozenset({p}), participant=p)
-            out.append((step, ((p, cont, canon_process(cont)),)))
-    choices = {p: proc for p, proc in r.parts if isinstance(proc, Choice)}
-    for p, pproc in choices.items():
-        for i, bp in enumerate(pproc.branches):
-            q = bp.prefix.target
-            qproc = choices.get(q)
-            if bp.prefix.polarity != "!" or q == p or qproc is None:
+def _cond_steps(p: str, proc: Cond) -> list[Transition]:
+    kind = "if-tt" if proc.guard.value else "if-ff"
+    cont = proc.then if proc.guard.value else proc.els
+    step = Step(kind=kind, consumed=frozenset({p}), participant=p)
+    return [(step.sort_key(), step, {p: cont}, {p: canon_process(cont)})]
+
+
+def _comm_steps(p: str, pproc: Choice, q: str, qproc: Choice) -> list[Transition]:
+    """The steps in which p sends to q, which depend on their terms alone.
+    Steps with the same label and alpha-equal continuations are the same
+    step, and only the first is kept."""
+    out: list[Transition] = []
+    # continuations are compared, not hashed, and only against those of
+    # steps with the same label
+    same_label: dict[str, list[tuple[tuple, tuple]]] = {}
+    for i, bp in enumerate(pproc.branches):
+        if bp.prefix.polarity != "!" or bp.prefix.target != q:
+            continue
+        for j, bq in enumerate(qproc.branches):
+            if bq.prefix.polarity != "?" or bq.prefix.target != p or bq.prefix.label != bp.prefix.label:
                 continue
-            for j, bq in enumerate(qproc.branches):
-                if bq.prefix.polarity != "?" or bq.prefix.target != p or bq.prefix.label != bp.prefix.label:
-                    continue
-                step = Step(
-                    kind="comm",
-                    consumed=frozenset({p, q}),
-                    sender=p,
-                    receiver=q,
-                    label=bp.prefix.label,
-                    payload=bp.prefix.payload,
-                    sender_branch=i,
-                    receiver_branch=j,
-                )
-                q_cont = substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)
-                p_key, q_key = canon_process(bp.cont), canon_process(q_cont)
-                # continuations are compared, not hashed, and only against
-                # those of steps with the same participants and label
-                conts = same_comm.setdefault((p, q, bp.prefix.label), [])
-                if (p_key, q_key) not in conts:
-                    conts.append((p_key, q_key))
-                    out.append((step, ((p, bp.cont, p_key), (q, q_cont, q_key))))
-    out.sort(key=lambda t: t[0].sort_key())
+            q_cont = substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)
+            p_key, q_key = canon_process(bp.cont), canon_process(q_cont)
+            conts = same_label.setdefault(bp.prefix.label, [])
+            if (p_key, q_key) in conts:
+                continue
+            conts.append((p_key, q_key))
+            step = Step(
+                kind="comm",
+                consumed=frozenset({p, q}),
+                sender=p,
+                receiver=q,
+                label=bp.prefix.label,
+                payload=bp.prefix.payload,
+                sender_branch=i,
+                receiver_branch=j,
+            )
+            out.append((step.sort_key(), step, {p: bp.cont, q: q_cont}, {p: p_key, q: q_key}))
+    return out
+
+
+def _transitions(r: Session, cache: dict | None = None) -> list[Transition]:
+    """The enabled steps of the resolved session r in canonical order.  A
+    step reads only the terms of the participants it consumes, so the steps
+    of each conditional and of each sending pair are enumerated together,
+    and, given an exploration's cache, once per pair of terms."""
+    out: list[Transition] = []
+    choices = {}
+    for p, proc in r.parts:
+        if isinstance(proc, Choice):
+            choices[p] = proc
+        elif isinstance(proc, Cond) and isinstance(proc.guard, BoolVal):
+            out += lts.memo(cache, (p, id(proc)), _cond_steps, p, proc)
+    for p, pproc in choices.items():
+        peers = []
+        for b in pproc.branches:
+            q = b.prefix.target
+            if b.prefix.polarity == "!" and q != p and q in choices and q not in peers:
+                peers.append(q)
+                qproc = choices[q]
+                out += lts.memo(cache, (p, id(pproc), q, id(qproc)), _comm_steps, p, pproc, q, qproc)
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -177,7 +199,7 @@ def enabled_steps(m: Session) -> list[Step]:
     """All enabled steps, deduplicated modulo structural congruence of the
     picked continuations (steps between the same participants with the same
     label and alpha-equal continuations are the same step)."""
-    return [step for step, _ in _transitions(resolve(m))]
+    return [step for _, step, _, _ in _transitions(resolve(m))]
 
 
 def successor_keys(m: Session) -> list[tuple[Step, tuple]]:
@@ -185,7 +207,7 @@ def successor_keys(m: Session) -> list[tuple[Step, tuple]]:
     re-canonicalising only the participants the step changes."""
     r = resolve(m)
     key = canon_session(r)
-    return [(step, _rekey(key, {p: k for p, _, k in changes})) for step, changes in _transitions(r)]
+    return [(step, _rekey(key, keys)) for _, step, _, keys in _transitions(r)]
 
 
 def apply_step(m: Session, step: Step) -> Session:
@@ -331,22 +353,25 @@ def explore_many(ms: list[Session], max_states: int = DEFAULT_MAX_STATES, max_de
     A state is identified by canon_session of the session that reached it,
     before resolution.  A step changes at most two participants, so a
     successor's key is its parent's resolved key with those entries
-    replaced; the other participants are never re-canonicalised."""
+    replaced; the other participants are never re-canonicalised.  The steps
+    of a pair of terms met in several states are enumerated once per call
+    (see lts.memo)."""
     classes: dict[tuple, int] = {}
     congruence: list[int] = []
+    cache: dict = {}
 
     def transitions(r: Session, key: tuple):
-        return [(step, _rekey(key, {p: k for p, _, k in changes}), (r, changes)) for step, changes in _transitions(r)]
+        return [(step, _rekey(key, keys), (r, procs)) for _, step, procs, keys in _transitions(r, cache)]
 
     def build(seed, key: tuple) -> tuple[Session, tuple]:
-        base, changes = seed
-        s = base.with_parts({p: proc for p, proc, _ in changes}) if changes else base
+        base, procs = seed
+        s = base.with_parts(procs) if procs else base
         r = resolve(s)
         resolved_key = _resolved_key(key, s, r)
         congruence.append(classes.setdefault(resolved_key, len(classes)))
         return r, resolved_key
 
-    roots = [(canon_session(m), (m, ())) for m in ms]
+    roots = [(canon_session(m), (m, {})) for m in ms]
     graph = lts.explore(roots, transitions, build, max_states, max_depth)
     return StateGraph(**vars(graph), congruence=congruence)
 
@@ -423,14 +448,15 @@ def weak_bisim_classes(graph: StateGraph, observables: frozenset[str] = frozense
             key.append(tuple(sorted(b.describe() for b in weak)))
         return tuple(key)
 
-    keys = {i: observable_key(i) for i in range(n)}
-    distinct = sorted(set(keys.values()))
-    classes = [distinct.index(keys[i]) for i in range(n)]
+    def ranks(keys: list) -> list[int]:
+        """Each key's place among the distinct keys in sorted order."""
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return [rank[k] for k in keys]
+
+    classes = ranks([observable_key(i) for i in range(n)])
     while True:
         signature = [tuple(sorted({classes[k] for k in reach[i]} | {classes[i]})) for i in range(n)]
-        combined = [(classes[i], signature[i]) for i in range(n)]
-        distinct2 = sorted(set(combined))
-        refined = [distinct2.index(combined[i]) for i in range(n)]
+        refined = ranks([(classes[i], signature[i]) for i in range(n)])
         if refined == classes:
             return classes
         classes = refined

@@ -802,37 +802,52 @@ def render_value(v: Value) -> str:
     raise TypeError(v)
 
 
-def _render_cont(proc: Process) -> str:
-    if isinstance(proc, Choice) and len(proc.branches) > 1:
-        return f"({render_process(proc)})"
-    if isinstance(proc, (Cond, Rec)):
-        return f"({render_process(proc)})"
-    return render_process(proc)
-
-
 def render_process(proc: Process) -> str:
-    match proc:
-        case Nil():
-            return "0"
-        case Success():
-            return "ok"
-        case ProcVar(name):
-            return name
-        case Rec(x, body):
-            return f"rec {x}.{_render_cont(body)}"
-        case Cond(g, t, e):
-            return f"if {render_value(g)} then {_render_cont(t)} else {_render_cont(e)}"
-        case Choice(branches):
-            parts = []
-            for b in branches:
-                pre = b.prefix
-                if pre.polarity == "!":
-                    head = f"{pre.target}!{pre.label}({render_value(pre.payload)})"
-                else:
-                    head = f"{pre.target}?{pre.label}({pre.var})"
-                parts.append(f"{head}.{_render_cont(b.cont)}")
-            return " + ".join(parts)
-    raise TypeError(proc)
+    """The surface syntax of proc.  Prefix chains nest as deep as they are
+    long, so the printer keeps its own stack of terms and text to emit; what
+    comes first is pushed last."""
+    out: list[str] = []
+    todo: list[Process | str] = [proc]
+
+    def push_cont(p: Process) -> None:
+        # a continuation is bracketed when it is a sum, conditional or recursion
+        if isinstance(p, (Cond, Rec)) or (isinstance(p, Choice) and len(p.branches) > 1):
+            todo.extend((")", p, "("))
+        else:
+            todo.append(p)
+
+    while todo:
+        item = todo.pop()
+        match item:
+            case str():
+                out.append(item)
+            case Nil():
+                out.append("0")
+            case Success():
+                out.append("ok")
+            case ProcVar(name):
+                out.append(name)
+            case Rec(x, body):
+                out.append(f"rec {x}.")
+                push_cont(body)
+            case Cond(g, t, e):
+                out.append(f"if {render_value(g)} then ")
+                push_cont(e)
+                todo.append(" else ")
+                push_cont(t)
+            case Choice(branches):
+                for k in range(len(branches) - 1, -1, -1):
+                    pre = branches[k].prefix
+                    push_cont(branches[k].cont)
+                    if pre.polarity == "!":
+                        todo.append(f"{pre.target}!{pre.label}({render_value(pre.payload)}).")
+                    else:
+                        todo.append(f"{pre.target}?{pre.label}({pre.var}).")
+                    if k:
+                        todo.append(" + ")
+            case _:
+                raise TypeError(item)
+    return "".join(out)
 
 
 def render_session(m: Session, context=None) -> str:

@@ -149,6 +149,24 @@ def test_deep_nesting_is_truncation_not_traceback(tmp_path):
         assert json.loads(done.stdout)["truncated"]
 
 
+def test_cmv_encode_prints_long_chains(tmp_path):
+    # each side's translation nests 600 prefixes, past what a printer that
+    # recurses per prefix can print
+    n = 400
+    x = " ".join(f"lin x (m{i}!tt." if i % 2 == 0 else f"lin x (m{i}?v{i}." for i in range(n))
+    y = " ".join(f"lin y (m{i}?v{i}." if i % 2 == 0 else f"lin y (m{i}!ff." for i in range(n))
+    path = tmp_path / "chain.cmv"
+    path.write_text(f"(new x y)({x} 0{')' * n} | {y} ok{')' * n})\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "mcmp.cli", "--json", "cmv", "encode", str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    out = json.loads(done.stdout)
+    assert out["via"] == "lcmv-mcbs"
+    assert "m399" in out["target"]
+
+
 def test_dot_output(fixture_dir, capsys, tmp_path):
     dot = tmp_path / "graph.dot"
     code, _ = run(capsys, "--dot", str(dot), "simulate", str(fixture_dir / "ping.mcmp"))

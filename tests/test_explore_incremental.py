@@ -1,17 +1,20 @@
 """The explorers key each state incrementally: a successor's key is its
-parent's with the one or two changed participants re-canonicalised.  These
-tests hold them to references that canonicalise every successor in full,
-as the explorers first did."""
+parent's with the one or two changed participants re-canonicalised.  They
+also enumerate the steps of each pair of terms met in several states once
+per exploration.  These tests hold them to references that enumerate and
+canonicalise every successor in full, as the explorers first did."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from mcmp import ltypes, semantics, syntax
+from mcmp import lts, ltypes, semantics, syntax
 from mcmp.ltypes import End, LocalContext, TBranch, TChoice, TRec, TVar
 from mcmp.syntax import FF, TT, Branch, Choice, Cond, Nil, Prefix, ProcVar, Rec, Session, Success, Var
 
@@ -68,6 +71,24 @@ def reference_explore(ms, max_states=semantics.DEFAULT_MAX_STATES, max_depth=sem
     return states, edges, roots, truncated
 
 
+def reference_context_steps(d):
+    """The synchronisations of d from each participant's own transitions:
+    senders in entry order, then by the sender's branch, then by the
+    receiver's."""
+    trans = {p: ltypes.type_transitions(p, t) for p, t in d.entries}
+    out = []
+    for p, _ in d.entries:
+        for act, cont in trans[p]:
+            q = act.peer
+            if act.kind != "out" or q == p or q not in trans:
+                continue
+            for a, q_cont in trans[q]:
+                if a.kind == "in" and a.peer == p and a.label == act.label and a.payload == act.payload:
+                    sync = ltypes.TypeAction("ctx", p, q, act.label, act.payload)
+                    out.append((sync, d.with_entries({p: cont, q: q_cont})))
+    return out
+
+
 def reference_contexts(delta):
     index, contexts, edges = {}, [], []
 
@@ -84,7 +105,7 @@ def reference_contexts(delta):
     while todo:
         i = todo.pop(0)
         before = len(contexts)
-        for act, succ in ltypes.context_steps(contexts[i]):
+        for act, succ in reference_context_steps(contexts[i]):
             j = visit(succ)
             if (i, act, j) not in seen:
                 seen.add((i, act, j))
@@ -107,7 +128,7 @@ def _unsafe_output(d):
     """The first output in d whose receiver listens to the sender but cannot
     take it, or None."""
     trans = {p: ltypes.type_transitions(p, t) for p, t in d.entries}
-    enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in ltypes.context_steps(d)}
+    enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in reference_context_steps(d)}
     for p, _ in d.entries:
         for act, _ in trans[p]:
             q = act.peer
@@ -121,7 +142,7 @@ def _unsafe_output(d):
 
 def _stuck(d):
     """The participants of d not at end when d has no step, else []."""
-    if ltypes.context_steps(d):
+    if reference_context_steps(d):
         return []
     return [p for p, t in d.entries if not isinstance(ltypes.head(t), ltypes.End)]
 
@@ -159,7 +180,7 @@ def _depths(edges, root):
 def _replay(delta, path):
     """The context that the actions of path lead to from delta."""
     for act in path:
-        delta = next(succ for a, succ in ltypes.context_steps(delta) if ltypes._act_json(a) == act)
+        delta = next(succ for a, succ in reference_context_steps(delta) if ltypes._act_json(a) == act)
     return delta
 
 
@@ -317,6 +338,7 @@ def test_explore_matches_reference_with_conditionals_and_open_payloads():
 def _assert_same_contexts(delta):
     g = ltypes.explore_contexts(delta)
     contexts, edges, root = reference_contexts(delta)
+    assert ltypes.context_steps(delta) == reference_context_steps(delta)
     assert g.contexts == contexts
     assert g.edges == edges
     assert g.root == root
@@ -356,6 +378,153 @@ def test_verdicts_and_witnesses_on_failing_fixtures():
     for name in stuck:
         ok, witness = ltypes.is_deadlock_free(contexts[name])
         assert not ok and witness == reference_is_deadlock_free(contexts[name])[1]
+
+
+# ---------------------------------------------------------------------------
+# the pair-step cache
+
+
+def _count_hits(monkeypatch):
+    """The cache lookups of explorations that find a stored entry."""
+    hits = []
+    memo = lts.memo
+
+    def counting(cache, key, compute, *terms):
+        if cache is not None and cache.get(key):
+            hits.append(key)
+        return memo(cache, key, compute, *terms)
+
+    monkeypatch.setattr(lts, "memo", counting)
+    return hits
+
+
+def _pair_family(seed):
+    """3 or 4 independent mixed-choice pairs: the terms of each pair recur
+    in every state the other pairs reach."""
+    rng = random.Random(seed)
+    parts = []
+    for k in range(rng.randint(3, 4)):
+        pp, qq = _dual_pair(rng, f"p{k}", f"q{k}", 2, None)
+        parts += [(f"p{k}", pp), (f"q{k}", qq)]
+    return Session(tuple(parts))
+
+
+def _context_pair_family(seed):
+    rng = random.Random(seed)
+    entries = []
+    for k in range(rng.randint(3, 4)):
+        tp, tq = _dual_type(rng, 2, False)
+        entries += [(f"p{k}", _retarget(tp, {"q": f"q{k}"})), (f"q{k}", _retarget(tq, {"p": f"p{k}"}))]
+    return LocalContext(tuple(entries))
+
+
+def test_cached_explorers_match_references_on_pair_families(monkeypatch):
+    hits = _count_hits(monkeypatch)
+    for seed in range(12):
+        _assert_same_graph([_pair_family(seed)])
+    assert len(hits) > 1000
+    hits.clear()
+    for seed in range(12):
+        _assert_same_contexts(_context_pair_family(seed))
+    assert len(hits) > 1000
+
+
+def _chain(sender, receiver, labels):
+    """Processes for a chain of messages from sender to receiver."""
+    p, q = Success(), Nil()
+    for label in reversed(labels):
+        p = Choice((Branch(Prefix(receiver, "!", label, payload=TT), p),))
+        q = Choice((Branch(Prefix(sender, "?", label, var="y"), q),))
+    return p, q
+
+
+def _type_chain(labels):
+    p, q = End(), End()
+    for label in reversed(labels):
+        p = TChoice((TBranch("t", "!", label, "bool", p),))
+        q = TChoice((TBranch("s", "?", label, "bool", q),))
+    return p, q
+
+
+def test_interleaved_peers_keep_branch_order():
+    # p's choice interleaves its peers; a chain between s and t makes the
+    # pairs of p recur in later states
+    s_proc, t_proc = _chain("s", "t", ["m1", "m2", "m3"])
+    m = syntax.parse_session(
+        "role p = q!a(tt).0 + r!b(tt).0 + q!c(tt).0\n"
+        "role q = p?c(x).0 + p?a(x).0\n"
+        "role r = p?b(x).0"
+    )
+    m = Session(m.parts + (("s", s_proc), ("t", t_proc)))
+    _assert_same_graph([m])
+    steps = [step for step, _ in semantics.explore(m).successors(0) if step.sender == "p"]
+    assert [(s.receiver, s.label, s.sender_branch, s.receiver_branch) for s in steps] == [
+        ("q", "a", 0, 1), ("q", "c", 2, 0), ("r", "b", 1, 0)]
+
+    s_type, t_type = _type_chain(["m1", "m2", "m3"])
+    delta = LocalContext((
+        ("p", syntax.parse_ltype("q!a(bool).end + r!b(bool).end + q!c(bool).end")),
+        ("q", syntax.parse_ltype("p?c(bool).end + p?a(bool).end")),
+        ("r", syntax.parse_ltype("p?b(bool).end")),
+        ("s", s_type),
+        ("t", t_type),
+    ))
+    _assert_same_contexts(delta)
+    g = ltypes.explore_contexts(delta)
+    orders = {tuple(a.label for a, _ in g.successors(i) if a.subject == "p") for i in range(len(g.contexts))}
+    assert orders == {("a", "b", "c"), ()}
+
+
+def test_participants_sharing_terms():
+    # p1 and p2 hold one term object, and so do c1 and c2; the chain between
+    # s and t makes each pair recur
+    s_proc, t_proc = _chain("s", "t", ["m1", "m2", "m3"])
+    sender = Choice((Branch(Prefix("q", "!", "a", payload=TT), Success()),))
+    receiver = syntax.parse_process("p1?a(x).0 + p2?a(x).0")
+    cond = Cond(TT, Nil(), Success())
+    m = Session((("p1", sender), ("p2", sender), ("q", receiver), ("c1", cond), ("c2", cond),
+                 ("s", s_proc), ("t", t_proc)))
+    _assert_same_graph([m])
+    # roots sharing part objects, and alpha-equal roots built apart
+    other = Session((("p1", sender), ("p2", Nil()), ("q", receiver), ("s", s_proc), ("t", t_proc)))
+    _assert_same_graph([m, other, m])
+    text = "role p = q!a(tt).r!b(ff).0\nrole q = p?a({0}).if {0} then ok else 0\nrole r = p?b({0}).0\n"
+    copies = [syntax.parse_session(text.format(v)) for v in ("x", "y", "z")]
+    _assert_same_graph(copies)
+    assert semantics.explore_many(copies).roots == [0, 0, 0]
+
+    s_type, t_type = _type_chain(["m1", "m2", "m3"])
+    t_send = syntax.parse_ltype("q!a(bool).end")
+    delta = LocalContext((("p1", t_send), ("p2", t_send), ("q", syntax.parse_ltype("p1?a(bool).end + p2?a(bool).end")),
+                          ("s", s_type), ("t", t_type)))
+    _assert_same_contexts(delta)
+
+
+def test_explorations_are_independent():
+    for seed in range(4):
+        m = _pair_family(seed)
+        first, again = semantics.explore(m), semantics.explore(m)
+        copy = semantics.explore(_pair_family(seed))
+        for g in (again, copy):
+            assert (g.states, g.edges, g.congruence) == (first.states, first.edges, first.congruence)
+        delta = _context_pair_family(seed)
+        first, again = ltypes.explore_contexts(delta), ltypes.explore_contexts(delta)
+        assert (again.states, again.edges) == (first.states, first.edges)
+
+
+def test_exploration_keeps_no_term_alive():
+    # the cache belongs to one exploration: once it returns, the terms it
+    # held can go
+    def explored():
+        m = _pair_family(3)
+        delta = _context_pair_family(3)
+        semantics.explore(m)
+        ltypes.explore_contexts(delta)
+        return [weakref.ref(t) for _, t in m.parts + delta.entries if isinstance(t, (Choice, TChoice))]
+
+    refs = explored()
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
 
 
 # ---------------------------------------------------------------------------
