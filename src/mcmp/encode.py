@@ -8,7 +8,6 @@ parser rejects them), which keeps every encoding injective on labels.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -30,7 +29,7 @@ from .syntax import (
     Success,
     choices,
     classify,
-    free_value_vars,
+    free_names,
     is_reserved_label,
     session_participants,
 )
@@ -131,10 +130,10 @@ def order_of_context(delta: LocalContext) -> dict[str, frozenset]:
     return _order_slices(delta.domain(), mentioned)
 
 
+@dataclass(frozen=True)
 class _OrderView:
-    def __init__(self, me: str, pairs: frozenset):
-        self.me = me
-        self.pairs = pairs
+    me: str
+    pairs: frozenset
 
     def less_than(self, peer: str) -> bool:
         if (self.me, peer) in self.pairs:
@@ -148,31 +147,44 @@ class _OrderView:
 # process translation
 
 
+def _dummy_var(cont: Process) -> str:
+    """The binder of a received value that cont ignores: the smallest w<n>
+    not free in cont, so equal continuations get equal binders."""
+    free = free_names(cont)
+    n = 0
+    while f"w{n}" in free:
+        n += 1
+    return f"w{n}"
+
+
 class _Encoder:
+    """One translation's memo: proc(p, view) is computed once per term and
+    view, so a continuation that a choice's translation repeats, or that
+    several translated sessions share, is one object."""
+
     def __init__(self, style: str):
         self.style = style
-        self._dummy = itertools.count()
-
-    def fresh_var(self, *avoid_in: Process) -> str:
-        avoid = set()
-        for p in avoid_in:
-            avoid |= free_value_vars(p)
-        while True:
-            name = f"w{next(self._dummy)}"
-            if name not in avoid:
-                return name
+        self._memo: dict[tuple[int, _OrderView], tuple[Process, Process]] = {}
 
     def proc(self, p: Process, view: _OrderView) -> Process:
+        # an entry holds its term, so no id in a key is reused while it lives
+        key = (id(p), view)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit[1]
         match p:
             case Nil() | Success() | ProcVar():
-                return p
+                out = p
             case Rec(x, body):
-                return Rec(x, self.proc(body, view))
+                out = Rec(x, self.proc(body, view))
             case Cond(g, t, e):
-                return Cond(g, self.proc(t, view), self.proc(e, view))
+                out = Cond(g, self.proc(t, view), self.proc(e, view))
             case Choice():
-                return self.choice(p, view)
-        raise TypeError(p)
+                out = self.choice(p, view)
+            case _:
+                raise TypeError(p)
+        self._memo[key] = (p, out)
+        return out
 
     def choice(self, c: Choice, view: _OrderView) -> Process:
         if self.style == "per-peer":
@@ -208,7 +220,7 @@ class _Encoder:
             ]
 
         def recv(label: str, cont: Process) -> Branch:
-            return Branch(Prefix(q, "?", label, var=self.fresh_var(cont)), cont)
+            return Branch(Prefix(q, "?", label, var=_dummy_var(cont)), cont)
 
         def send(label: str, cont: Process) -> Branch:
             return Branch(Prefix(q, "!", label, payload=TT), cont)
@@ -264,21 +276,27 @@ def _check_no_reserved(m: Session) -> None:
                     raise McmpError(f"label {b.prefix.label!r} is reserved for encodings")
 
 
-def encode(m: Session, enc_id: str | EncodingId, order: dict[str, frozenset] | None = None) -> Session:
-    """Translate a session by the named encoding; homomorphic on everything
-    but choices, which follow the translation table of the encoding."""
-    e = encoding(enc_id) if isinstance(enc_id, str) else enc_id
+def _translator(m: Session, e: EncodingId, order: dict[str, frozenset] | None = None):
+    """The translation of m by e, as a function that also translates every
+    session m reduces to: reduction keeps a session in its fragment and
+    brings in no label, so only m is checked.  All translations share one
+    encoder, and with it every subterm they have in common."""
     if e.style == "lcmv":
         raise McmpError("lcmv-mcbs encodes CmvProcess programs; use mcmp.lcmv.encode_lcmv_to_mcbs")
     if e.source not in classify(m):
         raise McmpError(f"session is not in the source fragment {e.source}")
     _check_no_reserved(m)
     slices = order if order is not None else build_order(m)
+    views = {p: _OrderView(p, slices.get(p, frozenset())) for p in m.participants()}
     encoder = _Encoder(e.style)
-    parts = tuple(
-        (p, encoder.proc(proc, _OrderView(p, slices.get(p, frozenset())))) for p, proc in m.parts
-    )
-    return Session(parts)
+    return lambda s: Session(tuple((p, encoder.proc(proc, views[p])) for p, proc in s.parts))
+
+
+def encode(m: Session, enc_id: str | EncodingId, order: dict[str, frozenset] | None = None) -> Session:
+    """Translate a session by the named encoding; homomorphic on everything
+    but choices, which follow the translation table of the encoding."""
+    e = encoding(enc_id) if isinstance(enc_id, str) else enc_id
+    return _translator(m, e, order)(m)
 
 
 def encode_process(proc: Process, participant: str, pairs: frozenset, enc_id: str | EncodingId) -> Process:
@@ -426,19 +444,24 @@ def verify_correspondence(
     for one source session."""
     e = encoding(enc_id) if isinstance(enc_id, str) else enc_id
     source = explore(m, max_states=max_states, max_depth=max_depth)
+    # a truncated source is reported before the translator checks the root
+    if source.truncated:
+        raise TruncatedError("source exploration truncated")
+    root = source.states[source.root]
     slices = build_order(m)
 
     def distributability(target_root: Session) -> list[str]:
         # each participant component of the target is the translation of the
-        # matching source component (same order slices)
+        # matching component of the explored root, whose top-level
+        # recursions are unfolded (same order slices)
         return [
             p
-            for p, proc in m.parts
+            for p, proc in root.parts
             if not syntax.alpha_equal(encode_process(proc, p, slices.get(p, frozenset()), e), target_root.process_of(p))
         ]
 
     return _correspondence(
-        e, source, lambda s: encode(s, e, order=slices), semantics.has_success, distributability, max_states, max_depth
+        e, source, _translator(root, e, slices), semantics.has_success, distributability, max_states, max_depth
     )
 
 

@@ -11,7 +11,7 @@ assumed true, i.e. a greatest fixpoint).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import lts
@@ -340,15 +340,15 @@ def _sync_steps(p: str, tp: LocalType, hp: TChoice, kp: tuple, q: str, tq: Local
     return out
 
 
-def _context_transitions(delta: LocalContext, key: tuple, cache: dict | None = None):
-    """Every synchronisation of delta, whose canonical form is key, as
-    (sender's branch index, action, the new types, their entries in the
-    successor's key): senders in entry order, then by the sender's branch,
-    then by the receiver's.  Given an exploration's cache, the
-    synchronisations of each pair of types are enumerated once."""
+def _context_transitions(delta: LocalContext, key: tuple, heads: dict[str, TChoice], cache: dict | None = None):
+    """Every synchronisation of delta, whose canonical form is key and whose
+    choice heads are heads (see _heads), as (sender's branch index, action,
+    the new types, their entries in the successor's key): senders in entry
+    order, then by the sender's branch, then by the receiver's.  Given an
+    exploration's cache, the synchronisations of each pair of types are
+    enumerated once."""
     types = dict(delta.entries)
     keys = dict(key)
-    heads = _heads(delta)
     out = []
     for p, hp in heads.items():
         found, peers = [], []
@@ -367,7 +367,7 @@ def _context_transitions(delta: LocalContext, key: tuple, cache: dict | None = N
 
 def context_steps(delta: LocalContext) -> list[tuple[TypeAction, LocalContext]]:
     """All synchronisations with the contexts they lead to."""
-    return [(act, delta.with_entries(new)) for _, act, new, _ in _context_transitions(delta, canon_context(delta))]
+    return [(act, delta.with_entries(new)) for _, act, new, _ in _context_transitions(delta, canon_context(delta), _heads(delta))]
 
 
 def _canon_type(t: LocalType, env: tuple = ()) -> tuple:
@@ -407,7 +407,11 @@ def canon_context(delta: LocalContext) -> tuple:
     return tuple(sorted((p, _canon_type(t)) for p, t in delta.entries))
 
 
+@dataclass
 class ContextGraph(lts.Graph):
+    # heads[i] is _heads(contexts[i])
+    heads: list[dict[str, TChoice]] = field(default_factory=list)
+
     @property
     def contexts(self) -> list[LocalContext]:
         return self.states
@@ -438,23 +442,28 @@ def explore_contexts(delta: LocalContext, max_states: int | None = None, max_dep
     # the domain never changes, so neither does a participant's place in a key
     place = {p: k for k, (p, _) in enumerate(root_key)}
     cache: dict = {}
+    heads: list[dict[str, TChoice]] = []
 
     # well-formed types have distinct labels per (participant, polarity), so
     # no two synchronisations from one context are the same edge
-    def transitions(context: LocalContext, key: tuple):
+    def transitions(context: LocalContext, work: tuple[tuple, dict[str, TChoice]]):
+        key, context_heads = work
         out = []
-        for _, act, new, new_keys in _context_transitions(context, key, cache):
+        for _, act, new, new_keys in _context_transitions(context, key, context_heads, cache):
             succ_key = list(key)
             for item in new_keys:
                 succ_key[place[item[0]]] = item
             out.append((act, tuple(succ_key), (context, new)))
         return out
 
-    def build(seed, key: tuple) -> tuple[LocalContext, tuple]:
+    def build(seed, key: tuple) -> tuple[LocalContext, tuple[tuple, dict[str, TChoice]]]:
         base, new = seed
-        return (base.with_entries(new) if new else base), key
+        context = base.with_entries(new) if new else base
+        heads.append(_heads(context))
+        return context, (key, heads[-1])
 
-    return ContextGraph(**vars(lts.explore([(root_key, (delta, {}))], transitions, build, max_states, max_depth)))
+    graph = lts.explore([(root_key, (delta, {}))], transitions, build, max_states, max_depth)
+    return ContextGraph(**vars(graph), heads=heads)
 
 
 def _explore_complete(delta: LocalContext, max_states: int | None, max_depth: int | None) -> ContextGraph:
@@ -473,8 +482,7 @@ def is_safe(delta: LocalContext, max_states: int | None = None, max_depth: int |
     counterexample's path is a shortest one to an unsafe context.  Raises
     TruncatedError when a bound cuts the exploration short."""
     graph = _explore_complete(delta, max_states, max_depth)
-    for i, context in enumerate(graph.contexts):
-        heads = _heads(context)
+    for i, heads in enumerate(graph.heads):
         enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in graph.successors(i)}
         for p, hp in heads.items():
             for b in hp.branches:

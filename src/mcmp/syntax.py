@@ -2,7 +2,9 @@
 
 Participants and labels are plain strings.  Terms are plain values: equal
 terms are interchangeable wherever they occur, and nothing in them depends
-on what else the process built or parsed.
+on what else the process built or parsed.  A process node keeps two facts
+about itself once they are first asked for, its free names and its
+canonical form; neither takes part in ==, hash or repr.
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ def is_reserved_label(label: str) -> bool:
 # values and prefixes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatVal:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolVal:
     value: bool
 
@@ -43,7 +45,7 @@ TT = BoolVal(True)
 FF = BoolVal(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prefix:
     """p!l<v> when polarity == '!' (payload set), p?l(x) when '?' (var set)."""
 
@@ -64,43 +66,53 @@ class Prefix:
 # processes
 
 
-@dataclass(frozen=True)
-class Nil:
+class _Term:
+    """Base of the process nodes.  _free holds the node's free names (see
+    free_names) and _key its canonical form or None (see canon_process).
+    Both stay unset until free_names first meets the node, so building a
+    term costs nothing more.  The base declares the weakref slot, which
+    Python 3.10 dataclasses cannot add."""
+
+    __slots__ = ("_free", "_key", "__weakref__")
+
+
+@dataclass(frozen=True, slots=True)
+class Nil(_Term):
     pass
 
 
-@dataclass(frozen=True)
-class Success:
+@dataclass(frozen=True, slots=True)
+class Success(_Term):
     pass
 
 
-@dataclass(frozen=True)
-class ProcVar:
+@dataclass(frozen=True, slots=True)
+class ProcVar(_Term):
     name: str
 
 
-@dataclass(frozen=True)
-class Rec:
+@dataclass(frozen=True, slots=True)
+class Rec(_Term):
     var: str
     body: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     prefix: Prefix
     cont: "Process"
 
 
-@dataclass(frozen=True)
-class Choice:
+@dataclass(frozen=True, slots=True)
+class Choice(_Term):
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
         assert self.branches
 
 
-@dataclass(frozen=True)
-class Cond:
+@dataclass(frozen=True, slots=True)
+class Cond(_Term):
     guard: Value
     then: "Process"
     els: "Process"
@@ -109,7 +121,7 @@ class Cond:
 Process = Nil | Success | ProcVar | Rec | Choice | Cond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     """Finite map from participants to processes; order of parts is the
     parse order and doubles as a left-nested parallel composition tree."""
@@ -183,30 +195,87 @@ def session_participants(m: Session) -> set[str]:
     return out
 
 
-def free_value_vars(proc: Process) -> set[str]:
-    def walk(p: Process, bound: frozenset[str]) -> set[str]:
-        match p:
-            case Choice(branches):
-                out: set[str] = set()
-                for b in branches:
-                    pre = b.prefix
-                    if pre.polarity == "!" and isinstance(pre.payload, Var):
-                        if pre.payload.name not in bound:
-                            out.add(pre.payload.name)
-                    inner = bound | {pre.var} if pre.polarity == "?" else bound
-                    out |= walk(b.cont, inner)
-                return out
-            case Cond(g, t, e):
-                out = walk(t, bound) | walk(e, bound)
-                if isinstance(g, Var) and g.name not in bound:
-                    out.add(g.name)
-                return out
-            case Rec(_, body):
-                return walk(body, bound)
-            case _:
-                return set()
+# ---------------------------------------------------------------------------
+# free names
 
-    return walk(proc, frozenset())
+_CLOSED: frozenset = frozenset()
+
+
+def free_names(proc: Process) -> frozenset:
+    """The names free in proc: a value variable as itself, a process
+    variable X as ("X", X).  Each node's set is computed once, children
+    first and without recursion; a node with the same names as a child
+    shares the child's set, and closed nodes share one empty set."""
+    try:
+        return proc._free
+    except AttributeError:
+        pass
+    todo = [proc]
+    while todo:
+        p = todo[-1]
+        if hasattr(p, "_free"):  # met twice in a shared term
+            todo.pop()
+            continue
+        missing = [k for k in _subterms(p) if not hasattr(k, "_free")]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        object.__setattr__(p, "_free", _node_free(p))
+        object.__setattr__(p, "_key", None)  # no form kept yet
+    return proc._free
+
+
+def _subterms(p: Process) -> list[Process]:
+    match p:
+        case Choice(branches):
+            return [b.cont for b in branches]
+        case Cond(_, t, e):
+            return [t, e]
+        case Rec(_, body):
+            return [body]
+    return []
+
+
+def _node_free(p: Process) -> frozenset:
+    """free_names(p) from the sets of its subterms."""
+    match p:
+        case ProcVar(name):
+            return frozenset((("X", name),))
+        case Rec(x, body):
+            return _without(body._free, ("X", x))
+        case Cond(g, t, e):
+            return _with_value(_union(t._free, e._free), g)
+        case Choice(branches):
+            out = _CLOSED
+            for b in branches:
+                pre = b.prefix
+                if pre.polarity == "!":
+                    out = _union(out, _with_value(b.cont._free, pre.payload))
+                else:
+                    out = _union(out, _without(b.cont._free, pre.var))
+            return out
+    return _CLOSED
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(names: frozenset, name) -> frozenset:
+    if name not in names:
+        return names
+    return names - {name} or _CLOSED
+
+
+def _with_value(names: frozenset, v: Value) -> frozenset:
+    if not isinstance(v, Var) or v.name in names:
+        return names
+    return names | {v.name}
 
 
 # ---------------------------------------------------------------------------
@@ -214,38 +283,34 @@ def free_value_vars(proc: Process) -> set[str]:
 
 
 def substitute_value(proc: Process, value: Value, var: str) -> Process:
-    """Capture-avoiding substitution proc[value/var]."""
-
-    def subst_v(v: Value) -> Value:
-        if isinstance(v, Var) and v.name == var:
-            return value
-        return v
+    """Capture-avoiding substitution proc[value/var].  Every subterm in which
+    var is not free is kept as the same object."""
 
     def walk(p: Process) -> Process:
+        if var not in free_names(p):
+            return p
         match p:
             case Choice(branches):
                 new = []
                 for b in branches:
-                    pre = b.prefix
+                    pre, cont = b.prefix, b.cont
                     if pre.polarity == "!":
-                        new_pre = Prefix(pre.target, "!", pre.label, payload=subst_v(pre.payload))
-                        new.append(Branch(new_pre, walk(b.cont)))
-                    else:
-                        if pre.var == var:
-                            new.append(Branch(pre, b.cont))
-                        elif isinstance(value, Var) and pre.var == value.name and var in free_value_vars(b.cont):
-                            renamed_var, renamed = _rename_binder(pre.var, b.cont)
-                            new_pre = Prefix(pre.target, "?", pre.label, var=renamed_var)
-                            new.append(Branch(new_pre, walk(renamed)))
-                        else:
-                            new.append(Branch(pre, walk(b.cont)))
+                        if pre.payload == Var(var):
+                            pre = Prefix(pre.target, "!", pre.label, payload=value)
+                    elif pre.var == var:
+                        new.append(b)
+                        continue
+                    elif isinstance(value, Var) and pre.var == value.name and var in free_names(cont):
+                        renamed_var, cont = _rename_binder(pre.var, cont)
+                        pre = Prefix(pre.target, "?", pre.label, var=renamed_var)
+                    new_cont = walk(cont)
+                    new.append(b if pre is b.prefix and new_cont is b.cont else Branch(pre, new_cont))
                 return Choice(tuple(new))
             case Cond(g, t, e):
-                return Cond(subst_v(g), walk(t), walk(e))
+                return Cond(value if g == Var(var) else g, walk(t), walk(e))
             case Rec(x, body):
                 return Rec(x, walk(body))
-            case _:
-                return p
+        raise TypeError(p)
 
     return walk(proc)
 
@@ -253,7 +318,7 @@ def substitute_value(proc: Process, value: Value, var: str) -> Process:
 def _rename_binder(old: str, body: Process) -> tuple[str, Process]:
     """A name old_<n> not free in body, with the smallest such n, and body
     with old renamed to it; the same body always gets the same name."""
-    free = free_value_vars(body)
+    free = free_names(body)
     n = 0
     while f"{old}_{n}" in free:
         n += 1
@@ -262,20 +327,29 @@ def _rename_binder(old: str, body: Process) -> tuple[str, Process]:
 
 
 def substitute_proc(proc: Process, repl: Process, var: str) -> Process:
-    """proc[repl/var] on process variables."""
-    match proc:
-        case ProcVar(name) if name == var:
-            return repl
-        case Rec(x, body):
-            if x == var:
-                return proc
-            return Rec(x, substitute_proc(body, repl, var))
-        case Choice(branches):
-            return Choice(tuple(Branch(b.prefix, substitute_proc(b.cont, repl, var)) for b in branches))
-        case Cond(g, t, e):
-            return Cond(g, substitute_proc(t, repl, var), substitute_proc(e, repl, var))
-        case _:
-            return proc
+    """proc[repl/var] on process variables.  Every subterm in which var is
+    not free is kept as the same object."""
+    name = ("X", var)
+
+    def walk(p: Process) -> Process:
+        if name not in free_names(p):
+            return p
+        match p:
+            case ProcVar():
+                return repl
+            case Rec(x, body):
+                return Rec(x, walk(body))
+            case Choice(branches):
+                new = []
+                for b in branches:
+                    cont = walk(b.cont)
+                    new.append(b if cont is b.cont else Branch(b.prefix, cont))
+                return Choice(tuple(new))
+            case Cond(g, t, e):
+                return Cond(g, walk(t), walk(e))
+        raise TypeError(p)
+
+    return walk(proc)
 
 
 def unfold_rec(proc: Process) -> Process:
@@ -299,47 +373,109 @@ def head_normal(proc: Process) -> Process:
 # ---------------------------------------------------------------------------
 # alpha-normal canonical forms
 
+_NIL_KEY = ("0",)
+_SUCCESS_KEY = ("ok",)
+_TRUE_KEY = ("t", True)
+_FALSE_KEY = ("t", False)
 
-def canon_process(proc: Process, env: tuple[tuple[str, int], ...] = ()) -> tuple:
-    def lookup(env, name, kind):
-        for n, i in reversed(env):
-            if n == (kind, name):
-                return ("b", i)
-        return ("f", name)
 
-    def cval(v: Value, env):
-        if isinstance(v, Var):
-            return ("v",) + lookup(env, v.name, "v")
-        if isinstance(v, NatVal):
-            return ("n", v.value)
-        return ("t", v.value)
+def canon_process(proc: Process) -> tuple:
+    """The canonical form of proc, equal for two processes exactly when they
+    are alpha-equivalent.  A sum is ("sum", its summands' forms in sorted
+    order), and a choice of one summand has that summand's form.  Free
+    names stay names, and a bound name is ("b", i) for the binder i binders
+    further out (a de Bruijn index), so a subterm's form does not depend on
+    how deep it sits.  A node deep enough in a term keeps its form once
+    computed (see _KEEP_DEPTH), and the form of a subterm whose free names
+    no enclosing binder of the term binds is that same object, so a walk
+    descends only where a binder is used or no form is kept yet."""
+    try:
+        key = proc._key
+    except AttributeError:  # a node free_names has not met yet
+        key = None
+    return _canon(proc) if key is None else key
 
-    def walk(p: Process, env) -> tuple:
-        match p:
-            case Nil():
-                return ("0",)
-            case Success():
-                return ("ok",)
-            case ProcVar(name):
-                return ("X",) + lookup(env, name, "X")
-            case Rec(x, body):
-                inner = env + ((("X", x), len(env)),)
-                return ("rec", walk(body, inner))
-            case Cond(g, t, e):
-                return ("if", cval(g, env), walk(t, env), walk(e, env))
-            case Choice(branches):
+
+# A node keeps its form only when it lies at least this many levels below
+# the term whose form was asked for.  The term itself is rebuilt on each
+# request from its subterms' forms, one tuple per summand, so a process
+# that lives for a whole run, such as a participant's, does not carry the
+# top of its form; its continuations, which steps ask for, keep theirs.
+_KEEP_DEPTH = 1
+
+
+def _canon(proc: Process) -> tuple:
+    # todo holds (node, enclosing binders innermost last, depth below proc,
+    # ready): a node is visited, then its subterms, then it is built from
+    # their forms in done.  A binder is a value variable's name or
+    # ("X", X), as in free_names.
+    free_names(proc)  # every node below then has both slots set
+    done: list[tuple] = []
+    todo: list[tuple[Process, tuple, int, bool]] = [(proc, (), 0, False)]
+    while todo:
+        p, env, depth, ready = todo.pop()
+        kind = type(p)
+        if ready:
+            if kind is Choice:
+                n = len(p.branches)
                 items = []
-                for b in branches:
+                for b, k in zip(p.branches, done[-n:]):
                     pre = b.prefix
                     if pre.polarity == "!":
-                        items.append(("!", pre.target, pre.label, cval(pre.payload, env), walk(b.cont, env)))
+                        items.append(("!", pre.target, pre.label, _canon_value(pre.payload, env), k))
                     else:
-                        inner = env + ((("v", pre.var), len(env)),)
-                        items.append(("?", pre.target, pre.label, walk(b.cont, inner)))
-                return ("sum", tuple(sorted(items)))
-        raise TypeError(p)
+                        items.append(("?", pre.target, pre.label, k))
+                del done[-n:]
+                items.sort()
+                key = items[0] if n == 1 else ("sum", *items)
+            elif kind is Rec:
+                key = ("rec", done.pop())
+            else:
+                els = done.pop()
+                key = ("if", _canon_value(p.guard, env), done.pop(), els)
+            if not env and depth >= _KEEP_DEPTH:
+                object.__setattr__(p, "_key", key)
+            done.append(key)
+            continue
+        if env and p._free.isdisjoint(env):
+            env = ()
+        if not env and p._key is not None:
+            done.append(p._key)
+            continue
+        below = depth + 1
+        if kind is Choice:
+            todo.append((p, env, depth, True))
+            for b in reversed(p.branches):
+                pre = b.prefix
+                todo.append((b.cont, env if pre.polarity == "!" else env + (pre.var,), below, False))
+        elif kind is Nil:
+            done.append(_NIL_KEY)
+        elif kind is Success:
+            done.append(_SUCCESS_KEY)
+        elif kind is ProcVar:
+            done.append(("X",) + _bound(env, ("X", p.name), p.name))
+        elif kind is Rec:
+            todo += ((p, env, depth, True), (p.body, env + (("X", p.var),), below, False))
+        elif kind is Cond:
+            todo += ((p, env, depth, True), (p.els, env, below, False), (p.then, env, below, False))
+        else:
+            raise TypeError(p)
+    return done[0]
 
-    return walk(proc, env)
+
+def _bound(env: tuple, binder, name: str) -> tuple:
+    for i in range(len(env) - 1, -1, -1):
+        if env[i] == binder:
+            return ("b", len(env) - 1 - i)
+    return ("f", name)
+
+
+def _canon_value(v: Value, env: tuple) -> tuple:
+    if isinstance(v, Var):
+        return ("v",) + _bound(env, v.name, v.name)
+    if isinstance(v, NatVal):
+        return ("n", v.value)
+    return _TRUE_KEY if v.value else _FALSE_KEY
 
 
 def canon_session(m: Session) -> tuple:

@@ -55,7 +55,7 @@ def test_order_slices_agree_pairwise_on_corpus():
 def test_scbs_bs_output_choice_clause():
     m = parse_session("role p = q!l1(tt).0 + q!l2(tt).0 role q = p?l1(x).0 + p?l2(x).0")
     enc = run_encode(m, "scbs-bs")
-    assert render_process(enc.process_of("p")) == "q?enc_o(w0).q!l1(tt).0 + q?enc_o(w1).q!l2(tt).0"
+    assert render_process(enc.process_of("p")) == "q?enc_o(w0).q!l1(tt).0 + q?enc_o(w0).q!l2(tt).0"
     assert render_process(enc.process_of("q")) == "p!enc_o(tt).(p?l1(x).0 + p?l2(x).0)"
 
 
@@ -267,6 +267,45 @@ def test_correspondence_on_fixtures(enc_id):
         report = verify_correspondence(m, enc_id)
         assert report.passed(), (name, report.to_json())
         assert report.max_emulation_factor <= bound
+
+
+SESSION_ENCODINGS = sorted(set(ENCODINGS) - {"lcmv-mcbs"})
+
+
+@pytest.mark.parametrize(
+    "name, enc_id",
+    [("pingpong_rec", e) for e in SESSION_ENCODINGS] + [(n, e) for n in ("p10", "p11") for e in ("scbs-bs", "smp-mp")],
+)
+def test_correspondence_on_recursive_fixtures(name, enc_id):
+    # the explored root has its top-level recursions unfolded, and so must
+    # the components that distributability encodes on their own
+    m, _ = corpus.load(name)
+    report = verify_correspondence(m, enc_id)
+    assert report.passed(), report.to_json()
+
+
+def loop_session(k):
+    """At its head p either starts a k-message body, directions alternating,
+    that returns to the head, or stops, after which p is ok: k+1 states,
+    binary separate choice."""
+    procs = {"p": [], "q": []}
+    for i in range(k):
+        sender, receiver = ("p", "q") if i % 2 == 0 else ("q", "p")
+        procs[sender].append(f"{receiver}!a{i}(tt)")
+        procs[receiver].append(f"{sender}?a{i}(v{i})")
+    return parse_session(
+        f"role p = rec X.({'.'.join(procs['p'] + ['X'])} + q!z(ff).ok)"
+        f" role q = rec Y.({'.'.join(procs['q'] + ['Y'])} + p?z(w).0)"
+    )
+
+
+@pytest.mark.parametrize("k", [3, 6, 10])
+@pytest.mark.parametrize("enc_id", SESSION_ENCODINGS)
+def test_correspondence_on_loops(enc_id, k):
+    m = loop_session(k)
+    assert len(semantics.explore(m).states) == k + 1
+    report = verify_correspondence(m, enc_id)
+    assert report.passed(), report.to_json()
 
 
 def test_correspondence_trivial_on_nil():
