@@ -8,8 +8,8 @@ checked property fails (a witness is reported), 2 on usage or parse errors,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import os
 import sys
 
 from . import encode as enc_mod
@@ -21,9 +21,19 @@ OK, FAIL, USAGE, TRUNCATED = 0, 1, 2, 3
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "run"):
+    if hasattr(args, "run"):
+        code = _run(args)
+    else:
         parser.print_help()
-        return USAGE
+        code = USAGE
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.run(args)
     except (syntax.ParseError, FileNotFoundError) as e:
@@ -121,9 +131,26 @@ def _read(path: str) -> str:
 
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        print(human)
+        _write(human + "\n")
+
+
+def _write(text: str) -> None:
+    """Write text to stdout.  Once the reader has closed the pipe, the rest
+    of the output is dropped and the exit code stays the command's
+    verdict."""
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    # later writes, and the flush at exit, go to the null device
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _load_session(args, need_types: bool = False):
@@ -176,8 +203,8 @@ def cmd_simulate(args) -> int:
         step = steps[0]
         trace.append(step.describe())
         if args.trace:
-            print(f"-> {step.describe()}")
-            print(syntax.render_session(semantics.resolve(current)), end="")
+            _write(f"-> {step.describe()}\n")
+            _write(syntax.render_session(semantics.resolve(current)))
         current = semantics.apply_step(current, step)
     # stuck, not terminated: no step is enabled, yet some participant is
     # neither inaction nor success
@@ -274,41 +301,16 @@ def cmd_cmv_check(args) -> int:
 
 
 def cmd_cmv_encode(args) -> int:
-    program = lcmv.parse_cmv(_read(args.file))
-    classes = lcmv.check_cmv(program)
-    target = lcmv.encode_lcmv_to_mcbs(program, classes)
+    target = lcmv.encode_lcmv_to_mcbs(lcmv.parse_cmv(_read(args.file)))
     text = syntax.render_session(target)
     _emit(args, {"target": text, "via": "lcmv-mcbs"}, text)
     return OK
 
 
 def lcmv_correspondence(program, max_states: int, max_depth: int) -> enc_mod.CorrespondenceReport:
-    """Good-encoding harness for the lcmv translation: the source graph is
-    the CMV reduction graph, targets are encoded per state."""
-
-    def distributability(target_root: syntax.Session) -> list[str]:
-        # per-component compositionality: translating each parallel component
-        # on its own (same classification) reproduces its slice of the target
-        classes = lcmv.check_cmv(program)
-        by_name = dict(target_root.parts)
-        failing = []
-        for position, comp in enumerate(lcmv._components(program.body)):
-            if isinstance(comp, lcmv.CSuccess):
-                continue  # success components get a generated participant name
-            for name, proc in lcmv._encode_component(comp, program.x, program.y, classes, itertools.count(), position):
-                if name not in by_name or not syntax.alpha_equal(proc, by_name[name]):
-                    failing.append(name)
-        return failing
-
-    return enc_mod._correspondence(
-        enc_mod.ENCODINGS["lcmv-mcbs"],
-        lcmv.explore_cmv(program, max_states=max_states),
-        lambda s: lcmv.encode_lcmv_to_mcbs(s, lcmv.check_cmv(s)),
-        lcmv.cmv_has_success,
-        distributability,
-        max_states,
-        max_depth,
-    )
+    """Good-encoding harness for the lcmv translation (see
+    lcmv.verify_correspondence)."""
+    return lcmv.verify_correspondence(program, max_states=max_states, max_depth=max_depth)
 
 
 if __name__ == "__main__":

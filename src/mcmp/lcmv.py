@@ -1,20 +1,23 @@
 """Linear mixed-choice binary sessions over two endpoints: parsing, the lin
 reduction rules, a duality-based classifier assigning every choice an
-internal or external view, and the translation into mixed-choice binary
-multiparty sessions.
+internal or external view, the translation into mixed-choice binary
+multiparty sessions, and the good-encoding harness for that translation.
 
 Only the linear single-session fragment is supported: one outermost
 restriction, lin choices, value payloads.
+
+Every state a program reduces to keeps its two endpoints, and a step keeps
+the subterms it does not touch as the same objects.  So one _Translator
+serves a whole run: it classifies, translates and keys each subterm once,
+in caches keyed by node identity that live as long as it does.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-from . import lts, syntax
+from . import lts, semantics, syntax
 from .syntax import (
     TT,
     BoolVal,
@@ -29,34 +32,46 @@ from .syntax import (
     Success,
     Value,
     Var,
+    _union,
+    _with_value,
+    _without,
     render_value,
 )
 
 
-@dataclass(frozen=True)
-class Inact:
+class _CmvTerm:
+    """Base of the process nodes.  _free holds the node's free value
+    variables and _ends the endpoints of the choices in it, outside inner
+    restrictions.  Both stay unset until _facts first meets the node, and
+    take no part in ==, hash or repr."""
+
+    __slots__ = ("_free", "_ends")
+
+
+@dataclass(frozen=True, slots=True)
+class Inact(_CmvTerm):
     pass
 
 
-@dataclass(frozen=True)
-class CSuccess:
+@dataclass(frozen=True, slots=True)
+class CSuccess(_CmvTerm):
     pass
 
 
-@dataclass(frozen=True)
-class CPar:
+@dataclass(frozen=True, slots=True)
+class CPar(_CmvTerm):
     left: "CmvProcess"
     right: "CmvProcess"
 
 
-@dataclass(frozen=True)
-class CRes:
+@dataclass(frozen=True, slots=True)
+class CRes(_CmvTerm):
     x: str
     y: str
     body: "CmvProcess"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CBranch:
     label: str
     polarity: str  # '!' or '?'
@@ -65,8 +80,8 @@ class CBranch:
     cont: "CmvProcess" = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class CChoice:
+@dataclass(frozen=True, slots=True)
+class CChoice(_CmvTerm):
     endpoint: str
     branches: tuple[CBranch, ...]
 
@@ -74,8 +89,8 @@ class CChoice:
         assert self.branches
 
 
-@dataclass(frozen=True)
-class CCond:
+@dataclass(frozen=True, slots=True)
+class CCond(_CmvTerm):
     guard: Value
     then: "CmvProcess"
     els: "CmvProcess"
@@ -149,9 +164,6 @@ class _CmvParser:
         if self.peek()[0] != "eof":
             t = self.peek()
             raise syntax.ParseError(f"unexpected trailing input {t[1]!r}", t[2], t[3])
-        if any(isinstance(q, CRes) for _, q in _subterms(body)):
-            t = self.peek()
-            raise syntax.ParseError("only a single outermost restriction is supported", t[2], t[3])
         return CRes(x, y, body)
 
     def parse_par(self) -> CmvProcess:
@@ -162,6 +174,43 @@ class _CmvParser:
         return left
 
     def parse_single(self) -> CmvProcess:
+        # Prefixes nest to the right, so the choices and conditionals still
+        # open are kept on a stack, ["lin", endpoint, branches, head] or
+        # ["if", guard, then-arm], and each is built once its innermost
+        # process is read: no recursion per prefix.
+        pending: list[list] = []
+        while True:
+            node = self._open(pending)
+            if node is None:
+                continue
+            while pending:
+                frame = pending[-1]
+                if frame[0] == "if":
+                    if frame[2] is None:
+                        frame[2] = node
+                        self.expect("ident", "else")
+                        break
+                    pending.pop()
+                    node = CCond(frame[1], frame[2], node)
+                    continue
+                label, pol, value = frame[3]
+                if pol == "!":
+                    frame[2].append(CBranch(label, "!", payload=value, cont=node))
+                else:
+                    frame[2].append(CBranch(label, "?", var=value, cont=node))
+                if self.peek()[0] == "+":
+                    self.next()
+                    frame[3] = self._branch_head()
+                    break
+                self.expect(")")
+                pending.pop()
+                node = CChoice(frame[1], tuple(frame[2]))
+            else:
+                return node
+
+    def _open(self, pending: list[list]) -> CmvProcess | None:
+        """Read a whole process, or open a choice or conditional on pending
+        and return None."""
         t = self.peek()
         if t[0] == "nat" and t[1] == "0":
             self.next()
@@ -173,20 +222,14 @@ class _CmvParser:
             self.next()
             guard = self.parse_value()
             self.expect("ident", "then")
-            then = self.parse_single()
-            self.expect("ident", "else")
-            els = self.parse_single()
-            return CCond(guard, then, els)
+            pending.append(["if", guard, None])
+            return None
         if t[0] == "ident" and t[1] == "lin":
             self.next()
             endpoint = self.expect("ident")[1]
             self.expect("(")
-            branches = [self.parse_branch()]
-            while self.peek()[0] == "+":
-                self.next()
-                branches.append(self.parse_branch())
-            self.expect(")")
-            return CChoice(endpoint, tuple(branches))
+            pending.append(["lin", endpoint, [], self._branch_head()])
+            return None
         if t[0] == "ident" and t[1] == "un":
             raise syntax.ParseError("unrestricted choices are outside the linear fragment", t[2], t[3])
         if t[0] == "(":
@@ -196,17 +239,19 @@ class _CmvParser:
             return inner
         raise syntax.ParseError(f"expected a process, found {t[1]!r}", t[2], t[3])
 
-    def parse_branch(self) -> CBranch:
+    def _branch_head(self) -> tuple[str, str, Value | str]:
+        """A branch up to its continuation: label, polarity, and the
+        payload of an output or the variable of an input."""
         label = self.expect("ident")[1]
         pol = self.next()
         if pol[0] == "!":
             payload = self.parse_value()
             self.expect(".")
-            return CBranch(label, "!", payload=payload, cont=self.parse_single())
+            return label, "!", payload
         if pol[0] == "?":
             var = self.expect("ident")[1]
             self.expect(".")
-            return CBranch(label, "?", var=var, cont=self.parse_single())
+            return label, "?", var
         raise syntax.ParseError("expected ! or ?", pol[2], pol[3])
 
     def parse_value(self) -> Value:
@@ -222,20 +267,26 @@ class _CmvParser:
         raise syntax.ParseError(f"expected a value, found {t[1]!r}", t[2], t[3])
 
 
-def _subterms(p: CmvProcess, path: str = "") -> list[tuple[str, CmvProcess]]:
-    """p and every term under it, each with its path below path (see
-    check_cmv); the walk does not enter restrictions."""
-    out, todo = [], [(path, p)]
+def _children(p: CmvProcess) -> list[CmvProcess]:
+    match p:
+        case CChoice(_, branches):
+            return [b.cont for b in branches]
+        case CCond(_, t, e):
+            return [t, e]
+        case CPar(l, r):
+            return [l, r]
+        case CRes(_, _, body):
+            return [body]
+    return []
+
+
+def _subterms(p: CmvProcess) -> list[CmvProcess]:
+    """p and every term under it, in preorder, without recursion."""
+    out, todo = [], [p]
     while todo:
-        path, q = todo.pop()
-        out.append((path, q))
-        match q:
-            case CChoice(_, branches):
-                todo.extend((f"{path}.{k}", b.cont) for k, b in enumerate(branches))
-            case CPar(l, r):
-                todo.extend([(f"{path}.l", l), (f"{path}.r", r)])
-            case CCond(_, t, e):
-                todo.extend([(f"{path}.then", t), (f"{path}.else", e)])
+        q = todo.pop()
+        out.append(q)
+        todo.extend(reversed(_children(q)))
     return out
 
 
@@ -287,17 +338,79 @@ def _render_cont(p: CmvProcess) -> str:
 
 
 # ---------------------------------------------------------------------------
+# free variables and endpoints
+
+_NONE: frozenset = frozenset()
+
+
+def _free_of(p: CmvProcess) -> frozenset:
+    """The value variables free in p."""
+    try:
+        return p._free
+    except AttributeError:
+        _facts(p)
+        return p._free
+
+
+def _ends_of(p: CmvProcess) -> frozenset:
+    """The endpoints of the choices in p, outside inner restrictions."""
+    try:
+        return p._ends
+    except AttributeError:
+        _facts(p)
+        return p._ends
+
+
+def _facts(p: CmvProcess) -> None:
+    """Set _free and _ends on p and on every node below it that lacks them,
+    children first and without recursion.  A node with the same set as a
+    child shares the child's set."""
+    todo = [p]
+    while todo:
+        q = todo[-1]
+        if hasattr(q, "_free"):  # met twice in a shared term
+            todo.pop()
+            continue
+        missing = [k for k in _children(q) if not hasattr(k, "_free")]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        free = ends = _NONE
+        match q:
+            case CChoice(endpoint, branches):
+                for b in branches:
+                    if b.polarity == "!":
+                        free = _union(free, _with_value(b.cont._free, b.payload))
+                    else:
+                        free = _union(free, _without(b.cont._free, b.var))
+                    ends = _union(ends, b.cont._ends)
+                if endpoint not in ends:
+                    ends = ends | {endpoint}
+            case CCond(g, t, e):
+                free, ends = _with_value(_union(t._free, e._free), g), _union(t._ends, e._ends)
+            case CPar(l, r):
+                free, ends = _union(l._free, r._free), _union(l._ends, r._ends)
+            case CRes(_, _, body):
+                free = body._free
+        object.__setattr__(q, "_free", free)
+        object.__setattr__(q, "_ends", ends)
+
+
+# ---------------------------------------------------------------------------
 # reduction
 
 
 def _components(p: CmvProcess) -> list[CmvProcess]:
-    match p:
-        case CPar(l, r):
-            return _components(l) + _components(r)
-        case Inact():
-            return []
-        case _:
-            return [p]
+    """The parallel components of p, left to right, without inaction."""
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, CPar):
+            todo += (q.right, q.left)
+        elif not isinstance(q, Inact):
+            out.append(q)
+    return out
 
 
 def _rebuild(components: list[CmvProcess]) -> CmvProcess:
@@ -311,6 +424,12 @@ def _rebuild(components: list[CmvProcess]) -> CmvProcess:
 
 
 def _subst_val(p: CmvProcess, value: Value, var: str) -> CmvProcess:
+    """p[value/var].  Every subterm in which var is not free is returned as
+    the same object, so a step rebuilds only the path to var's
+    occurrences."""
+    if var not in _free_of(p):
+        return p
+
     def sv(v: Value) -> Value:
         return value if isinstance(v, Var) and v.name == var else v
 
@@ -392,45 +511,87 @@ def reduce_cmv(p: CmvProcess) -> list[CmvProcess]:
     return [succ for _, succ in cmv_enabled(p)]
 
 
-def cmv_canon(p: CmvProcess) -> tuple:
+_INACT_FORM = ("0",)
+_SUCCESS_FORM = ("ok",)
+
+
+def cmv_canon(p: CmvProcess, forms: dict | None = None) -> tuple:
     """Canonical form up to structural congruence (commutativity and
-    associativity of |, garbage collection of 0) and alpha-conversion."""
+    associativity of |, garbage collection of 0) and alpha-conversion.
 
-    def walk(q: CmvProcess, env: tuple = ()) -> tuple:
-        def cval(v: Value):
-            if isinstance(v, Var):
-                for n, k in reversed(env):
-                    if n == v.name:
-                        return ("b", k)
-                return ("f", v.name)
-            if isinstance(v, NatVal):
-                return ("n", v.value)
-            return ("t", v.value)
-
-        match q:
-            case Inact():
-                return ("0",)
-            case CSuccess():
-                return ("ok",)
-            case CCond(g, t, e):
-                return ("if", cval(g), walk(t, env), walk(e, env))
-            case CChoice(endpoint, branches):
+    A bound variable is ("b", i) for the binder i binders further out (a de
+    Bruijn index), so a subterm that uses no binder around it has one form
+    wherever it sits.  forms memoises the forms of such subterms by node:
+    explore_cmv keeps one for an exploration, and each entry holds its
+    node, so no id in a key is reused while the cache lives.  Computed
+    without recursion."""
+    if forms is None:
+        forms = {}
+    # todo holds (node, enclosing binders innermost last, count): a node is
+    # visited (count None), then its subterms, then it is built from the
+    # last count forms in done
+    done: list[tuple] = []
+    todo: list[tuple] = [(p, (), None)]
+    while todo:
+        q, env, count = todo.pop()
+        kind = type(q)
+        if count is not None:
+            cut = len(done) - count
+            below = done[cut:]
+            del done[cut:]
+            if kind is CChoice:
                 items = []
-                for b in branches:
+                for b, form in zip(q.branches, below):
                     if b.polarity == "!":
-                        items.append(("!", b.label, cval(b.payload), walk(b.cont, env)))
+                        items.append(("!", b.label, _value_form(b.payload, env), form))
                     else:
-                        items.append(("?", b.label, walk(b.cont, env + ((b.var, len(env)),))))
-                return ("lin", endpoint, tuple(sorted(items)))
-            case CPar():
-                pass
-            case CRes(x, y, body):
-                comps = tuple(sorted(walk(c, env) for c in _components(body)))
-                return ("res", tuple(sorted((x, y))), comps)
-        comps = tuple(sorted(walk(c, env) for c in _components(q)))
-        return ("par", comps)
+                        items.append(("?", b.label, form))
+                key = ("lin", q.endpoint, tuple(sorted(items)))
+            elif kind is CCond:
+                key = ("if", _value_form(q.guard, env), below[0], below[1])
+            elif kind is CRes:
+                key = ("res", tuple(sorted((q.x, q.y))), tuple(sorted(below)))
+            else:
+                key = ("par", tuple(sorted(below)))
+            if not env:
+                forms[id(q)] = (q, key)
+            done.append(key)
+            continue
+        if env and _free_of(q).isdisjoint(env):
+            env = ()
+        if not env:
+            hit = forms.get(id(q))
+            if hit is not None:
+                done.append(hit[1])
+                continue
+        if kind is CChoice:
+            todo.append((q, env, len(q.branches)))
+            for b in reversed(q.branches):
+                todo.append((b.cont, env if b.polarity == "!" else env + (b.var,), None))
+        elif kind is CCond:
+            todo += ((q, env, 2), (q.els, env, None), (q.then, env, None))
+        elif kind is Inact:
+            done.append(_INACT_FORM)
+        elif kind is CSuccess:
+            done.append(_SUCCESS_FORM)
+        elif kind is CPar or kind is CRes:
+            comps = _components(q.body if kind is CRes else q)
+            todo.append((q, env, len(comps)))
+            todo += ((c, env, None) for c in reversed(comps))
+        else:
+            raise TypeError(q)
+    return done[0]
 
-    return walk(p)
+
+def _value_form(v: Value, env: tuple) -> tuple:
+    if isinstance(v, Var):
+        for i in range(len(env) - 1, -1, -1):
+            if env[i] == v.name:
+                return ("b", len(env) - 1 - i)
+        return ("f", v.name)
+    if isinstance(v, NatVal):
+        return ("n", v.value)
+    return ("t", v.value)
 
 
 def cmv_has_success(p: CmvProcess) -> bool:
@@ -445,14 +606,17 @@ def cmv_has_success(p: CmvProcess) -> bool:
             return False
 
 
-def explore_cmv(p: CmvProcess, max_states: int = 10000) -> lts.Graph:
-    """Every state reachable from p, identified by cmv_canon, in
-    breadth-first order."""
+def explore_cmv(p: CmvProcess, max_states: int = 10000, max_depth: int | None = None) -> lts.Graph:
+    """Every state reachable from p within the bounds (see lts.explore),
+    identified by cmv_canon, in breadth-first order.  The forms of the
+    subterms that several states share are computed once per
+    exploration."""
+    forms: dict = {}
 
     def transitions(q: CmvProcess, _):
-        return [(step, cmv_canon(succ), succ) for step, succ in cmv_enabled(q)]
+        return [(step, cmv_canon(succ, forms), succ) for step, succ in cmv_enabled(q)]
 
-    return lts.explore([(cmv_canon(p), p)], transitions, lambda q, _: (q, None), max_states)
+    return lts.explore([(cmv_canon(p, forms), p)], transitions, lambda q, _: (q, None), max_states, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -464,98 +628,61 @@ class CmvEnd:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmvChoiceT:
     """Abstract endpoint protocol: branch signatures with continuations; the
-    view (internal/external) is solved for separately.  paths are the choice
+    view (internal/external) is solved for separately.  nodes are the choice
     occurrences it stands for: one, or several alternative ones (in the arms
     of a conditional, or under different branches) merged because their
-    protocols are equal."""
+    protocols are equal.  Protocols compare by identity."""
 
-    paths: tuple[str, ...]
+    nodes: tuple[CChoice, ...]
     branches: tuple[tuple[str, str, str, "CmvType"], ...]  # (label, polarity, payload-type, cont)
 
 
 CmvType = CmvEnd | CmvChoiceT
+
+_END = CmvEnd()
+_DUAL = {"!": "?", "?": "!"}
+
+
+@dataclass(frozen=True, eq=False)
+class _Views:
+    """A solution for the protocols tx, of endpoint x, and ty: tx's
+    occurrences are internal and ty's external when x_internal, and the
+    other way round otherwise.  below maps each branch (label, polarity) of
+    tx that ty answers dually to the solution for their continuations.  The
+    solver does not reach the continuation of a branch without an answer,
+    and every choice in it is internal."""
+
+    tx: CmvType
+    ty: CmvType
+    x_internal: bool
+    below: dict
 
 
 class CmvTypeError(McmpError):
     pass
 
 
-def _endpoints_of(p: CmvProcess, endpoints: set[str]) -> set[str]:
-    return {q.endpoint for _, q in _subterms(p) if isinstance(q, CChoice) and q.endpoint in endpoints}
-
-
-def _value_type(v: Value, env: dict[str, str]) -> str:
+def _value_type(v: Value, bound: tuple | None) -> str:
     if isinstance(v, NatVal):
         return "nat"
     if isinstance(v, BoolVal):
         return "bool"
-    t = env.get(v.name)
-    if t is None:
+    if bound is not None and v.name not in bound:
         raise CmvTypeError(f"cannot type open payload {v.name!r}")
-    return t
+    return "bool"
 
 
-def _protocol(p: CmvProcess, endpoint: str, env: dict[str, str], path: str) -> CmvType:
-    """The abstract protocol endpoint plays in p, found at path in the
-    program; equal across conditional and choice branches (linear
-    contexts)."""
-    match p:
-        case Inact() | CSuccess():
-            return CmvEnd()
-        case CChoice(ep, branches):
-            if ep == endpoint:
-                sigs = []
-                for k, b in enumerate(branches):
-                    if b.polarity == "!":
-                        payload = _value_type(b.payload, env)
-                        cont = _protocol(b.cont, endpoint, env, f"{path}.{k}")
-                    else:
-                        payload = "bool"
-                        cont = _protocol(b.cont, endpoint, dict(env, **{b.var: "bool"}), f"{path}.{k}")
-                    sigs.append((b.label, b.polarity, payload, cont))
-                merged: dict[tuple[str, str], tuple[str, CmvType]] = {}
-                for label, pol, payload, cont in sigs:
-                    key = (label, pol)
-                    if key in merged:
-                        old_payload, old_cont = merged[key]
-                        cont = _merge(old_cont, cont) if old_payload == payload else None
-                        if cont is None:
-                            raise CmvTypeError(
-                                f"branches {label}{pol} on {endpoint} disagree on their types"
-                            )
-                    merged[key] = (payload, cont)
-                return CmvChoiceT((path,), tuple(sorted((l, pol, pl, c) for (l, pol), (pl, c) in merged.items())))
-            kinds = []
-            for k, b in enumerate(branches):
-                inner_env = dict(env, **{b.var: "bool"}) if b.polarity == "?" else env
-                kinds.append(_protocol(b.cont, endpoint, inner_env, f"{path}.{k}"))
-            return _merge_equal(kinds, endpoint)
-        case CCond(_, t, e):
-            arms = [_protocol(t, endpoint, env, f"{path}.then"), _protocol(e, endpoint, env, f"{path}.else")]
-            return _merge_equal(arms, endpoint)
-        case CPar(l, r):
-            return _protocol_in_par([(f"{path}.l", l), (f"{path}.r", r)], endpoint, env)
-        case CRes():
-            raise CmvTypeError("inner restrictions are outside the fragment")
-    raise TypeError(p)
-
-
-def _protocol_in_par(parts: list[tuple[str, CmvProcess]], endpoint: str, env: dict[str, str]) -> CmvType:
-    """The protocol endpoint plays in parallel parts, given with their
-    paths; a linear endpoint is used in one of them at most."""
-    used = [(path, q) for path, q in parts if _endpoints_of(q, {endpoint})]
-    if len(used) > 1:
-        raise CmvTypeError(f"endpoint {endpoint} is used in parallel components (not linear)")
-    return _protocol(used[0][1], endpoint, env, used[0][0]) if used else CmvEnd()
+def _bind(bound: tuple | None, var: str) -> tuple | None:
+    return None if bound is None else bound + (var,)
 
 
 def _merge_equal(kinds: list[CmvType], endpoint: str) -> CmvType:
     used = [k for k in kinds if not isinstance(k, CmvEnd)]
     if not used:
-        return CmvEnd()
+        return _END
     merged = used[0]
     for other in used[1:]:
         merged = _merge(merged, other)
@@ -580,44 +707,268 @@ def _merge(a: CmvType, b: CmvType) -> CmvType | None:
         if cont is None:
             return None
         branches.append((la, pa, ua, cont))
-    return CmvChoiceT(a.paths + b.paths, tuple(branches))
+    return CmvChoiceT(a.nodes + b.nodes, tuple(branches))
 
 
-def _dual_assign(tx: CmvType, ty: CmvType, assign: dict[str, str], x_internal: bool) -> bool:
-    """Assign internal/external views so that the internal side's branches are
-    matched dually (same label, dual polarity, same payload) on the external
-    side, recursing along matched continuations."""
-    if isinstance(tx, CmvEnd) and isinstance(ty, CmvEnd):
-        return True
-    if isinstance(tx, CmvEnd) or isinstance(ty, CmvEnd):
-        return False
-    internal, external = (tx, ty) if x_internal else (ty, tx)
-    ext = {(l, p): (u, c) for l, p, u, c in external.branches}
-    for label, pol, payload, cont in internal.branches:
-        dual_pol = "?" if pol == "!" else "!"
-        hit = ext.get((label, dual_pol))
-        if hit is None:
+def _leads(internal: CmvChoiceT, external: CmvChoiceT) -> bool:
+    """Each branch of internal is answered dually on external: same label,
+    dual polarity, and an output's payload type is the input's."""
+    answers = {(l, pol): u for l, pol, u, _ in external.branches}
+    for label, pol, payload, _ in internal.branches:
+        answer = answers.get((label, _DUAL[pol]))
+        if answer is None or (pol == "!" and payload != answer):
             return False
-        ext_payload, ext_cont = hit
-        if pol == "!" and payload != ext_payload:
-            return False
-        nxt_int, nxt_ext = cont, ext_cont
-        a, b = (nxt_int, nxt_ext) if x_internal else (nxt_ext, nxt_int)
-        if not _dual_or_backtrack(a, b, assign):
-            return False
-    assign.update(dict.fromkeys(internal.paths, "internal"))
-    assign.update(dict.fromkeys(external.paths, "external"))
     return True
 
 
-def _dual_or_backtrack(tx: CmvType, ty: CmvType, assign: dict[str, str]) -> bool:
-    for x_internal in (True, False):
-        trial = dict(assign)
-        if _dual_assign(tx, ty, trial, x_internal):
-            assign.clear()
-            assign.update(trial)
-            return True
-    return False
+class _Translator:
+    """Classification and translation of the states of one program, whose
+    restriction binds x and y, memoised for the translator's life:
+    protocols per (node, endpoint), solutions per pair of protocols, and
+    translations per (node, peer, solution).  Each entry holds what its key
+    names by id, so no such id is reused while the translator lives (see
+    lts.memo).  A node names a choice occurrence, so a program is expected
+    to hold each node at one place, as the parser and reduction make it."""
+
+    def __init__(self, x: str, y: str):
+        self.x, self.y = x, y
+        self._protocols: dict = {}
+        self._solutions: dict = {}
+        self._targets: dict = {}
+
+    def classify(self, p: CRes) -> _Views:
+        """The solution for state p; raises CmvTypeError when no assignment
+        of internal/external views makes the two endpoints' uses dual."""
+        components = _components(p.body)
+        tx = self._in_par(components, self.x, ())
+        ty = self._in_par(components, self.y, ())
+        views = self._solve(tx, ty)
+        if views is None:
+            raise CmvTypeError("no internal/external assignment makes the endpoints dual")
+        return views
+
+    def _protocol(self, p: CmvProcess, endpoint: str, bound: tuple | None) -> CmvType:
+        """The abstract protocol endpoint plays in p; equal across
+        conditional and choice branches (linear contexts).  bound lists the
+        variables that the binders around p bind, all typed bool, or is None
+        when they bind every variable free in p: then the protocol depends on
+        p alone, and is memoised per node."""
+        if bound is not None and all(v in bound for v in _free_of(p)):
+            bound = None
+        key = (id(p), endpoint)
+        if bound is None:
+            hit = self._protocols.get(key)
+            if hit is not None:
+                return hit[1]
+        match p:
+            case Inact() | CSuccess():
+                t = _END
+            case CChoice(ep, branches) if ep == endpoint:
+                sigs = []
+                for b in branches:
+                    if b.polarity == "!":
+                        payload = _value_type(b.payload, bound)
+                        cont = self._protocol(b.cont, endpoint, bound)
+                    else:
+                        payload = "bool"
+                        cont = self._protocol(b.cont, endpoint, _bind(bound, b.var))
+                    sigs.append((b.label, b.polarity, payload, cont))
+                merged: dict[tuple[str, str], tuple[str, CmvType]] = {}
+                for label, pol, payload, cont in sigs:
+                    if (label, pol) in merged:
+                        old_payload, old_cont = merged[label, pol]
+                        cont = _merge(old_cont, cont) if old_payload == payload else None
+                        if cont is None:
+                            raise CmvTypeError(
+                                f"branches {label}{pol} on {endpoint} disagree on their types"
+                            )
+                    merged[label, pol] = (payload, cont)
+                t = CmvChoiceT((p,), tuple(sorted((l, pol, pl, c) for (l, pol), (pl, c) in merged.items())))
+            case CChoice(_, branches):
+                kinds = []
+                for b in branches:
+                    kinds.append(self._protocol(b.cont, endpoint, bound if b.polarity == "!" else _bind(bound, b.var)))
+                t = _merge_equal(kinds, endpoint)
+            case CCond(_, then, els):
+                t = _merge_equal([self._protocol(then, endpoint, bound), self._protocol(els, endpoint, bound)], endpoint)
+            case CPar(l, r):
+                t = self._in_par([l, r], endpoint, bound)
+            case CRes():
+                raise CmvTypeError("inner restrictions are outside the fragment")
+            case _:
+                raise TypeError(p)
+        if bound is None:
+            self._protocols[key] = (p, t)
+        return t
+
+    def _in_par(self, parts: list[CmvProcess], endpoint: str, bound: tuple | None) -> CmvType:
+        """The protocol endpoint plays in parallel parts; a linear endpoint
+        is used in one of them at most."""
+        used = [q for q in parts if endpoint in _ends_of(q)]
+        if len(used) > 1:
+            raise CmvTypeError(f"endpoint {endpoint} is used in parallel components (not linear)")
+        return self._protocol(used[0], endpoint, bound) if used else _END
+
+    def _solve(self, tx: CmvType, ty: CmvType) -> _Views | None:
+        """Views that make tx (endpoint x) and ty dual, or None: one side
+        leads (see _leads) and the continuations of every dually answered
+        pair of branches are dual in turn.  x leading is tried first, so
+        ties resolve that way.  Memoised per pair."""
+        key = (id(tx), id(ty))
+        hit = self._solutions.get(key)
+        if hit is not None:
+            return hit[2]
+        views = None
+        if isinstance(tx, CmvEnd) or isinstance(ty, CmvEnd):
+            if isinstance(tx, CmvEnd) and isinstance(ty, CmvEnd):
+                views = _Views(tx, ty, True, {})
+        else:
+            answers = {(l, pol): c for l, pol, _, c in ty.branches}
+            below = {}
+            for label, pol, _, cont in tx.branches:
+                answer = answers.get((label, _DUAL[pol]))
+                if answer is not None:
+                    below[label, pol] = self._solve(cont, answer)
+                    if below[label, pol] is None:
+                        break
+            else:
+                if _leads(tx, ty):
+                    views = _Views(tx, ty, True, below)
+                elif _leads(ty, tx):
+                    views = _Views(tx, ty, False, below)
+        self._solutions[key] = (tx, ty, views)
+        return views
+
+    def choice_views(self, p: CRes) -> dict[str, str]:
+        """The view of every choice occurrence of state p, keyed by its path
+        (see check_cmv)."""
+        view_of: dict[int, str] = {}
+        seen, todo = set(), [self.classify(p)]
+        while todo:
+            views = todo.pop()
+            if id(views) in seen:
+                continue
+            seen.add(id(views))
+            for t, internal in ((views.tx, views.x_internal), (views.ty, not views.x_internal)):
+                if isinstance(t, CmvChoiceT):
+                    view_of.update(dict.fromkeys(map(id, t.nodes), "internal" if internal else "external"))
+            todo.extend(views.below.values())
+        out: dict[str, str] = {}
+        for position, c in enumerate(_components(p.body)):
+            walk = [(str(position), c)]
+            while walk:
+                path, q = walk.pop()
+                match q:
+                    case CChoice(_, branches):
+                        out[path] = view_of.get(id(q), "internal")
+                        walk.extend((f"{path}.{k}", b.cont) for k, b in enumerate(branches))
+                    case CPar(l, r):
+                        walk += [(f"{path}.l", l), (f"{path}.r", r)]
+                    case CCond(_, t, e):
+                        walk += [(f"{path}.then", t), (f"{path}.else", e)]
+        return out
+
+    def session(self, p: CRes) -> Session:
+        """The translation of state p.  A success component becomes a
+        participant ok<n>, n counting the z binders and ok participants of
+        the components before it."""
+        views = self.classify(p)
+        parts: list[tuple[str, Process]] = []
+        serial = 0
+        for comp in _components(p.body):
+            if isinstance(comp, CSuccess):
+                parts.append((f"ok{serial}", Success()))
+                serial += 1
+            else:
+                name, proc, binders = self.component(comp, views)
+                parts.append((name, proc))
+                serial += binders
+        return Session(tuple(parts))
+
+    def component(self, comp: CmvProcess, views: _Views) -> tuple[str, Process, int]:
+        """The participant that comp, a component of a state other than a
+        success, becomes under the state's solution views: its name, its
+        process and the number of z binders in the process.  A component
+        holding both endpoints is deadlocked and becomes inaction."""
+        x, y = self.x, self.y
+        match comp:
+            case CChoice(endpoint, _):
+                if endpoint not in (x, y):
+                    raise McmpError(f"free endpoint {endpoint!r} is not bound by the restriction")
+                if {x, y} <= _ends_of(comp):
+                    return endpoint, Nil(), 0
+            case CCond():
+                used = sorted(_ends_of(comp) & {x, y})
+                if len(used) != 1:
+                    raise McmpError("conditional components must use exactly one endpoint")
+                endpoint = used[0]
+            case _:
+                raise McmpError(f"cannot place component {render_cmv(comp)!r} under a participant")
+        return (endpoint, *self._encode(comp, y if endpoint == x else x, views))
+
+    def _encode(self, p: CmvProcess, peer: str, views: _Views | None) -> tuple[Process, int]:
+        """The translation of p, a term of the component of the endpoint
+        other than peer, and the number of z binders in it.  views is the
+        solution that reaches the choices at the top of p, or None when the
+        solver reaches none of them: they are then internal, as is every
+        choice below them.  Internal choices announce on l.o / l.i labels,
+        external ones answer dually.  Memoised per (node, peer, views)."""
+        key = (id(p), peer, id(views))
+        hit = self._targets.get(key)
+        if hit is not None:
+            return hit[2], hit[3]
+        binders = 0
+        match p:
+            case Inact():
+                out = Nil()
+            case CSuccess():
+                out = Success()
+            case CCond(g, t, e):
+                then, n_then = self._encode(t, peer, views)
+                els, n_els = self._encode(e, peer, views)
+                out, binders = syntax.Cond(g, then, els), n_then + n_els
+            case CChoice(endpoint, branches):
+                # a choice on another channel is internal and leaves the
+                # endpoint's protocol, and so its solution, to its branches
+                own = endpoint in (self.x, self.y)
+                internal = views is None or not own or views.x_internal == (endpoint == self.x)
+                new: list[Branch] = []
+                for b in branches:
+                    below = views
+                    if own and views is not None:
+                        below = views.below.get((b.label, b.polarity if endpoint == self.x else _DUAL[b.polarity]))
+                    cont, n = self._encode(b.cont, peer, below)
+                    binders += n
+                    if internal and b.polarity == "!":
+                        new.append(Branch(Prefix(peer, "!", f"{b.label}.o", payload=b.payload), cont))
+                    elif internal:
+                        inner = Choice((Branch(Prefix(peer, "?", b.label, var=b.var), cont),))
+                        new.append(Branch(Prefix(peer, "!", f"{b.label}.i", payload=TT), inner))
+                    elif b.polarity == "!":
+                        inner = Choice((Branch(Prefix(peer, "!", b.label, payload=b.payload), cont),))
+                        new.append(Branch(Prefix(peer, "?", f"{b.label}.i", var=_unused_z(b)), inner))
+                        binders += 1
+                    else:
+                        new.append(Branch(Prefix(peer, "?", f"{b.label}.o", var=b.var), cont))
+                out = Choice(tuple(new))
+            case CPar():
+                raise McmpError("parallel composition under a prefix is outside the fragment")
+            case CRes():
+                raise McmpError("inner restrictions are outside the fragment")
+            case _:
+                raise TypeError(p)
+        self._targets[key] = (p, views, out, binders)
+        return out, binders
+
+
+def _unused_z(b: CBranch) -> str:
+    """The binder of the l.i announcement that external output branch b
+    answers, whose value nobody reads: the smallest z<n> not free in b."""
+    taken = _with_value(_free_of(b.cont), b.payload)
+    n = 0
+    while f"z{n}" in taken:
+        n += 1
+    return f"z{n}"
 
 
 def check_cmv(p: CmvProcess) -> dict[str, str]:
@@ -629,100 +980,61 @@ def check_cmv(p: CmvProcess) -> dict[str, str]:
     a conditional and .l/.r in a parallel composition."""
     if not isinstance(p, CRes):
         raise CmvTypeError("expected a single outermost restriction")
-    components = [(str(k), c) for k, c in enumerate(_components(p.body))]
-    tx = _protocol_in_par(components, p.x, {})
-    ty = _protocol_in_par(components, p.y, {})
-    assign: dict[str, str] = {}
-    if not _dual_or_backtrack(tx, ty, assign):
-        raise CmvTypeError("no internal/external assignment makes the endpoints dual")
-    for path, c in components:
-        for sub, q in _subterms(c, path):
-            if isinstance(q, CChoice):
-                assign.setdefault(sub, "internal")
-    return assign
+    return _Translator(p.x, p.y).choice_views(p)
 
 
 # ---------------------------------------------------------------------------
 # encoding into mixed-choice binary sessions
 
 
-def encode_lcmv_to_mcbs(p: CmvProcess, classes: dict[str, str] | None = None) -> Session:
+def encode_lcmv_to_mcbs(p: CmvProcess) -> Session:
     """Drop the restriction, turn the endpoints into participants, and
-    translate choices per their internal/external view: internal choices
-    announce on l.o / l.i labels, external choices answer dually.  A
-    component holding both endpoints is deadlocked and becomes inaction."""
+    translate choices per their internal/external view (see
+    _Translator._encode).  A component holding both endpoints is deadlocked
+    and becomes inaction."""
     if not isinstance(p, CRes):
         raise McmpError("expected a single outermost restriction")
-    if classes is None:
-        classes = check_cmv(p)
-    x, y = p.x, p.y
-    # numbers the ok<n> participants and z<n> binders of this translation
-    serial = itertools.count()
-    parts: list[tuple[str, Process]] = []
-    for position, comp in enumerate(_components(p.body)):
-        parts.extend(_encode_component(comp, x, y, classes, serial, position))
-    return Session(tuple(parts))
+    return _Translator(p.x, p.y).session(p)
 
 
-def _encode_component(
-    comp: CmvProcess, x: str, y: str, classes: dict[str, str], serial: Iterator[int], position: int
-) -> list[tuple[str, Process]]:
-    """The participants of the component at position in the program."""
-    match comp:
-        case Inact():
-            return []
-        case CSuccess():
-            return [(f"ok{next(serial)}", Success())]
-        case CChoice(endpoint, _):
-            if endpoint not in (x, y):
-                raise McmpError(f"free endpoint {endpoint!r} is not bound by the restriction")
-            used = _endpoints_of(comp, {x, y})
-            if used == {x, y}:
-                return [(endpoint, Nil())]
-            peer = y if endpoint == x else x
-            return [(endpoint, _encode_proc(comp, peer, classes, serial, str(position)))]
-        case CCond():
-            used = sorted(_endpoints_of(comp, {x, y}))
-            if len(used) != 1:
-                raise McmpError("conditional components must use exactly one endpoint")
-            endpoint = used[0]
-            peer = y if endpoint == x else x
-            return [(endpoint, _encode_proc(comp, peer, classes, serial, str(position)))]
-        case _:
-            raise McmpError(f"cannot place component {render_cmv(comp)!r} under a participant")
+def verify_correspondence(
+    p: CmvProcess,
+    max_states: int = semantics.DEFAULT_MAX_STATES,
+    max_depth: int = semantics.DEFAULT_MAX_DEPTH,
+) -> encode.CorrespondenceReport:
+    """The good-encoding harness for the lcmv translation: the source graph
+    is the CMV reduction graph within the bounds, and one translator
+    translates every state, so a subterm that several states share is
+    classified and translated once."""
+    # imported on first use, so that a process that uses only the front end
+    # and the reduction rules does not load the encoding machinery
+    from . import encode
 
+    if not isinstance(p, CRes):
+        raise McmpError("expected a single outermost restriction")
+    translator = _Translator(p.x, p.y)
 
-def _encode_proc(p: CmvProcess, peer: str, classes: dict[str, str], serial: Iterator[int], path: str) -> Process:
-    def enc(q: CmvProcess, step: int | str) -> Process:
-        return _encode_proc(q, peer, classes, serial, f"{path}.{step}")
+    def distributability(target_root: Session) -> list[str]:
+        # per-component compositionality: translating each parallel
+        # component on its own (same classification) reproduces its slice of
+        # the target
+        views = translator.classify(p)
+        by_name = dict(target_root.parts)
+        failing = []
+        for comp in _components(p.body):
+            if isinstance(comp, CSuccess):
+                continue  # success components get a generated participant name
+            name, proc, _ = translator.component(comp, views)
+            if name not in by_name or not syntax.alpha_equal(proc, by_name[name]):
+                failing.append(name)
+        return failing
 
-    match p:
-        case Inact():
-            return Nil()
-        case CSuccess():
-            return Success()
-        case CCond(g, t, e):
-            return syntax.Cond(g, enc(t, "then"), enc(e, "else"))
-        case CChoice(_, branches):
-            view = classes.get(path, "internal")
-            out: list[Branch] = []
-            if view == "internal":
-                for k, b in enumerate(branches):
-                    if b.polarity == "!":
-                        out.append(Branch(Prefix(peer, "!", f"{b.label}.o", payload=b.payload), enc(b.cont, k)))
-                    else:
-                        inner = Choice((Branch(Prefix(peer, "?", b.label, var=b.var), enc(b.cont, k)),))
-                        out.append(Branch(Prefix(peer, "!", f"{b.label}.i", payload=TT), inner))
-            else:
-                for k, b in enumerate(branches):
-                    if b.polarity == "!":
-                        inner = Choice((Branch(Prefix(peer, "!", b.label, payload=b.payload), enc(b.cont, k)),))
-                        out.append(Branch(Prefix(peer, "?", f"{b.label}.i", var=f"z{next(serial)}"), inner))
-                    else:
-                        out.append(Branch(Prefix(peer, "?", f"{b.label}.o", var=b.var), enc(b.cont, k)))
-            return Choice(tuple(out))
-        case CPar():
-            raise McmpError("parallel composition under a prefix is outside the fragment")
-        case CRes():
-            raise McmpError("inner restrictions are outside the fragment")
-    raise TypeError(p)
+    return encode._correspondence(
+        encode.ENCODINGS["lcmv-mcbs"],
+        explore_cmv(p, max_states, max_depth),
+        translator.session,
+        cmv_has_success,
+        distributability,
+        max_states,
+        max_depth,
+    )

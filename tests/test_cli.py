@@ -167,6 +167,58 @@ def test_cmv_encode_prints_long_chains(tmp_path):
     assert "m399" in out["target"]
 
 
+def _cmv_chain(n: int) -> str:
+    """A linear program whose endpoints exchange n messages in alternating
+    directions; n + 1 states, n steps deep."""
+    x = " ".join(f"lin x (m{i}!tt." if i % 2 == 0 else f"lin x (m{i}?v{i}." for i in range(n))
+    y = " ".join(f"lin y (m{i}?v{i}." if i % 2 == 0 else f"lin y (m{i}!{i}." for i in range(n))
+    return f"(new x y)({x} 0{')' * n} | {y} ok{')' * n})\n"
+
+
+def test_max_depth_bounds_cmv_sources(tmp_path, capsys):
+    # as for a session source, a bound that cuts the source exploration short
+    # is exit 3, not a report on the part explored
+    path = tmp_path / "chain.cmv"
+    path.write_text(_cmv_chain(100))
+    argv = ["--json", "verify-encoding", str(path), "--via", "lcmv-mcbs"]
+    code, out = run(capsys, *argv, "--max-depth", "3")
+    assert code == 3 and json.loads(out) == {"error": "source exploration truncated", "truncated": True}
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["passed"]
+    # the default depth, 256, bounds a longer chain
+    path.write_text(_cmv_chain(300))
+    assert run(capsys, *argv)[0] == 3
+    assert run(capsys, *argv, "--max-depth", "1000")[0] == 0
+
+
+def test_closed_stdout_keeps_the_verdict(tmp_path, fixture_dir):
+    # the reader of stdout is gone before the command writes: no traceback,
+    # and the exit code is still the command's verdict, whether the output
+    # fails to go out while the command runs (a long session) or at exit
+    n = 200
+    p = [f"q!l{i}(tt)" if i % 2 == 0 else f"q?l{i}(x{i})" for i in range(n)]
+    q = [f"p?l{i}(x{i})" if i % 2 == 0 else f"p!l{i}(ff)" for i in range(n)]
+    chain = tmp_path / "chain.mcmp"
+    chain.write_text(f"role p = {'.'.join(p)}.ok\nrole q = {'.'.join(q)}.0\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    cases = [
+        (["--json", "simulate", str(chain), "--max-steps", "3"], 0),
+        (["simulate", str(chain), "--max-steps", "3", "--trace"], 0),
+        (["--json", "cmv", "check", str(fixture_dir / "cmv_untypable.cmv")], 1),
+    ]
+    for argv, verdict in cases:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "mcmp.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == verdict, (argv, done.stderr)
+        assert done.stderr == "", (argv, done.stderr)
+
+
 def test_dot_output(fixture_dir, capsys, tmp_path):
     dot = tmp_path / "graph.dot"
     code, _ = run(capsys, "--dot", str(dot), "simulate", str(fixture_dir / "ping.mcmp"))
