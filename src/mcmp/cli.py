@@ -12,8 +12,7 @@ import json
 import os
 import sys
 
-from . import encode as enc_mod
-from . import lcmv, ltypes, patterns, semantics, syntax, typecheck
+from . import lts, syntax
 
 OK, FAIL, USAGE, TRUNCATED = 0, 1, 2, 3
 
@@ -39,7 +38,7 @@ def _run(args) -> int:
     except (syntax.ParseError, FileNotFoundError) as e:
         _emit(args, {"error": str(e)}, str(e))
         return USAGE
-    except semantics.TruncatedError as e:
+    except lts.TruncatedError as e:
         _emit(args, {"error": str(e), "truncated": True}, f"truncated: {e}")
         return TRUNCATED
     except RecursionError:
@@ -58,8 +57,8 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
     default = argparse.SUPPRESS if suppress else None
     shared = argparse.ArgumentParser(add_help=False, argument_default=default)
     shared.add_argument("--json", action="store_true", help="machine-readable output")
-    shared.add_argument("--max-states", type=int, **({} if suppress else {"default": semantics.DEFAULT_MAX_STATES}))
-    shared.add_argument("--max-depth", type=int, **({} if suppress else {"default": semantics.DEFAULT_MAX_DEPTH}))
+    shared.add_argument("--max-states", type=int, **({} if suppress else {"default": lts.DEFAULT_MAX_STATES}))
+    shared.add_argument("--max-depth", type=int, **({} if suppress else {"default": lts.DEFAULT_MAX_DEPTH}))
     shared.add_argument("--dot", metavar="PATH", help="write the explored state graph as DOT")
     return shared
 
@@ -89,12 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", parents=[shared], help="translate a session by one of the encodings")
     p.add_argument("file")
-    p.add_argument("--via", required=True, choices=sorted(enc_mod.ENCODINGS))
+    p.add_argument("--via", required=True, type=_encoding, metavar="ID")
     p.set_defaults(run=cmd_encode)
 
     p = sub.add_parser("verify-encoding", parents=[shared], help="run the good-encoding harness")
     p.add_argument("file")
-    p.add_argument("--via", required=True, choices=sorted(enc_mod.ENCODINGS))
+    p.add_argument("--via", required=True, type=_encoding, metavar="ID")
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("detect", parents=[shared], help="search for a synchronisation pattern")
@@ -122,6 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(run=cmd_cmv_encode)
 
     return parser
+
+
+def _encoding(name: str) -> str:
+    from .encode import ENCODINGS  # checked here, so that no other command loads the encodings
+    if name not in ENCODINGS:
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {', '.join(map(repr, sorted(ENCODINGS)))})")
+    return name
 
 
 def _read(path: str) -> str:
@@ -167,6 +173,7 @@ def _write_dot(args, graph) -> None:
 
 
 def cmd_check(args) -> int:
+    from . import typecheck
     session, context = _load_session(args, need_types=True)
     errors = typecheck.check_session(session, context)
     payload = {"ok": not errors, "errors": [e.to_json() for e in errors]}
@@ -179,6 +186,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_safety(args) -> int:
+    from . import ltypes
     _, context = _load_session(args, need_types=True)
     ok, witness = ltypes.is_safe(context, args.max_states, args.max_depth)
     _emit(args, {"safe": ok, "witness": witness}, "safe" if ok else f"not safe: {witness}")
@@ -186,6 +194,7 @@ def cmd_safety(args) -> int:
 
 
 def cmd_df(args) -> int:
+    from . import ltypes
     _, context = _load_session(args, need_types=True)
     ok, witness = ltypes.is_deadlock_free(context, args.max_states, args.max_depth)
     _emit(args, {"deadlock_free": ok, "witness": witness}, "deadlock-free" if ok else f"not deadlock-free: {witness}")
@@ -193,6 +202,7 @@ def cmd_df(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import semantics
     session, _ = _load_session(args)
     trace = []
     current = session
@@ -225,13 +235,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import encode
     session, context = _load_session(args)
-    order = enc_mod.build_order(session)
-    target = enc_mod.encode(session, args.via, order=order)
+    order = encode.build_order(session)
+    target = encode.encode(session, args.via, order=order)
     target_context = None
     if context is not None:
         try:
-            target_context = enc_mod.encode_types(context, args.via, order=order)
+            target_context = encode.encode_types(context, args.via, order=order)
         except syntax.McmpError:
             target_context = None
     text = syntax.render_session(target, target_context)
@@ -247,11 +258,13 @@ def cmd_encode(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.via == "lcmv-mcbs":
+        from . import lcmv
         program = lcmv.parse_cmv(_read(args.file))
         report = lcmv_correspondence(program, max_states=args.max_states, max_depth=args.max_depth)
     else:
+        from . import encode
         session, _ = _load_session(args)
-        report = enc_mod.verify_correspondence(
+        report = encode.verify_correspondence(
             session, args.via, max_states=args.max_states, max_depth=args.max_depth
         )
     _emit(args, json.loads(report.to_json()), report.to_json())
@@ -259,6 +272,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import patterns, semantics
     session, _ = _load_session(args)
     witness = patterns.detect_m(session) if args.pattern == "m" else patterns.detect_star(session)
     graph = semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth)
@@ -278,6 +292,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_electoral(args) -> int:
+    from . import patterns, semantics
     session, _ = _load_session(args)
     ok, witness = patterns.is_electoral(
         session, args.station, args.label, max_states=args.max_states, max_depth=args.max_depth
@@ -289,6 +304,7 @@ def cmd_electoral(args) -> int:
 
 
 def cmd_cmv_check(args) -> int:
+    from . import lcmv
     program = lcmv.parse_cmv(_read(args.file))
     try:
         classes = lcmv.check_cmv(program)
@@ -301,15 +317,17 @@ def cmd_cmv_check(args) -> int:
 
 
 def cmd_cmv_encode(args) -> int:
+    from . import lcmv
     target = lcmv.encode_lcmv_to_mcbs(lcmv.parse_cmv(_read(args.file)))
     text = syntax.render_session(target)
     _emit(args, {"target": text, "via": "lcmv-mcbs"}, text)
     return OK
 
 
-def lcmv_correspondence(program, max_states: int, max_depth: int) -> enc_mod.CorrespondenceReport:
+def lcmv_correspondence(program, max_states: int, max_depth: int) -> encode.CorrespondenceReport:
     """Good-encoding harness for the lcmv translation (see
     lcmv.verify_correspondence)."""
+    from . import lcmv
     return lcmv.verify_correspondence(program, max_states=max_states, max_depth=max_depth)
 
 

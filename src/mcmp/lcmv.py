@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import lts, semantics, syntax
+from . import lts, syntax
 from .syntax import (
     TT,
     BoolVal,
@@ -606,7 +606,7 @@ def cmv_has_success(p: CmvProcess) -> bool:
             return False
 
 
-def explore_cmv(p: CmvProcess, max_states: int = 10000, max_depth: int | None = None) -> lts.Graph:
+def explore_cmv(p: CmvProcess, max_states: int = lts.DEFAULT_MAX_STATES, max_depth: int | None = None) -> lts.Graph:
     """Every state reachable from p within the bounds (see lts.explore),
     identified by cmv_canon, in breadth-first order.  The forms of the
     subterms that several states share are computed once per
@@ -999,8 +999,8 @@ def encode_lcmv_to_mcbs(p: CmvProcess) -> Session:
 
 def verify_correspondence(
     p: CmvProcess,
-    max_states: int = semantics.DEFAULT_MAX_STATES,
-    max_depth: int = semantics.DEFAULT_MAX_DEPTH,
+    max_states: int = lts.DEFAULT_MAX_STATES,
+    max_depth: int = lts.DEFAULT_MAX_DEPTH,
 ) -> encode.CorrespondenceReport:
     """The good-encoding harness for the lcmv translation: the source graph
     is the CMV reduction graph within the bounds, and one translator

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 from .syntax import McmpError
 
+DEFAULT_MAX_STATES = 10000  # the bounds a command explores within unless given others
+DEFAULT_MAX_DEPTH = 256
+
 
 class TruncatedError(McmpError):
     pass
@@ -123,8 +126,9 @@ def explore(roots, step, build, max_states: int | None = None, max_depth: int | 
     """Breadth-first exploration from roots, given as (key, seed) pairs;
     roots with equal keys are one state.  Past max_states states, edges to
     new states are dropped, and states max_depth steps from the roots are
-    not expanded; either cut marks the graph truncated.  Roots that do not
-    fit in max_states raise TruncatedError."""
+    not expanded; either cut marks the graph truncated, the depth bound only
+    when such a state has a successor.  Roots that do not fit in max_states
+    raise TruncatedError."""
     if any(bound is not None and bound <= 0 for bound in (max_states, max_depth)):
         raise ValueError("exploration limits must be positive")
     index: dict = {}
@@ -168,8 +172,8 @@ def explore(roots, step, build, max_states: int | None = None, max_depth: int | 
             succ[i].append((label, j))
         return succ[i]
 
-    for _, depth in _bfs(root_ids, expand):
-        if max_depth is not None and depth >= max_depth:
+    for i, depth in _bfs(root_ids, expand):
+        if max_depth is not None and depth >= max_depth and step(states[i], work[i]):
             truncated = True
             break
     return Graph(states, edges, root_ids, truncated, succ, parent)

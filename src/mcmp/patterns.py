@@ -13,9 +13,11 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from . import lcmv, lts, semantics
+from . import lts, semantics
 from .semantics import Step, TruncatedError, explore
 from .syntax import McmpError, Session
+
+lcmv = None  # imported by _cmv_alternatives for the first lcmv program, not per call
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,9 @@ def _session_alternatives(m: Session):
 
 
 def _cmv_alternatives(p: lcmv.CmvProcess):
+    global lcmv
+    if lcmv is None:
+        from . import lcmv
     return [(step.describe(), step.consumed, lcmv.cmv_canon(succ)) for step, succ in lcmv.cmv_enabled(p)]
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import lts
-from .lts import TruncatedError
+from .lts import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, TruncatedError
 from .syntax import (
     BoolVal,
     Branch,
@@ -339,10 +339,6 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-DEFAULT_MAX_STATES = 10000
-DEFAULT_MAX_DEPTH = 256
-
-
 def explore(m: Session, max_states: int = DEFAULT_MAX_STATES, max_depth: int = DEFAULT_MAX_DEPTH) -> StateGraph:
     return explore_many([m], max_states=max_states, max_depth=max_depth)
 
@@ -436,15 +432,16 @@ def weak_bisim_classes(graph: StateGraph, observables: frozenset[str] = frozense
         raise TruncatedError("bisimulation needs a complete graph")
     n = len(graph.states)
     reach = [sorted(graph.reachable(i)) for i in range(n)]
+    # each state's own observables, read once
+    success = [has_success(s) for s in graph.states] if "success" in observables else None
+    barb_sets = [barbs(s) for s in graph.states] if "barbs" in observables else None
 
     def observable_key(i: int):
         key = []
-        if "success" in observables:
-            key.append(any(has_success(graph.states[k]) for k in reach[i]))
-        if "barbs" in observables:
-            weak = set()
-            for k in reach[i]:
-                weak |= barbs(graph.states[k])
+        if success is not None:
+            key.append(any(success[k] for k in reach[i]))
+        if barb_sets is not None:
+            weak = set().union(*(barb_sets[k] for k in reach[i]))
             key.append(tuple(sorted(b.describe() for b in weak)))
         return tuple(key)
 

@@ -792,8 +792,6 @@ class _Parser:
     # -- sessions
 
     def parse_session_file(self):
-        from . import ltypes
-
         parts: list[tuple[str, Process]] = []
         context = None
         if self.peek().kind == "eof":
@@ -810,6 +808,8 @@ class _Parser:
                 raise ParseError(f"participant {name!r} addresses itself", t.line, t.col)
             parts.append((name, proc))
         if self.peek().kind == "kw" and self.peek().text == "types":
+            from . import ltypes
+
             self.next()
             self.expect("{")
             entries: list[tuple[str, "ltypes.LocalType"]] = []

@@ -191,6 +191,40 @@ def test_max_depth_bounds_cmv_sources(tmp_path, capsys):
     assert run(capsys, *argv, "--max-depth", "1000")[0] == 0
 
 
+def _session_chain(k: int) -> str:
+    """p and q exchange k messages in alternating directions, with a types
+    block; k + 1 states, k steps deep."""
+    roles = {"p": [], "q": []}
+    types = {"p": [], "q": []}
+    for i in range(k):
+        sender, receiver = ("p", "q") if i % 2 == 0 else ("q", "p")
+        roles[sender].append(f"{receiver}!m{i}(tt)")
+        roles[receiver].append(f"{sender}?m{i}(v{i})")
+        types[sender].append(f"{receiver}!m{i}(bool)")
+        types[receiver].append(f"{sender}?m{i}(bool)")
+    return (
+        f"role p = {'.'.join(roles['p'])}.ok\nrole q = {'.'.join(roles['q'])}.0\n"
+        f"types {{\n  p: {'.'.join(types['p'])}.end\n  q: {'.'.join(types['q'])}.end\n}}\n"
+    )
+
+
+def test_source_exactly_max_depth_deep_decides(tmp_path, capsys):
+    # the last state of a chain k steps long lies k steps deep and has no
+    # successor, so --max-depth k explores it in full; k - 1 cuts it short
+    path = tmp_path / "chain.cmv"
+    path.write_text(_cmv_chain(100))
+    code, out = run(capsys, "--json", "verify-encoding", str(path), "--via", "lcmv-mcbs", "--max-depth", "100")
+    assert code == 0 and json.loads(out)["passed"]
+    assert run(capsys, "--json", "verify-encoding", str(path), "--via", "lcmv-mcbs", "--max-depth", "99")[0] == 3
+    k = 12
+    path = tmp_path / "chain.mcmp"
+    path.write_text(_session_chain(k))
+    for argv in (["safety", str(path)], ["df", str(path)], ["verify-encoding", str(path), "--via", "scbs-bs"]):
+        assert run(capsys, "--json", *argv, "--max-depth", str(k))[0] == 0, argv
+        code, out = run(capsys, "--json", *argv, "--max-depth", str(k - 1))
+        assert code == 3 and json.loads(out)["truncated"], argv
+
+
 def test_closed_stdout_keeps_the_verdict(tmp_path, fixture_dir):
     # the reader of stdout is gone before the command writes: no traceback,
     # and the exit code is still the command's verdict, whether the output

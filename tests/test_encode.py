@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mcmp import corpus, encode, ltypes, semantics, syntax
@@ -306,6 +308,78 @@ def test_correspondence_on_loops(enc_id, k):
     assert len(semantics.explore(m).states) == k + 1
     report = verify_correspondence(m, enc_id)
     assert report.passed(), report.to_json()
+
+
+def chain_session(rng, k):
+    """A two-party k-message chain ending in ok, each message's direction
+    and payload drawn from rng: k+1 states, binary separate choice."""
+    procs = {"p": [], "q": []}
+    for i in range(k):
+        sender, receiver = rng.choice((("p", "q"), ("q", "p")))
+        procs[sender].append(f"{receiver}!a{i}({rng.choice(('tt', 'ff', str(i)))})")
+        procs[receiver].append(f"{sender}?a{i}(v{i})")
+    return parse_session(f"role p = {'.'.join(procs['p'] + ['ok'])} role q = {'.'.join(procs['q'] + ['0'])}")
+
+
+def weak_bisim_per_pair(graph, observables):
+    """weak_bisim_classes as it was, reading a state's observables again for
+    every state that reaches it; the reference for the per-state reading."""
+    n = len(graph.states)
+    reach = [sorted(graph.reachable(i)) for i in range(n)]
+
+    def observable_key(i):
+        key = []
+        if "success" in observables:
+            key.append(any(semantics.has_success(graph.states[k]) for k in reach[i]))
+        if "barbs" in observables:
+            weak = set()
+            for k in reach[i]:
+                weak |= semantics.barbs(graph.states[k])
+            key.append(tuple(sorted(b.describe() for b in weak)))
+        return tuple(key)
+
+    def ranks(keys):
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return [rank[k] for k in keys]
+
+    classes = ranks([observable_key(i) for i in range(n)])
+    while True:
+        signature = [tuple(sorted({classes[k] for k in reach[i]} | {classes[i]})) for i in range(n)]
+        refined = ranks([(classes[i], signature[i]) for i in range(n)])
+        if refined == classes:
+            return classes
+        classes = refined
+
+
+OBSERVABLES = [frozenset({"success"}), frozenset({"barbs"}), frozenset({"success", "barbs"})]
+
+
+def _assert_classes_match_reference(graph):
+    for observables in OBSERVABLES:
+        assert semantics.weak_bisim_classes(graph, observables) == weak_bisim_per_pair(graph, observables)
+
+
+def test_weak_bisim_classes_match_per_pair_reference_on_fixtures():
+    checked = 0
+    for text in {**corpus.SESSIONS, **corpus.UNTYPED}.values():
+        graph = semantics.explore(parse_session(text))
+        if not graph.truncated:
+            _assert_classes_match_reference(graph)
+            checked += 1
+    assert checked >= 25
+
+
+@pytest.mark.parametrize("enc_id", SESSION_ENCODINGS)
+def test_weak_bisim_classes_match_per_pair_reference_on_encoded_graphs(enc_id):
+    # the joint graph of every source state's translation, as the
+    # good-encoding harness builds it
+    rng = random.Random(4201)
+    sources = [chain_session(rng, k) for k in (3, 5, 8)] + [loop_session(k) for k in (3, 6)]
+    for m in sources:
+        states = semantics.explore(m).states
+        joint = semantics.explore_many([run_encode(s, enc_id) for s in states])
+        assert not joint.truncated and len(joint.states) >= len(states)
+        _assert_classes_match_reference(joint)
 
 
 def test_correspondence_trivial_on_nil():

@@ -54,7 +54,8 @@ def reference_explore(ms, max_states=semantics.DEFAULT_MAX_STATES, max_depth=sem
     depth = 0
     while frontier:
         if depth >= max_depth:
-            truncated = True
+            # the bound cuts the graph only where a state has a successor
+            truncated = any(semantics.enabled_steps(states[i]) for i in frontier)
             break
         nxt = []
         for i in frontier:

@@ -117,6 +117,18 @@ def test_max_depth_cut():
     assert g.states == [0, 1, 2, 3] and not g.truncated
 
 
+def test_max_depth_reached_by_a_final_state_does_not_cut():
+    # state 3 lies exactly 3 steps deep and has no successor
+    g, _ = explore(chain(4), max_depth=3)
+    assert g.states == [0, 1, 2, 3] and not g.truncated
+    # a state at the bound with a successor, even a known one, cuts
+    g, _ = explore(lambda s: [s + 1] if s < 3 else [0], max_depth=3)
+    assert g.states == [0, 1, 2, 3] and g.truncated and g.successors(3) == []
+    # the bound is checked for every state at it, not only the first
+    g, _ = explore(lambda s: {0: [1, 2], 2: [3]}.get(s, []), max_depth=1)
+    assert g.states == [0, 1, 2] and g.truncated
+
+
 def test_unbounded_by_default():
     g, _ = explore(chain(3000))
     assert len(g.states) == 3000 and not g.truncated
