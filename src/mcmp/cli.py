@@ -203,6 +203,8 @@ def cmd_df(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import semantics
+    if args.max_steps < 0:
+        raise ValueError("--max-steps must not be negative")
     session, _ = _load_session(args)
     trace = []
     current = session

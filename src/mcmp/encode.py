@@ -505,12 +505,11 @@ def _correspondence(
     # soundness: every target derivative can complete to the encoding of a
     # source derivative
     done_classes = set(root_class)
-    soundness = True
-    for n in joint.reachable(start):
-        if joint.distance(n, lambda k: classes[k] in done_classes) is None:
-            soundness = False
-            failures.append({"criterion": "soundness", "stranded_target_state": n})
-            break
+    completes = joint.coreachable(lambda k: classes[k] in done_classes)
+    stranded = next((n for n in joint.reachable(start) if not completes[n]), None)
+    soundness = stranded is None
+    if not soundness:
+        failures.append({"criterion": "soundness", "stranded_target_state": stranded})
 
     # success sensitiveness on the roots
     src_succ = any(has_success(source.states[i]) for i in source.reachable(source.root))

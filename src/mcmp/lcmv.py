@@ -613,10 +613,10 @@ def explore_cmv(p: CmvProcess, max_states: int = lts.DEFAULT_MAX_STATES, max_dep
     exploration."""
     forms: dict = {}
 
-    def transitions(q: CmvProcess, _):
+    def transitions(q: CmvProcess):
         return [(step, cmv_canon(succ, forms), succ) for step, succ in cmv_enabled(q)]
 
-    return lts.explore([(cmv_canon(p, forms), p)], transitions, lambda q, _: (q, None), max_states, max_depth)
+    return lts.explore([(cmv_canon(p, forms), p)], transitions, lambda q, _: q, max_states, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ assumed true, i.e. a greatest fixpoint).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 
 from . import lts
 
@@ -316,18 +315,12 @@ def type_transitions(participant: str, t: LocalType) -> list[tuple[TypeAction, L
     return out
 
 
-def _heads(delta: LocalContext) -> dict[str, TChoice]:
-    """Each participant whose type unfolds to a choice, with that choice."""
-    heads = {p: head(t) for p, t in delta.entries}
-    return {p: h for p, h in heads.items() if isinstance(h, TChoice)}
-
-
 def _sync_steps(p: str, tp: LocalType, hp: TChoice, kp: tuple, q: str, tq: LocalType, hq: TChoice, kq: tuple):
     """The synchronisations in which p sends to q, which depend on their
     types alone (tp and tq, with heads hp and hq and canonical forms kp and
     kq): p may send p!q:l(U) and q may receive the same label with the same
-    payload type from p.  Each is (p's branch index, action, the new types,
-    their entries in the successor's key)."""
+    payload type from p.  Each is (p's branch index, action, p's new type
+    and its canonical form, q's new type and its form)."""
     out = []
     for i, bp in enumerate(hp.branches):
         if bp.polarity != "!" or bp.target != q:
@@ -335,39 +328,50 @@ def _sync_steps(p: str, tp: LocalType, hp: TChoice, kp: tuple, q: str, tq: Local
         for bq in hq.branches:
             if bq.polarity == "?" and bq.target == p and bq.label == bp.label and bq.payload == bp.payload:
                 act = TypeAction("ctx", p, q, bp.label, bp.payload)
-                new_keys = ((p, _cont_key(tp, kp, bp)), (q, _cont_key(tq, kq, bq)))
-                out.append((i, act, {p: bp.cont, q: bq.cont}, new_keys))
+                out.append((i, act, (bp.cont, _cont_key(tp, kp, bp)), (bq.cont, _cont_key(tq, kq, bq))))
     return out
 
 
-def _context_transitions(delta: LocalContext, key: tuple, heads: dict[str, TChoice], cache: dict | None = None):
-    """Every synchronisation of delta, whose canonical form is key and whose
-    choice heads are heads (see _heads), as (sender's branch index, action,
-    the new types, their entries in the successor's key): senders in entry
-    order, then by the sender's branch, then by the receiver's.  Given an
-    exploration's cache, the synchronisations of each pair of types are
-    enumerated once."""
-    types = dict(delta.entries)
-    keys = dict(key)
-    out = []
-    for p, hp in heads.items():
-        found, peers = [], []
-        for b in hp.branches:
-            q = b.target
-            if b.polarity == "!" and q != p and q in heads and q not in peers:
-                peers.append(q)
-                tp, tq = types[p], types[q]
-                found += lts.memo(cache, (p, id(tp), q, id(tq)), _sync_steps, p, tp, hp, keys[p], q, tq, heads[q], keys[q])
-        # back to p's branch order; the sort is stable, so the receiver's
-        # branches of one sender branch stay in order
-        found.sort(key=itemgetter(0))
-        out += found
-    return out
+def _unsafe_branch(p: str, hp: TChoice, q: str, hq: TChoice) -> int | None:
+    """The first of p's branches whose output to q cannot fire although q
+    listens to p, or None: such a branch depends on p's and q's types
+    alone."""
+    if not any(c.polarity == "?" and c.target == p for c in hq.branches):
+        return None
+    for i, b in enumerate(hp.branches):
+        if b.polarity == "!" and b.target == q and not any(
+            c.polarity == "?" and c.target == p and c.label == b.label and c.payload == b.payload for c in hq.branches
+        ):
+            return i
+    return None
+
+
+def _table(delta: LocalContext):
+    """A term table for the types of delta (see lts.Terms), and its pair
+    steps: the synchronisations of two types, ordered by the sender's place
+    in delta's entries, then by its branch."""
+    table = lts.Terms(delta.domain(), _canon_type, head, _targets)
+    rank = {table.place[p]: r for r, p in enumerate(delta.domain())}
+    t = table
+
+    def pair(k: int, lid: int, j: int, jlid: int):
+        found = _sync_steps(t.names[k], t.term[lid], t.term[t.head[lid]], t.form[t.fid[lid]],
+                            t.names[j], t.term[jlid], t.term[t.head[jlid]], t.form[t.fid[jlid]])
+        return [((rank[k], i), act, ((k, tp, t.fid_of(kp)), (j, tq, t.fid_of(kq)))) for i, act, (tp, kp), (tq, kq) in found]
+
+    return table, pair
+
+
+def _targets(t: LocalType) -> list[str] | None:
+    return [b.target for b in t.branches if b.polarity == "!"] if isinstance(t, TChoice) else None
 
 
 def context_steps(delta: LocalContext) -> list[tuple[TypeAction, LocalContext]]:
     """All synchronisations with the contexts they lead to."""
-    return [(act, delta.with_entries(new)) for _, act, new, _ in _context_transitions(delta, canon_context(delta), _heads(delta))]
+    table, pair = _table(delta)
+    types = dict(delta.entries)
+    lids = tuple(table.lid(types[p]) for p in table.names)
+    return [(act, delta.with_entries({table.names[k]: u for k, u, _ in new})) for _, act, new in table.steps(lids, pair)]
 
 
 def _canon_type(t: LocalType, env: tuple = ()) -> tuple:
@@ -409,8 +413,8 @@ def canon_context(delta: LocalContext) -> tuple:
 
 @dataclass
 class ContextGraph(lts.Graph):
-    # heads[i] is _heads(contexts[i])
-    heads: list[dict[str, TChoice]] = field(default_factory=list)
+    # the exploration's term table: work[i] is (order, lids) of contexts[i]
+    table: lts.Terms | None = None
 
     @property
     def contexts(self) -> list[LocalContext]:
@@ -430,40 +434,17 @@ class ContextGraph(lts.Graph):
 
 def explore_contexts(delta: LocalContext, max_states: int | None = None, max_depth: int | None = None) -> ContextGraph:
     """Every context reachable from delta, identified by canon_context, in
-    breadth-first order, within the optional bounds.  A step changes two
-    entries, so a successor's key is its parent's with those two entries
-    replaced; the others are never re-canonicalised.  The synchronisations
-    of a pair of types met in several contexts are enumerated once per call
-    (see lts.memo)."""
+    breadth-first order, within the optional bounds (see
+    lts.Terms.explore).  The synchronisations of a pair of types met in
+    several contexts are enumerated once per call."""
     for _, t in delta.entries:
         if not (closed(t) and guarded(t) and well_formed(t)):
             raise ValueError("context entries must be closed, guarded and well-formed")
-    root_key = canon_context(delta)
-    # the domain never changes, so neither does a participant's place in a key
-    place = {p: k for k, (p, _) in enumerate(root_key)}
-    cache: dict = {}
-    heads: list[dict[str, TChoice]] = []
-
     # well-formed types have distinct labels per (participant, polarity), so
     # no two synchronisations from one context are the same edge
-    def transitions(context: LocalContext, work: tuple[tuple, dict[str, TChoice]]):
-        key, context_heads = work
-        out = []
-        for _, act, new, new_keys in _context_transitions(context, key, context_heads, cache):
-            succ_key = list(key)
-            for item in new_keys:
-                succ_key[place[item[0]]] = item
-            out.append((act, tuple(succ_key), (context, new)))
-        return out
-
-    def build(seed, key: tuple) -> tuple[LocalContext, tuple[tuple, dict[str, TChoice]]]:
-        base, new = seed
-        context = base.with_entries(new) if new else base
-        heads.append(_heads(context))
-        return context, (key, heads[-1])
-
-    graph = lts.explore([(root_key, (delta, {}))], transitions, build, max_states, max_depth)
-    return ContextGraph(**vars(graph), heads=heads)
+    table, pair = _table(delta)
+    graph = table.explore([delta.entries], End(), pair, None, LocalContext, False, max_states, max_depth)
+    return ContextGraph(**vars(graph), table=table)
 
 
 def _explore_complete(delta: LocalContext, max_states: int | None, max_depth: int | None) -> ContextGraph:
@@ -482,20 +463,24 @@ def is_safe(delta: LocalContext, max_states: int | None = None, max_depth: int |
     counterexample's path is a shortest one to an unsafe context.  Raises
     TruncatedError when a bound cuts the exploration short."""
     graph = _explore_complete(delta, max_states, max_depth)
-    for i, heads in enumerate(graph.heads):
-        enabled = {(a.subject, a.peer, a.label, a.payload) for a, _ in graph.successors(i)}
-        for p, hp in heads.items():
-            for b in hp.branches:
-                q = b.target
-                hq = heads.get(q)
-                if b.polarity != "!" or q == p or hq is None:
-                    continue
-                q_listens = any(c.polarity == "?" and c.target == p for c in hq.branches)
-                if q_listens and (p, q, b.label, b.payload) not in enabled:
-                    return False, {
-                        "path": [_act_json(a) for a in graph.path(i)],
-                        "offending": _act_json(TypeAction("out", p, q, b.label, b.payload)),
-                    }
+    t = graph.table
+    # whether p's output to q is unsafe depends on their types alone, so
+    # each pair of types that met is checked once
+    unsafe = {}
+    for k, lid, j, jlid in t.cache:
+        bad = _unsafe_branch(t.names[k], t.term[t.head[lid]], t.names[j], t.term[t.head[jlid]])
+        if bad is not None:
+            unsafe[k, lid, j, jlid] = bad
+    for i, (order, lids) in enumerate(graph.work if unsafe else ()):
+        for p, k in order:
+            lid = lids[k]
+            bad = [unsafe[k, lid, j, lids[j]] for j in t.peers[lid] or () if (k, lid, j, lids[j]) in unsafe]
+            if bad:
+                b = t.term[t.head[lid]].branches[min(bad)]
+                return False, {
+                    "path": [_act_json(a) for a in graph.path(i)],
+                    "offending": _act_json(TypeAction("out", p, b.target, b.label, b.payload)),
+                }
     return True, None
 
 
@@ -504,10 +489,11 @@ def is_deadlock_free(delta: LocalContext, max_states: int | None = None, max_dep
     evidence's path is a shortest one to a stuck context.  Raises
     TruncatedError when a bound cuts the exploration short."""
     graph = _explore_complete(delta, max_states, max_depth)
-    for i, context in enumerate(graph.contexts):
+    t = graph.table
+    for i, (order, lids) in enumerate(graph.work):
         if graph.successors(i):
             continue
-        bad = [p for p, t in context.entries if not isinstance(head(t), End)]
+        bad = [p for p, k in order if not isinstance(t.term[t.head[lids[k]]], End)]
         if bad:
             return False, {"path": [_act_json(a) for a in graph.path(i)], "stuck": bad}
     return True, None

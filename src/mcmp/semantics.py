@@ -145,54 +145,29 @@ def _comm_steps(p: str, pproc: Choice, q: str, qproc: Choice) -> list[Transition
     return out
 
 
-def _transitions(r: Session, cache: dict | None = None) -> list[Transition]:
+def _transitions(r: Session) -> list[Transition]:
     """The enabled steps of the resolved session r in canonical order.  A
     step reads only the terms of the participants it consumes, so the steps
-    of each conditional and of each sending pair are enumerated together,
-    and, given an exploration's cache, once per pair of terms."""
+    of each conditional and of each sending pair are enumerated together."""
     out: list[Transition] = []
     choices = {}
     for p, proc in r.parts:
         if isinstance(proc, Choice):
             choices[p] = proc
         elif isinstance(proc, Cond) and isinstance(proc.guard, BoolVal):
-            out += lts.memo(cache, (p, id(proc)), _cond_steps, p, proc)
+            out += _cond_steps(p, proc)
     for p, pproc in choices.items():
         peers = []
         for b in pproc.branches:
             q = b.prefix.target
             if b.prefix.polarity == "!" and q != p and q in choices and q not in peers:
                 peers.append(q)
-                qproc = choices[q]
-                out += lts.memo(cache, (p, id(pproc), q, id(qproc)), _comm_steps, p, pproc, q, qproc)
+                out += _comm_steps(p, pproc, q, choices[q])
     out.sort(key=itemgetter(0))
     return out
 
 
 _NIL_KEY = canon_process(Nil())
-
-
-def _rekey(key: tuple, new: dict[str, tuple]) -> tuple:
-    """canon_session of a session whose key is key, after the participants
-    in new changed to processes with the given canonical forms.  Only those
-    entries are replaced (or dropped, for nil); the other entries are the
-    same tuples as in key."""
-    out = []
-    for item in key:
-        k = new.get(item[0])
-        if k is None:
-            out.append(item)
-        elif k != _NIL_KEY:
-            out.append((item[0], k))
-    return tuple(out)
-
-
-def _resolved_key(key: tuple, m: Session, r: Session) -> tuple:
-    """canon_session(r) for r = resolve(m), given key = canon_session(m)."""
-    if r is m:
-        return key
-    unfolded = {name: canon_process(proc) for (name, old), (_, proc) in zip(m.parts, r.parts) if isinstance(old, Rec)}
-    return _rekey(key, unfolded)
 
 
 def enabled_steps(m: Session) -> list[Step]:
@@ -207,7 +182,19 @@ def successor_keys(m: Session) -> list[tuple[Step, tuple]]:
     re-canonicalising only the participants the step changes."""
     r = resolve(m)
     key = canon_session(r)
-    return [(step, _rekey(key, keys)) for _, step, _, keys in _transitions(r)]
+    out = []
+    for _, step, _, new in _transitions(r):
+        # only the entries of the participants step changes are replaced
+        # (or dropped, for nil)
+        succ = []
+        for item in key:
+            k = new.get(item[0])
+            if k is None:
+                succ.append(item)
+            elif k != _NIL_KEY:
+                succ.append((item[0], k))
+        out.append((step, tuple(succ)))
+    return out
 
 
 def apply_step(m: Session, step: Step) -> Session:
@@ -344,32 +331,40 @@ def explore(m: Session, max_states: int = DEFAULT_MAX_STATES, max_depth: int = D
 
 
 def explore_many(ms: list[Session], max_states: int = DEFAULT_MAX_STATES, max_depth: int = DEFAULT_MAX_DEPTH) -> StateGraph:
-    """Deterministic BFS over canonical states from one or more roots.
+    """Deterministic BFS over canonical states from one or more roots (see
+    lts.Terms.explore).  A state is known by the fid of each participant's
+    term, nil's for a participant that is nil or not in its root, so two
+    states are one exactly when canon_session of the sessions that reached
+    them, before resolution, is equal.  A state keeps its resolved terms,
+    taken along the path that found it."""
+    table = lts.Terms({p for m in ms for p in m.participants()}, canon_process, head_normal, _targets)
+    names, term = table.names, table.term
 
-    A state is identified by canon_session of the session that reached it,
-    before resolution.  A step changes at most two participants, so a
-    successor's key is its parent's resolved key with those entries
-    replaced; the other participants are never re-canonicalised.  The steps
-    of a pair of terms met in several states are enumerated once per call
-    (see lts.memo)."""
+    def changes(steps: list[Transition]):
+        return [(sk, step, tuple((table.place[p], proc, table.fid_of(keys[p])) for p, proc in procs.items()))
+                for sk, step, procs, keys in steps]
+
+    def comm(k: int, lid: int, j: int, jlid: int):
+        return changes(_comm_steps(names[k], term[lid], names[j], term[jlid]))
+
+    def cond(k: int, lid: int):
+        proc = term[lid]
+        if isinstance(proc, Cond) and isinstance(proc.guard, BoolVal):
+            return lts.memo(table.cache, (k, lid), lambda: changes(_cond_steps(names[k], proc)))
+        return ()
+
+    graph = table.explore([m.parts for m in ms], Nil(), comm, cond, Session, True, max_states, max_depth)
+    table.cache = None  # no check reads which pairs met
+    # congruence numbers the distinct keys of the resolved states
     classes: dict[tuple, int] = {}
-    congruence: list[int] = []
-    cache: dict = {}
-
-    def transitions(r: Session, key: tuple):
-        return [(step, _rekey(key, keys), (r, procs)) for _, step, procs, keys in _transitions(r, cache)]
-
-    def build(seed, key: tuple) -> tuple[Session, tuple]:
-        base, procs = seed
-        s = base.with_parts(procs) if procs else base
-        r = resolve(s)
-        resolved_key = _resolved_key(key, s, r)
-        congruence.append(classes.setdefault(resolved_key, len(classes)))
-        return r, resolved_key
-
-    roots = [(canon_session(m), (m, {})) for m in ms]
-    graph = lts.explore(roots, transitions, build, max_states, max_depth)
+    congruence = [classes.setdefault(tuple(table.fid[lid] for lid in lids), len(classes)) for _, lids in graph.work]
     return StateGraph(**vars(graph), congruence=congruence)
+
+
+def _targets(proc: Process) -> list[str] | None:
+    if isinstance(proc, Choice):
+        return [b.prefix.target for b in proc.branches if b.prefix.polarity == "!"]
+    return None
 
 
 def is_convergent(graph: StateGraph) -> bool:
@@ -427,33 +422,50 @@ def weak_bisimilar(graph: StateGraph, i: int, j: int, observables: frozenset[str
 
 def weak_bisim_classes(graph: StateGraph, observables: frozenset[str] = frozenset({"success"})) -> list[int]:
     """Greatest success-(and optionally barb-)respecting weak reduction
-    bisimulation, via partition refinement over reachability sets."""
+    bisimulation, via partition refinement over reachability.  The states
+    of a strongly connected component reach the same states, so what they
+    reach is gathered once per component, each after the components it
+    leads to: observables as unions, classes as bitmasks."""
     if graph.truncated:
         raise TruncatedError("bisimulation needs a complete graph")
-    n = len(graph.states)
-    reach = [sorted(graph.reachable(i)) for i in range(n)]
-    # each state's own observables, read once
-    success = [has_success(s) for s in graph.states] if "success" in observables else None
-    barb_sets = [barbs(s) for s in graph.states] if "barbs" in observables else None
+    components = lts.components(range(len(graph.states)), graph.successors)
+    comp = [0] * len(graph.states)
+    for c, members in enumerate(components):
+        for i in members:
+            comp[i] = c
+    below = [{comp[j] for i in members for _, j in graph.successors(i)} - {c} for c, members in enumerate(components)]
 
-    def observable_key(i: int):
-        key = []
-        if success is not None:
-            key.append(any(success[k] for k in reach[i]))
-        if barb_sets is not None:
-            weak = set().union(*(barb_sets[k] for k in reach[i]))
-            key.append(tuple(sorted(b.describe() for b in weak)))
-        return tuple(key)
+    def gather(own, join):
+        """own(c) joined with the gathered value of every component below c."""
+        out = []
+        for c in range(len(components)):
+            value = own(c)
+            for d in below[c]:
+                value = join(value, out[d])
+            out.append(value)
+        return out
 
     def ranks(keys: list) -> list[int]:
         """Each key's place among the distinct keys in sorted order."""
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         return [rank[k] for k in keys]
 
-    classes = ranks([observable_key(i) for i in range(n)])
+    keys: list[list] = [[] for _ in components]
+    if "success" in observables:
+        success = gather(lambda c: any(has_success(graph.states[i]) for i in components[c]), bool.__or__)
+        for key, flag in zip(keys, success):
+            key.append(flag)
+    if "barbs" in observables:
+        weak = gather(lambda c: {b.describe() for i in components[c] for b in barbs(graph.states[i])}, set.union)
+        for key, seen in zip(keys, weak):
+            key.append(tuple(sorted(seen)))
+    classes = ranks([tuple(keys[c]) for c in comp])
     while True:
-        signature = [tuple(sorted({classes[k] for k in reach[i]} | {classes[i]})) for i in range(n)]
-        refined = ranks([(classes[i], signature[i]) for i in range(n)])
+        # the classes each component reaches, as a bitmask; a signature is
+        # compared as the sorted tuple of its classes
+        reached = gather(lambda c: sum({1 << classes[i] for i in components[c]}), int.__or__)
+        tuples = {mask: tuple(k for k in range(mask.bit_length()) if mask >> k & 1) for mask in set(reached)}
+        refined = ranks([(classes[i], tuples[reached[comp[i]]]) for i in range(len(comp))])
         if refined == classes:
             return classes
         classes = refined

@@ -132,6 +132,15 @@ def test_safety_and_df_honour_bounds(fixture_dir, capsys):
         assert code == 3
 
 
+def test_negative_max_steps_is_a_usage_error(fixture_dir, capsys):
+    # a negative step budget used to run no step and exit 0
+    code, out = run(capsys, "--json", "simulate", str(fixture_dir / "ping.mcmp"), "--max-steps", "-3")
+    assert code == 2 and json.loads(out) == {"error": "--max-steps must not be negative"}
+    assert run(capsys, "simulate", str(fixture_dir / "ping.mcmp"), "--max-steps", "-1")[0] == 2
+    code, out = run(capsys, "--json", "simulate", str(fixture_dir / "ping.mcmp"), "--max-steps", "0")
+    assert code == 0 and json.loads(out)["trace"] == []
+
+
 def test_deep_nesting_is_truncation_not_traceback(tmp_path):
     # a 1200-message chain nests deeper than the recursion limit
     n = 1200
@@ -305,6 +314,10 @@ def _contract_cases():
     for name in sorted(corpus.CMV):
         path = f"{name}.cmv"
         yield from (["cmv", "check", path], ["cmv", "encode", path], ["verify-encoding", path, "--via", "lcmv-mcbs"])
+    # bounds out of range are usage errors
+    yield ["simulate", "ping.mcmp", "--max-steps", "-3"]
+    yield ["safety", "ping.mcmp", "--max-states", "0"]
+    yield ["detect", "ping.mcmp", "--pattern", "m", "--max-depth", "-1"]
 
 
 @pytest.mark.parametrize("argv", list(_contract_cases()), ids=" ".join)
@@ -318,4 +331,8 @@ def test_cli_contract(fixture_dir, capsys, argv):
     if code == 1:
         witnessed = any(data.get(key) for key in ("errors", "witness", "failures", "error"))
         assert witnessed or (argv[1] == "detect" and data["found"] is False), out
+    # a bound below its least value is a usage error with a message
+    least = {"--max-steps": 0, "--max-states": 1, "--max-depth": 1}
+    if any(a in least and int(b) < least[a] for a, b in zip(argv, argv[1:])):
+        assert code == 2 and data["error"], out
     assert run(capsys, *argv) == (code, out)

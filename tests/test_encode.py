@@ -11,7 +11,22 @@ from mcmp.encode import (
     verify_correspondence,
     verify_name_invariance,
 )
-from mcmp.syntax import McmpError, parse_ltype, parse_session, render_process, render_session
+from mcmp.syntax import (
+    TT,
+    Branch,
+    Choice,
+    McmpError,
+    Nil,
+    Prefix,
+    ProcVar,
+    Rec,
+    Session,
+    Success,
+    parse_ltype,
+    parse_session,
+    render_process,
+    render_session,
+)
 
 
 def test_build_order_worked_example():
@@ -380,6 +395,111 @@ def test_weak_bisim_classes_match_per_pair_reference_on_encoded_graphs(enc_id):
         joint = semantics.explore_many([run_encode(s, enc_id) for s in states])
         assert not joint.truncated and len(joint.states) >= len(states)
         _assert_classes_match_reference(joint)
+
+
+def _cyclic_session(rng):
+    """Two independent pairs, each a random mirrored choice tree whose
+    leaves now and then jump back to its start, so that the graph has
+    cycles; now and then a receiver lacks a branch, so some states are
+    stuck."""
+
+    def pair(p, q, depth):
+        if depth < 3 and (depth == 0 or rng.random() < 0.3):
+            return rng.choice([(ProcVar("X"), ProcVar("Y"))] * 2 + [(Success(), Nil()), (Nil(), Nil())])
+        branches = {p: [], q: []}
+        for label in rng.sample(["a", "b", "c"], rng.randint(1, 2)):
+            sender, receiver = (p, q) if rng.random() < 0.5 else (q, p)
+            conts = dict(zip((p, q), pair(p, q, depth - 1)))
+            branches[sender].append(Branch(Prefix(receiver, "!", label, payload=TT), conts[sender]))
+            if rng.random() < 0.85:
+                branches[receiver].append(Branch(Prefix(sender, "?", label, var="x"), conts[receiver]))
+        return tuple(Choice(tuple(branches[r])) if branches[r] else Nil() for r in (p, q))
+
+    parts = []
+    for p, q in (("p", "q"), ("r", "s")):
+        pp, qq = pair(p, q, 3)
+        parts += [(p, Rec("X", pp) if isinstance(pp, Choice) else pp), (q, Rec("Y", qq) if isinstance(qq, Choice) else qq)]
+    return Session(tuple(parts))
+
+
+def test_weak_bisim_classes_match_per_pair_reference_on_cyclic_graphs():
+    rng = random.Random(4202)
+    cyclic = 0
+    for _ in range(80):
+        graph = semantics.explore(_cyclic_session(rng), max_states=300)
+        if graph.truncated:
+            continue
+        _assert_classes_match_reference(graph)
+        cyclic += graph.has_cycle()
+    assert cyclic >= 20
+
+
+def first_stranded_by_search(joint, classes, start, done_classes):
+    """The soundness loop as it was: one breadth-first search for a done
+    state from each state reachable from start, in reachable(start) order."""
+    for n in joint.reachable(start):
+        if joint.distance(n, lambda k: classes[k] in done_classes) is None:
+            return n
+    return None
+
+
+def _soundness(source, targets):
+    """The soundness failure _correspondence reports when each source state
+    translates to targets[i], with the old loop's answer."""
+    report = encode._correspondence(encode.encoding("scbs-bs"), source, lambda s: targets[source.states.index(s)],
+                                    semantics.has_success, lambda _: [], 1000, 100)
+    found = [f["stranded_target_state"] for f in report.failures if f["criterion"] == "soundness"]
+    joint = semantics.explore_many(targets, max_states=1000, max_depth=100)
+    classes = semantics.weak_bisim_classes(joint)
+    done = {classes[n] for n in joint.roots}
+    expected = first_stranded_by_search(joint, classes, joint.roots[source.root], done)
+    assert report.soundness == (expected is None)
+    return found, expected
+
+
+def test_soundness_reports_first_stranded_state():
+    source = semantics.explore(parse_session("role p = q!a(tt).ok role q = p?a(x).0"))
+    # the root's translation may also take b, after which success is out of
+    # reach: no translated source state is bisimilar to that state
+    targets = [parse_session("role p = r!c(tt).(q!a(tt).ok + q!b(tt).0) role q = p?a(x).0 + p?b(x).0 role r = p?c(x).0"),
+               parse_session("role p = ok role q = 0 role r = 0")]
+    found, expected = _soundness(source, targets)
+    assert expected is not None and found == [expected]
+    joint = semantics.explore_many(targets)
+    assert joint.states[expected] == parse_session("role p = 0 role q = 0 role r = 0")
+    # several stranded states: the first in reachable(start) order counts,
+    # not the lowest number, which the second root reaches
+    targets[1] = parse_session("role p = q!e(tt).ok + q!f(tt).0 role q = p?e(x).0 + p?f(x).0 role r = p?z(x).0")
+    found, expected = _soundness(source, targets)
+    assert found == [expected] and expected is not None
+    joint = semantics.explore_many(targets)
+    classes = semantics.weak_bisim_classes(joint)
+    done = {classes[n] for n in joint.roots}
+    stranded = [n for n in range(len(joint.states)) if joint.distance(n, lambda k: classes[k] in done) is None]
+    assert min(stranded) < expected
+    # q takes anything; a stranded state that the second root finds first
+    # lies deeper from the start than another one
+    anything = "rec Y.(p?a(x).Y + p?b(x).Y + p?c(x).Y + p?d(x).Y + p?e(x).Y)"
+    targets = [parse_session(f"role p = q!c(tt).(q!d(tt).s!a(tt).0 + q!e(tt).q!a(tt).0 + q!b(tt).ok) role q = {anything}"),
+               parse_session(f"role p = q!a(tt).0 + q!b(tt).ok role q = {anything}")]
+    found, expected = _soundness(source, targets)
+    joint = semantics.explore_many(targets)
+    reach = joint.reachable(joint.roots[0])
+    assert found == [expected] and reach.index(expected) < reach.index(expected - 1)
+
+
+def test_soundness_matches_search_on_random_translations():
+    rng = random.Random(4203)
+    sources = [semantics.explore(parse_session(text)) for text in (
+        "role p = 0", "role p = q!a(tt).ok role q = p?a(x).0",
+        "role p = q!a(tt).0 + q!b(tt).ok role q = p?a(x).0 + p?b(x).0")]
+    stranded = 0
+    for _ in range(60):
+        source = rng.choice(sources)
+        found, expected = _soundness(source, [_cyclic_session(rng) for _ in source.states])
+        assert found == ([] if expected is None else [expected])
+        stranded += expected is not None
+    assert 5 <= stranded <= 55
 
 
 def test_correspondence_trivial_on_nil():

@@ -529,6 +529,69 @@ def test_exploration_keeps_no_term_alive():
 
 
 # ---------------------------------------------------------------------------
+# a state keeps the terms of the path that found it
+
+
+def _reference_dot(ms):
+    """The DOT text of the reference graph of ms."""
+    states, edges, roots, truncated = reference_explore(ms)
+    return semantics.StateGraph(states, edges, roots, truncated, [], [], []).to_dot()
+
+
+def test_merged_state_keeps_first_paths_terms(tmp_path):
+    # after a and after b, p holds alpha-equivalent sums with their summands
+    # swapped: one state, which keeps a's sum, found first
+    text = ("role p = q!a(tt).(r!x(tt).0 + r!y(ff).0) + q!b(tt).(r!y(ff).0 + r!x(tt).0)\n"
+            "role q = p?a(v).0 + p?b(v).0\n"
+            "role r = p?x(v).0 + p?y(v).ok\n")
+    m = syntax.parse_session(text)
+    _assert_same_graph([m])
+    g = semantics.explore(m)
+    assert len(g.states) == 4 and [d for _, _, d in g.edges[:2]] == [1, 1]
+    kept = g.states[1].process_of("p")
+    assert syntax.render_process(kept) == "r!x(tt).0 + r!y(ff).0"
+    assert [(s.label, s.sender_branch) for s, _ in g.successors(1)] == [("x", 0), ("y", 1)]
+    path = tmp_path / "swapped.mcmp"
+    path.write_text(text)
+    dot = tmp_path / "g.dot"
+    from mcmp import cli
+    assert cli.main(["detect", str(path), "--pattern", "m", "--dot", str(dot)]) == 1
+    assert dot.read_text().rstrip("\n") == _reference_dot([m]) == g.to_dot()
+    assert 's1 [label="p<r!x(tt).0 + r!y(ff).0> | r<' in dot.read_text()
+
+    delta = LocalContext((
+        ("p", syntax.parse_ltype("q!a(bool).(r!x(bool).end + r!y(nat).end) + q!b(bool).(r!y(nat).end + r!x(bool).end)")),
+        ("q", syntax.parse_ltype("p?a(bool).end + p?b(bool).end")),
+        ("r", syntax.parse_ltype("p?x(bool).end + p?y(nat).end")),
+    ))
+    _assert_same_contexts(delta)
+    g = ltypes.explore_contexts(delta)
+    assert len(g.contexts) == 3
+    assert ltypes.render_type(g.contexts[1].type_of("p")) == "r!x(bool).end + r!y(nat).end"
+    assert [a.label for a, _ in g.successors(1)] == ["x", "y"]
+
+
+def test_roots_with_other_participants_merge_nil_and_absent():
+    two = syntax.parse_session("role p = q!a(tt).0\nrole q = p?a(v).0")
+    # r is nil here and absent in two; q and p come in the other order
+    three = syntax.parse_session("role q = p?a(w).0\nrole p = q!a(tt).0\nrole r = 0")
+    # a third party that finishes after p and q reaches their final state
+    relay = syntax.parse_session("role p = q!a(tt).r!b(ff).0\nrole q = p?a(v).0\nrole r = p?b(v).0")
+    ms = [two, three, relay]
+    _assert_same_graph(ms)
+    g = semantics.explore_many(ms)
+    assert g.roots == [0, 0, 1]
+    assert [syntax.canon_session(s) for s in g.states].count(syntax.canon_session(Session(()))) == 1
+    assert g.states[0] == two and g.states[1] == relay
+    # the final state is found from the first root, with its participants
+    done = [i for i in range(len(g.states)) if not g.successors(i)]
+    assert done == [2] and g.states[2].participants() == ("p", "q")
+    assert (1, "p->q:a(tt)") in [(i, s.describe()) for i, s, _ in g.edges]
+    _assert_same_graph([relay, three, two])
+    assert semantics.explore_many([relay, three, two]).roots == [0, 1, 1]
+
+
+# ---------------------------------------------------------------------------
 # resolve
 
 

@@ -300,10 +300,10 @@ def ref_canon(p):
 
 
 def ref_explore(p, max_states):
-    def transitions(q, _):
+    def transitions(q):
         return [(step, ref_canon(succ), succ) for step, succ in lcmv.cmv_enabled(q)]
 
-    return lts.explore([(ref_canon(p), p)], transitions, lambda q, _: (q, None), max_states)
+    return lts.explore([(ref_canon(p), p)], transitions, lambda q, _: q, max_states)
 
 
 # ---------------------------------------------------------------------------

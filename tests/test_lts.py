@@ -15,13 +15,13 @@ def explore(successors, roots=(0,), **bounds):
     called for, in order."""
     built = []
 
-    def step(s, _):
+    def step(s):
         return [((s, t), t, t) for t in successors(s)]
 
     def build(seed, key):
         assert seed == key
         built.append(key)
-        return seed, None
+        return seed
 
     return lts.explore([(r, r) for r in roots], step, build, **bounds), built
 
@@ -191,3 +191,38 @@ def test_topological_order_respects_every_edge_of_a_random_dag():
     for s in order:
         for t in adjacency[s]:
             assert position[s] < position[t]
+
+
+def test_components_against_mutual_reachability():
+    rng = random.Random(5151)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        adjacency = {s: [rng.randrange(n) for _ in range(rng.randint(0, 3))] for s in range(n)}
+        successors = edges(lambda s: adjacency[s])
+        starts = rng.sample(range(n), rng.randint(1, n))
+        comps = lts.components(starts, successors)
+        reach = {s: {j for j, _ in lts._bfs([s], successors)} for s in range(n)}
+        place = {s: k for k, comp in enumerate(comps) for s in comp}
+        assert sorted(place) == sorted(set().union(*(reach[s] for s in starts)))
+        assert sum(map(len, comps)) == len(place)
+        for s in place:
+            for t in place:
+                assert (place[s] == place[t]) == (t in reach[s] and s in reach[t])
+                if t in reach[s]:
+                    assert place[t] <= place[s]  # a component comes after those it leads to
+    # a cycle through a chain deeper than the recursion limit is one component
+    assert lts.components([0], edges(lambda s: [(s + 1) % N])) == [list(range(N))]
+
+
+def test_states_are_made_when_first_read():
+    made = []
+
+    def view(work):
+        made.append(work)
+        return ("state", work)
+
+    states = lts.States([3, 1, 2], view)
+    assert len(states) == 3 and made == []
+    assert states[1] == ("state", 1) and states[1] is states[1] and made == [1]
+    assert states == [("state", 3), ("state", 1), ("state", 2)] and made == [1, 3, 2]
+    assert [0] + states == [0, ("state", 3), ("state", 1), ("state", 2)]
