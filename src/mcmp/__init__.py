@@ -1,3 +1,3 @@
 """Workbench for mixed-choice multiparty session calculi."""
 
-__all__ = ["syntax", "lts", "semantics", "ltypes", "typecheck", "encode", "lcmv", "patterns", "corpus"]
+__all__ = ["syntax", "lts", "semantics", "ltypes", "typecheck", "encode", "lcmv", "patterns"]

@@ -144,7 +144,67 @@ class _OrderView:
 
 
 # ---------------------------------------------------------------------------
-# process translation
+# translation tables, written once for processes and for types
+
+
+class _Tables:
+    """The o and i tables of the in-family encodings, with oi the o table
+    applied to the top layer of the choice the i table builds (that choice
+    is always separate).  A subclass supplies what the tables build with:
+    choice(branches); head(b), a branch's peer and polarity; with_cont(b,
+    cont); the announcements send(q, label, cont) and recv(q, label, cont);
+    guard(q, outs), the o table's outputs; and walk(term, view), which
+    translates a continuation."""
+
+    def __init__(self, style: str):
+        self.style = style
+
+    def translate_choice(self, branches: tuple, view: _OrderView):
+        if self.style == "per-peer":
+            groups: dict[str, list] = {}
+            for b in branches:
+                groups.setdefault(self.head(b)[0], []).append(b)
+            out: list = []
+            for q, group in groups.items():
+                out.extend(self.table(group, q, "i", view))
+            return self.choice(tuple(out))
+        peers = {self.head(b)[0] for b in branches}
+        if len(peers) != 1:
+            raise McmpError(self.SEVERAL_PEERS)
+        return self.choice(self.table(branches, peers.pop(), self.style, view))
+
+    def table(self, branches, q: str, style: str, view: _OrderView) -> tuple:
+        """The branches that one choice toward q translates to."""
+        outs = [b for b in branches if self.head(b)[1] == "!"]
+        ins = [b for b in branches if self.head(b)[1] == "?"]
+        if style == "o" and outs and ins:
+            raise McmpError(self.MIXED)
+        # the order is read, then the inputs translated, then the outputs:
+        # that fixes which of several faults in a choice is reported
+        less = style != "o" and view.less_than(q)
+        ins = tuple(self.with_cont(b, self.walk(b.cont, view)) for b in ins)
+        outs = tuple(self.with_cont(b, self.walk(b.cont, view)) for b in outs)
+        if style != "o":
+            top = self.i_table(outs, ins, q, less)
+            if style == "i":
+                return top
+            # oi: the o table on the top layer of the i table's choice
+            outs, ins = (top, ()) if self.head(top[0])[1] == "!" else ((), top)
+        # the o table
+        return self.guard(q, outs) if outs else (self.send(q, "enc_o", self.choice(ins)),)
+
+    def i_table(self, outs: tuple, ins: tuple, q: str, less: bool) -> tuple:
+        """The i table on a choice's translated outputs and inputs toward q;
+        less tells whether the choice's owner is below q."""
+        if outs and ins:
+            if less:
+                return outs + (self.send(q, "enc_i", self.choice(ins + (self.recv(q, "reset", self.choice(outs)),))),)
+            return ins + (self.recv(q, "enc_i", self.choice(outs)),)
+        if outs:
+            return outs if less else (self.recv(q, "enc_i", self.choice(outs)),)
+        if less:
+            return (self.send(q, "enc_i", self.choice(ins)),)
+        return ins + (self.recv(q, "enc_i", self.choice((self.send(q, "reset", self.choice(ins)),))),)
 
 
 def _dummy_var(cont: Process) -> str:
@@ -157,16 +217,20 @@ def _dummy_var(cont: Process) -> str:
     return f"w{n}"
 
 
-class _Encoder:
-    """One translation's memo: proc(p, view) is computed once per term and
-    view, so a continuation that a choice's translation repeats, or that
-    several translated sessions share, is one object."""
+class _Encoder(_Tables):
+    """One process translation's memo: walk(p, view) is computed once per
+    term and view, so a continuation that a choice's translation repeats,
+    or that several translated sessions share, is one object."""
+
+    SEVERAL_PEERS = "source choice addresses several participants; not in the source fragment"
+    MIXED = "separate-choice source required, found a mixed choice"
+    choice = Choice
 
     def __init__(self, style: str):
-        self.style = style
+        super().__init__(style)
         self._memo: dict[tuple[int, _OrderView], tuple[Process, Process]] = {}
 
-    def proc(self, p: Process, view: _OrderView) -> Process:
+    def walk(self, p: Process, view: _OrderView) -> Process:
         # an entry holds its term, so no id in a key is reused while it lives
         key = (id(p), view)
         hit = self._memo.get(key)
@@ -176,96 +240,71 @@ class _Encoder:
             case Nil() | Success() | ProcVar():
                 out = p
             case Rec(x, body):
-                out = Rec(x, self.proc(body, view))
+                out = Rec(x, self.walk(body, view))
             case Cond(g, t, e):
-                out = Cond(g, self.proc(t, view), self.proc(e, view))
-            case Choice():
-                out = self.choice(p, view)
+                out = Cond(g, self.walk(t, view), self.walk(e, view))
+            case Choice(branches):
+                out = self.translate_choice(branches, view)
             case _:
                 raise TypeError(p)
         self._memo[key] = (p, out)
         return out
 
-    def choice(self, c: Choice, view: _OrderView) -> Process:
-        if self.style == "per-peer":
-            groups: dict[str, list[Branch]] = {}
-            for b in c.branches:
-                groups.setdefault(b.prefix.target, []).append(b)
-            summands: list[Branch] = []
-            for q in groups:
-                translated = self.split_choice(groups[q], q, view, style="i")
-                assert isinstance(translated, Choice)
-                summands.extend(translated.branches)
-            return Choice(tuple(summands))
-        targets = {b.prefix.target for b in c.branches}
-        if len(targets) != 1:
-            raise McmpError("source choice addresses several participants; not in the source fragment")
-        (q,) = targets
-        return self.split_choice(list(c.branches), q, view, style=self.style)
+    @staticmethod
+    def head(b: Branch) -> tuple[str, str]:
+        return b.prefix.target, b.prefix.polarity
 
-    def split_choice(self, branches: list[Branch], q: str, view: _OrderView, style: str) -> Process:
-        outs = [b for b in branches if b.prefix.polarity == "!"]
-        ins = [b for b in branches if b.prefix.polarity == "?"]
+    @staticmethod
+    def with_cont(b: Branch, cont: Process) -> Branch:
+        return Branch(b.prefix, cont)
 
-        def t_out(bs) -> list[Branch]:
-            return [
-                Branch(Prefix(q, "!", b.prefix.label, payload=b.prefix.payload), self.proc(b.cont, view))
-                for b in bs
-            ]
+    @staticmethod
+    def send(q: str, label: str, cont: Process) -> Branch:
+        return Branch(Prefix(q, "!", label, payload=TT), cont)
 
-        def t_in(bs) -> list[Branch]:
-            return [
-                Branch(Prefix(q, "?", b.prefix.label, var=b.prefix.var), self.proc(b.cont, view))
-                for b in bs
-            ]
+    @staticmethod
+    def recv(q: str, label: str, cont: Process) -> Branch:
+        return Branch(Prefix(q, "?", label, var=_dummy_var(cont)), cont)
 
-        def recv(label: str, cont: Process) -> Branch:
-            return Branch(Prefix(q, "?", label, var=_dummy_var(cont)), cont)
+    def guard(self, q: str, outs: tuple) -> tuple:
+        # each output waits for its own announcement
+        return tuple(self.recv(q, "enc_o", Choice((b,))) for b in outs)
 
-        def send(label: str, cont: Process) -> Branch:
-            return Branch(Prefix(q, "!", label, payload=TT), cont)
 
-        if style == "o":
-            if outs and ins:
-                raise McmpError("separate-choice source required, found a mixed choice")
-            if outs:
-                return Choice(
-                    tuple(recv("enc_o", Choice((b,))) for b in t_out(outs))
-                )
-            return Choice((send("enc_o", Choice(tuple(t_in(ins)))),))
+class _TypeEncoder(_Tables):
+    SEVERAL_PEERS = "type choice addresses several participants; no translation given"
+    MIXED = "mixed choice type has no separate-choice translation"
+    choice = TChoice
 
-        if style == "i":
-            less = view.less_than(q)
-            if outs and ins:
-                if less:
-                    inner = Choice(tuple(t_in(ins)) + (recv("reset", Choice(tuple(t_out(outs)))),))
-                    return Choice(tuple(t_out(outs)) + (send("enc_i", inner),))
-                return Choice(tuple(t_in(ins)) + (recv("enc_i", Choice(tuple(t_out(outs)))),))
-            if outs:
-                if less:
-                    return Choice(tuple(t_out(outs)))
-                return Choice((recv("enc_i", Choice(tuple(t_out(outs)))),))
-            if less:
-                return Choice((send("enc_i", Choice(tuple(t_in(ins)))),))
-            return Choice(tuple(t_in(ins)) + (recv("enc_i", Choice((send("reset", Choice(tuple(t_in(ins)))),))),))
+    def walk(self, t: LocalType, view: _OrderView) -> LocalType:
+        match t:
+            case End() | TVar():
+                return t
+            case TRec(x, body):
+                return TRec(x, self.walk(body, view))
+            case TChoice(branches):
+                return self.translate_choice(branches, view)
+        raise TypeError(t)
 
-        assert style == "oi"
-        less = view.less_than(q)
-        if outs and ins:
-            if less:
-                inner = Choice(tuple(t_in(ins)) + (recv("reset", Choice(tuple(t_out(outs)))),))
-                guarded_outs = tuple(recv("enc_o", Choice((b,))) for b in t_out(outs))
-                return Choice(guarded_outs + (recv("enc_o", Choice((send("enc_i", inner),))),))
-            inner = Choice(tuple(t_in(ins)) + (recv("enc_i", Choice(tuple(t_out(outs)))),))
-            return Choice((send("enc_o", inner),))
-        if outs:
-            if less:
-                return Choice(tuple(recv("enc_o", Choice((b,))) for b in t_out(outs)))
-            return Choice((send("enc_o", Choice((recv("enc_i", Choice(tuple(t_out(outs)))),))),))
-        if less:
-            return Choice((recv("enc_o", Choice((send("enc_i", Choice(tuple(t_in(ins)))),))),))
-        inner = Choice(tuple(t_in(ins)) + (recv("enc_i", Choice((send("reset", Choice(tuple(t_in(ins)))),))),))
-        return Choice((send("enc_o", inner),))
+    @staticmethod
+    def head(b: TBranch) -> tuple[str, str]:
+        return b.target, b.polarity
+
+    @staticmethod
+    def with_cont(b: TBranch, cont: LocalType) -> TBranch:
+        return TBranch(b.target, b.polarity, b.label, b.payload, cont)
+
+    @staticmethod
+    def send(q: str, label: str, cont: LocalType) -> TBranch:
+        return TBranch(q, "!", label, "bool", cont)
+
+    @staticmethod
+    def recv(q: str, label: str, cont: LocalType) -> TBranch:
+        return TBranch(q, "?", label, "bool", cont)
+
+    def guard(self, q: str, outs: tuple) -> tuple:
+        # a well-formed type cannot repeat enc_o, so the outputs share one announcement
+        return (self.recv(q, "enc_o", TChoice(outs)),)
 
 
 def _check_no_reserved(m: Session) -> None:
@@ -289,7 +328,7 @@ def _translator(m: Session, e: EncodingId, order: dict[str, frozenset] | None = 
     slices = order if order is not None else build_order(m)
     views = {p: _OrderView(p, slices.get(p, frozenset())) for p in m.participants()}
     encoder = _Encoder(e.style)
-    return lambda s: Session(tuple((p, encoder.proc(proc, views[p])) for p, proc in s.parts))
+    return lambda s: Session(tuple((p, encoder.walk(proc, views[p])) for p, proc in s.parts))
 
 
 def encode(m: Session, enc_id: str | EncodingId, order: dict[str, frozenset] | None = None) -> Session:
@@ -301,106 +340,17 @@ def encode(m: Session, enc_id: str | EncodingId, order: dict[str, frozenset] | N
 
 def encode_process(proc: Process, participant: str, pairs: frozenset, enc_id: str | EncodingId) -> Process:
     e = encoding(enc_id) if isinstance(enc_id, str) else enc_id
-    return _Encoder(e.style).proc(proc, _OrderView(participant, pairs))
-
-
-# ---------------------------------------------------------------------------
-# type translation
-
-
-def _tchoice_target(branches: tuple[TBranch, ...]) -> str:
-    targets = {b.target for b in branches}
-    if len(targets) != 1:
-        raise McmpError("type choice addresses several participants; no translation given")
-    return next(iter(targets))
-
-
-def _enc_type_o(t: LocalType) -> LocalType:
-    match t:
-        case End() | TVar():
-            return t
-        case TRec(x, body):
-            return TRec(x, _enc_type_o(body))
-        case TChoice(branches):
-            q = _tchoice_target(branches)
-            pols = {b.polarity for b in branches}
-            if pols == {"!"}:
-                inner = TChoice(tuple(TBranch(q, "!", b.label, b.payload, _enc_type_o(b.cont)) for b in branches))
-                return TChoice((TBranch(q, "?", "enc_o", "bool", inner),))
-            if pols == {"?"}:
-                inner = TChoice(tuple(TBranch(q, "?", b.label, b.payload, _enc_type_o(b.cont)) for b in branches))
-                return TChoice((TBranch(q, "!", "enc_o", "bool", inner),))
-            raise McmpError("mixed choice type has no separate-choice translation")
-    raise TypeError(t)
-
-
-def _enc_type_i(t: LocalType, view: _OrderView) -> LocalType:
-    match t:
-        case End() | TVar():
-            return t
-        case TRec(x, body):
-            return TRec(x, _enc_type_i(body, view))
-        case TChoice(branches):
-            return TChoice(_shallow_i(branches, _tchoice_target(branches), view, _enc_type_i))
-    raise TypeError(t)
-
-
-def _enc_type_per_peer(t: LocalType, view: _OrderView) -> LocalType:
-    match t:
-        case End() | TVar():
-            return t
-        case TRec(x, body):
-            return TRec(x, _enc_type_per_peer(body, view))
-        case TChoice(branches):
-            groups: dict[str, list[TBranch]] = {}
-            for b in branches:
-                groups.setdefault(b.target, []).append(b)
-            out: list[TBranch] = []
-            for q, group in groups.items():
-                out.extend(_shallow_i(tuple(group), q, view, _enc_type_per_peer))
-            return TChoice(tuple(out))
-    raise TypeError(t)
-
-
-def _shallow_i(group: tuple[TBranch, ...], q: str, view: _OrderView, enc_cont) -> tuple[TBranch, ...]:
-    """The i-style translation of one choice toward q, its continuations
-    translated by enc_cont."""
-    outs = tuple(TBranch(q, "!", b.label, b.payload, enc_cont(b.cont, view)) for b in group if b.polarity == "!")
-    ins = tuple(TBranch(q, "?", b.label, b.payload, enc_cont(b.cont, view)) for b in group if b.polarity == "?")
-    less = view.less_than(q)
-    if outs and ins:
-        if less:
-            inner = TChoice(ins + (TBranch(q, "?", "reset", "bool", TChoice(outs)),))
-            return outs + (TBranch(q, "!", "enc_i", "bool", inner),)
-        return ins + (TBranch(q, "?", "enc_i", "bool", TChoice(outs)),)
-    if outs:
-        if less:
-            return outs
-        return (TBranch(q, "?", "enc_i", "bool", TChoice(outs)),)
-    if less:
-        return (TBranch(q, "!", "enc_i", "bool", TChoice(ins)),)
-    inner = TChoice((TBranch(q, "!", "reset", "bool", TChoice(ins)),))
-    return ins + (TBranch(q, "?", "enc_i", "bool", inner),)
+    return _Encoder(e.style).walk(proc, _OrderView(participant, pairs))
 
 
 def encode_types(delta: LocalContext, enc_id: str | EncodingId, order: dict[str, frozenset] | None = None) -> LocalContext:
+    """Translate each local type by the tables of the named encoding."""
     e = encoding(enc_id) if isinstance(enc_id, str) else enc_id
     if e.style == "lcmv":
         raise McmpError("no type translation is defined for lcmv-mcbs")
     slices = order if order is not None else order_of_context(delta)
-    entries = []
-    for p, t in delta.entries:
-        view = _OrderView(p, slices.get(p, frozenset()))
-        if e.style == "o":
-            entries.append((p, _enc_type_o(t)))
-        elif e.style == "i":
-            entries.append((p, _enc_type_i(t, view)))
-        elif e.style == "per-peer":
-            entries.append((p, _enc_type_per_peer(t, view)))
-        else:
-            assert e.style == "oi"
-            entries.append((p, _enc_type_o(_enc_type_i(t, view))))
-    return LocalContext(tuple(entries))
+    encoder = _TypeEncoder(e.style)
+    return LocalContext(tuple((p, encoder.walk(t, _OrderView(p, slices.get(p, frozenset())))) for p, t in delta.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -259,31 +259,10 @@ def _subtype(a: LocalType, b: LocalType, assumed: set) -> bool:
 
 
 def types_equal(t1: LocalType, t2: LocalType) -> bool:
-    """Equality of the infinite unfoldings (both-way block-exact relation)."""
-    return _tequal(t1, t2, set())
-
-
-def _tequal(a: LocalType, b: LocalType, assumed: set) -> bool:
-    key = (a, b)
-    if key in assumed:
-        return True
-    assumed.add(key)
-    if isinstance(a, TRec):
-        return _tequal(unfold(a), b, assumed)
-    if isinstance(b, TRec):
-        return _tequal(a, unfold(b), assumed)
-    if isinstance(a, End) and isinstance(b, End):
-        return True
-    if isinstance(a, TVar) or isinstance(b, TVar):
-        return a == b
-    if isinstance(a, TChoice) and isinstance(b, TChoice):
-        ka = {(x.target, x.polarity, x.label, x.payload) for x in a.branches}
-        kb = {(x.target, x.polarity, x.label, x.payload) for x in b.branches}
-        if ka != kb:
-            return False
-        bb = {(x.target, x.polarity, x.label): x for x in b.branches}
-        return all(_tequal(x.cont, bb[(x.target, x.polarity, x.label)].cont, assumed) for x in a.branches)
-    return False
+    """Equality of the infinite unfoldings: subtyping both ways, which is
+    antisymmetric on well-formed types.  Ill-formed types raise ValueError,
+    as in subtype."""
+    return subtype(t1, t2) and subtype(t2, t1)
 
 
 def context_subtype(d1: LocalContext, d2: LocalContext) -> bool:

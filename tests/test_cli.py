@@ -6,16 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from mcmp import cli, corpus, encode
+from mcmp import cli, encode
+
+import corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
-def fixture_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fixtures")
-    corpus.write_fixtures(root)
-    return root
+def fixture_dir():
+    return corpus.FIXTURES
 
 
 def run(capsys, *argv):
@@ -46,8 +46,8 @@ def test_check_p11_fails_with_type_errors(fixture_dir, capsys):
     assert not data["ok"] and data["errors"]
 
 
-def test_parse_error_is_usage(fixture_dir, capsys):
-    bad = fixture_dir / "bad.mcmp"
+def test_parse_error_is_usage(tmp_path, capsys):
+    bad = tmp_path / "bad.mcmp"
     bad.write_text("role p = q!enc_o(tt).0\n")
     code, _ = run(capsys, "check", str(bad))
     assert code == 2
@@ -301,7 +301,7 @@ def test_json_output_independent_of_earlier_parses(fixture_dir, capsys):
 def _contract_cases():
     """Every command on every fixture, every encoding for encode and
     verify-encoding, with the fixture given by file name."""
-    for name in sorted({**corpus.SESSIONS, **corpus.UNTYPED}):
+    for name in sorted(corpus.SESSIONS + corpus.UNTYPED):
         path = f"{name}.mcmp"
         for command in ("check", "safety", "df", "simulate", "classify"):
             yield [command, path]

@@ -1,6 +1,6 @@
 import pytest
 
-from mcmp import corpus, lcmv, semantics, syntax
+from mcmp import lcmv, semantics, syntax
 from mcmp.cli import lcmv_correspondence
 from mcmp.lcmv import (
     CChoice,
@@ -17,16 +17,18 @@ from mcmp.lcmv import (
     render_cmv,
 )
 
+import corpus
+
 
 def test_parse_two_choice_session():
-    p = parse_cmv(corpus.CMV_PING)
+    p = parse_cmv(corpus.text("cmv_ping"))
     assert isinstance(p, CRes)
     comps = lcmv._components(p.body)
     assert len(comps) == 2 and all(isinstance(c, CChoice) for c in comps)
 
 
 def test_parse_m_witness():
-    p = parse_cmv(corpus.CMV_M_WITNESS)
+    p = parse_cmv(corpus.text("cmv_m_witness"))
     assert isinstance(p, CRes)
     assert len(lcmv._components(p.body)) == 4
 
@@ -42,14 +44,14 @@ def test_inner_restriction_rejected():
 
 
 def test_roundtrip():
-    for name, text in sorted(corpus.CMV.items()):
-        p = parse_cmv(text)
+    for name in corpus.CMV:
+        p = parse_cmv(corpus.text(name))
         again = parse_cmv(render_cmv(p))
         assert cmv_canon(p) == cmv_canon(again), name
 
 
 def test_reduce_ping():
-    p = parse_cmv(corpus.CMV_PING)
+    p = parse_cmv(corpus.text("cmv_ping"))
     succs = reduce_cmv(p)
     assert len(succs) == 1
     assert cmv_canon(succs[0]) == cmv_canon(parse_cmv("(new x y)(0)"))
@@ -66,7 +68,7 @@ def test_reduce_conditional():
 
 
 def test_m_witness_has_three_plus_steps_and_conflicts():
-    p = parse_cmv(corpus.CMV_M_WITNESS)
+    p = parse_cmv(corpus.text("cmv_m_witness"))
     steps = cmv_enabled(p)
     # two senders x two receivers: four communication steps at the root
     assert len(steps) == 4
@@ -77,7 +79,7 @@ def test_m_witness_has_three_plus_steps_and_conflicts():
 
 
 def test_check_classifies_ping():
-    p = parse_cmv(corpus.CMV_PING)
+    p = parse_cmv(corpus.text("cmv_ping"))
     classes = check_cmv(p)
     comps = lcmv._components(p.body)
     x_choice = next(str(k) for k, c in enumerate(comps) if c.endpoint == "x")
@@ -89,7 +91,7 @@ def test_check_classifies_ping():
 
 def test_check_rejects_unmatched_inputs_both_sides():
     with pytest.raises(CmvTypeError):
-        check_cmv(parse_cmv(corpus.CMV_UNTYPABLE))
+        check_cmv(parse_cmv(corpus.text("cmv_untypable")))
 
 
 def test_check_rejects_parallel_endpoint_reuse():
@@ -98,7 +100,7 @@ def test_check_rejects_parallel_endpoint_reuse():
 
 
 def test_check_accepts_deadlocked_component():
-    p = parse_cmv(corpus.CMV_DEADLOCKED)
+    p = parse_cmv(corpus.text("cmv_deadlocked"))
     classes = check_cmv(p)
     assert classes
 
@@ -108,7 +110,7 @@ def test_check_inact_trivial():
 
 
 def test_encode_internal_output_clause():
-    p = parse_cmv(corpus.CMV_PING)
+    p = parse_cmv(corpus.text("cmv_ping"))
     enc = encode_lcmv_to_mcbs(p)
     assert syntax.render_process(enc.process_of("x")) == "y!l.o(tt).0"
     assert syntax.render_process(enc.process_of("y")) == "x?l.o(z).0"
@@ -124,7 +126,7 @@ def test_encode_internal_input_announces():
 
 
 def test_encode_deadlocked_is_nil():
-    p = parse_cmv(corpus.CMV_DEADLOCKED)
+    p = parse_cmv(corpus.text("cmv_deadlocked"))
     enc = encode_lcmv_to_mcbs(p)
     assert len(enc.parts) == 1
     assert isinstance(enc.parts[0][1], syntax.Nil)
@@ -132,14 +134,14 @@ def test_encode_deadlocked_is_nil():
 
 def test_encode_target_in_mcbs():
     for name in corpus.ENCODING_FIXTURES["lcmv-mcbs"]:
-        p = parse_cmv(corpus.CMV[name])
+        p = parse_cmv(corpus.text(name))
         enc = encode_lcmv_to_mcbs(p)
         assert "MCBS" in syntax.classify(enc), name
 
 
 def test_encode_success_sensitive_fixtures():
     for name in corpus.ENCODING_FIXTURES["lcmv-mcbs"]:
-        p = parse_cmv(corpus.CMV[name])
+        p = parse_cmv(corpus.text(name))
         src = explore_cmv(p)
         src_succ = any(cmv_has_success(s) for s in src.states)
         enc = encode_lcmv_to_mcbs(p)
@@ -150,14 +152,14 @@ def test_encode_success_sensitive_fixtures():
 def test_encode_is_deterministic_across_calls():
     # ok<n> participants and z<n> binders are numbered afresh by each call
     for name in corpus.ENCODING_FIXTURES["lcmv-mcbs"]:
-        p = parse_cmv(corpus.CMV[name])
+        p = parse_cmv(corpus.text(name))
         first = syntax.render_session(encode_lcmv_to_mcbs(p))
         assert syntax.render_session(encode_lcmv_to_mcbs(p)) == first, name
 
 
 def test_correspondence_on_lcmv_fixtures():
     for name in corpus.ENCODING_FIXTURES["lcmv-mcbs"]:
-        p = parse_cmv(corpus.CMV[name])
+        p = parse_cmv(corpus.text(name))
         report = lcmv_correspondence(p, max_states=5000, max_depth=128)
         assert report.passed(), (name, report.to_json())
         assert report.max_emulation_factor <= 2, name

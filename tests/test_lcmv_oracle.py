@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import pytest
 
-from mcmp import corpus, lcmv, lts, syntax
+from mcmp import lcmv, lts, syntax
 from mcmp.lcmv import CBranch, CChoice, CCond, CmvTypeError, CPar, CRes, CSuccess, Inact
 from mcmp.syntax import TT, BoolVal, Branch, Choice, McmpError, NatVal, Nil, Prefix, Session, Success, Var
+
+import corpus
 
 # ---------------------------------------------------------------------------
 # references
@@ -399,7 +401,7 @@ def corpus_programs(count=150, seed=20240607):
     return [gen.program() for _ in range(count)]
 
 
-PROGRAMS = list(corpus.CMV.values()) + HAND + corpus_programs()
+PROGRAMS = [corpus.text(name) for name in corpus.CMV] + HAND + corpus_programs()
 
 
 def _outcome(f, *args):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mcmp import corpus, ltypes
+from mcmp import ltypes
 from mcmp.ltypes import (
     End,
     LocalContext,
@@ -29,6 +29,7 @@ from mcmp.ltypes import (
 )
 from mcmp.syntax import parse_ltype
 
+import corpus
 from genutil import gen_rec_type, gen_type, widen
 
 
@@ -156,6 +157,52 @@ def test_subtype_rec_vs_unfolding():
     assert not types_equal(t, T("rec t.q!lx(bool).t"))
 
 
+def _tequal(a, b, assumed):
+    """Block-exact equality of the infinite unfoldings, the definition
+    types_equal had before it became subtyping both ways: its oracle."""
+    key = (a, b)
+    if key in assumed:
+        return True
+    assumed.add(key)
+    if isinstance(a, TRec):
+        return _tequal(unfold(a), b, assumed)
+    if isinstance(b, TRec):
+        return _tequal(a, unfold(b), assumed)
+    if isinstance(a, End) and isinstance(b, End):
+        return True
+    if isinstance(a, TVar) or isinstance(b, TVar):
+        return a == b
+    if isinstance(a, TChoice) and isinstance(b, TChoice):
+        ka = {(x.target, x.polarity, x.label, x.payload) for x in a.branches}
+        kb = {(x.target, x.polarity, x.label, x.payload) for x in b.branches}
+        if ka != kb:
+            return False
+        bb = {(x.target, x.polarity, x.label): x for x in b.branches}
+        return all(_tequal(x.cont, bb[(x.target, x.polarity, x.label)].cont, assumed) for x in a.branches)
+    return False
+
+
+def test_types_equal_matches_block_exact_oracle():
+    # subtyping is antisymmetric on well-formed types; each random type is
+    # put against itself, a widened copy, its unfolding and another type
+    rng = random.Random(8080)
+    labels = ["l1", "l2", "l3"]
+    outcomes = {True: 0, False: 0}
+    for _ in range(500):
+        t = gen_rec_type(rng, ["q", "r"], labels, 3)
+        for other in (t, widen(rng, t, labels), unfold(t), gen_rec_type(rng, ["q", "r"], labels, 3)):
+            got = types_equal(t, other)
+            assert got == _tequal(t, other, set()) == types_equal(other, t), (t, other)
+            outcomes[got] += 1
+    assert min(outcomes.values()) > 500
+
+
+def test_types_equal_rejects_ill_formed_types():
+    twice = TChoice((TBranch("q", "!", "l", "bool", End()), TBranch("q", "!", "l", "bool", End())))
+    with pytest.raises(ValueError):
+        types_equal(twice, End())
+
+
 def test_subtype_preorder_generated():
     rng = random.Random(99)
     labels = ["l1", "l2", "l3"]
@@ -269,6 +316,13 @@ def test_remark_pair_df_not_preserved_without_safety():
     assert is_deadlock_free(delta)[0]
     assert not is_deadlock_free(smaller)[0]
     assert not is_safe(delta)[0]  # the safety hypothesis of the lemma fails
+
+
+@pytest.mark.parametrize("name", corpus.SESSIONS)
+def test_frozen_safety_table(name):
+    _, delta = corpus.load(name)
+    assert is_safe(delta)[0] == (name in corpus.SAFE_DF + corpus.SAFE_NOT_DF)
+    assert is_deadlock_free(delta)[0] == (name in corpus.SAFE_DF + corpus.DF_NOT_SAFE)
 
 
 def test_safety_step_closed():

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from mcmp import corpus, lcmv, patterns, semantics, syntax
+from mcmp import lcmv, patterns, semantics, syntax
 from mcmp.patterns import detect_m, detect_star, is_electoral
 from mcmp.syntax import Nil, Session, classify, parse_session
 
+import corpus
 from genutil import all_binary_processes, gen_session
 
 
@@ -20,7 +21,7 @@ def test_m_witness_in_m_scmp():
 
 
 def test_m_witness_in_cmv_plus():
-    p = lcmv.parse_cmv(corpus.CMV_M_WITNESS)
+    p = lcmv.parse_cmv(corpus.text("cmv_m_witness"))
     w = detect_m(p)
     assert w is not None
     a, b, c = (set(cap) for cap in w.consumed)
@@ -206,8 +207,8 @@ def _agrees_with_reference(m, station, label):
 
 
 def test_electoral_matches_path_enumeration_on_corpus():
-    for name, text in sorted({**corpus.SESSIONS, **corpus.UNTYPED}.items()):
-        m, _ = syntax.parse_source(text)
+    for name in sorted(corpus.SESSIONS + corpus.UNTYPED):
+        m, _ = corpus.load(name)
         variants = [m] + [Session(tuple((n, Nil() if n == r else p) for n, p in m.parts)) for r, _ in m.parts]
         for v in variants:
             for station, label in [("station", "elect")] + _announcements(v):

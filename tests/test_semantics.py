@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mcmp import corpus, semantics, syntax
+from mcmp import semantics, syntax
 from mcmp.semantics import (
     apply_step,
     barbs,
@@ -22,6 +22,7 @@ from mcmp.semantics import (
 )
 from mcmp.syntax import McmpError, Nil, parse_session, struct_congruent
 
+import corpus
 from genutil import gen_session
 
 

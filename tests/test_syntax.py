@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mcmp import corpus, syntax
+from mcmp import syntax
 from mcmp.syntax import (
     TT,
     BoolVal,
@@ -32,6 +32,7 @@ from mcmp.syntax import (
     unfold_rec,
 )
 
+import corpus
 from genutil import gen_session
 
 
@@ -42,7 +43,7 @@ def test_parse_smallest_session():
 
 
 def test_parse_election_has_six_roles():
-    m = parse_session(corpus.ELECTION6)
+    m = parse_session(corpus.text("election6"))
     assert sorted(m.participants()) == ["a", "b", "c", "d", "e", "station"]
 
 

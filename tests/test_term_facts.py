@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from mcmp import corpus, encode, semantics, syntax
+from mcmp import encode, semantics, syntax
 from mcmp.syntax import (
     FF,
     TT,
@@ -29,6 +29,8 @@ from mcmp.syntax import (
     substitute_proc,
     substitute_value,
 )
+
+import corpus
 
 
 # ---------------------------------------------------------------------------

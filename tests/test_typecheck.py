@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mcmp import corpus, ltypes, semantics, typecheck
+from mcmp import ltypes, semantics, typecheck
 from mcmp.ltypes import End, LocalContext, TBranch, TChoice, TRec, TVar
 from mcmp.syntax import NatVal, TT, Var, parse_ltype, parse_process, parse_session, parse_source
 from mcmp.typecheck import (
@@ -17,6 +17,7 @@ from mcmp.typecheck import (
     type_value,
 )
 
+import corpus
 from genutil import widen
 
 
@@ -196,14 +197,14 @@ def test_weakening_to_wider_type():
 
 
 def test_label_error_session():
-    m, _ = parse_source(corpus.LABEL_ERROR)
+    m, _ = parse_source(corpus.text("label_error"))
     flag, witness = is_session_error(m)
     assert flag and witness["kind"] == "label-error"
     assert witness["sender"] == "p" and witness["receiver"] == "q"
 
 
 def test_label_ok_session():
-    m, _ = parse_source(corpus.LABEL_OK)
+    m, _ = parse_source(corpus.text("label_ok"))
     flag, _ = is_session_error(m)
     assert not flag
 
