@@ -209,15 +209,18 @@ def cmd_simulate(args) -> int:
     trace = []
     current = session
     for _ in range(args.max_steps):
-        steps = semantics.enabled_steps(current)
+        # resolved once, so that apply_step meets the terms, and their kept
+        # forms, that listed the step
+        resolved = semantics.resolve(current)
+        steps = semantics.enabled_steps(resolved)
         if not steps:
             break
         step = steps[0]
         trace.append(step.describe())
         if args.trace:
             _write(f"-> {step.describe()}\n")
-            _write(syntax.render_session(semantics.resolve(current)))
-        current = semantics.apply_step(current, step)
+            _write(syntax.render_session(resolved))
+        current = semantics.apply_step(resolved, step)
     # stuck, not terminated: no step is enabled, yet some participant is
     # neither inaction nor success
     stuck = not semantics.enabled_steps(current) and any(

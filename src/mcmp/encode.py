@@ -27,6 +27,7 @@ from .syntax import (
     Rec,
     Session,
     Success,
+    _fresh,
     choices,
     classify,
     free_names,
@@ -210,11 +211,7 @@ class _Tables:
 def _dummy_var(cont: Process) -> str:
     """The binder of a received value that cont ignores: the smallest w<n>
     not free in cont, so equal continuations get equal binders."""
-    free = free_names(cont)
-    n = 0
-    while f"w{n}" in free:
-        n += 1
-    return f"w{n}"
+    return _fresh("w", free_names(cont))
 
 
 class _Encoder(_Tables):

@@ -32,6 +32,7 @@ from .syntax import (
     Success,
     Value,
     Var,
+    _canon_value,
     _union,
     _with_value,
     _without,
@@ -41,11 +42,12 @@ from .syntax import (
 
 class _CmvTerm:
     """Base of the process nodes.  _free holds the node's free value
-    variables and _ends the endpoints of the choices in it, outside inner
-    restrictions.  Both stay unset until _facts first meets the node, and
-    take no part in ==, hash or repr."""
+    variables, _ends the endpoints of the choices in it, outside inner
+    restrictions, and _key its canonical form or None (see cmv_canon).  All
+    three stay unset until _free_of first meets the node, and take no part
+    in ==, hash or repr."""
 
-    __slots__ = ("_free", "_ends")
+    __slots__ = ("_free", "_ends", "_key")
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,65 +112,41 @@ _CMV_TOKENS = re.compile(
 )
 
 
-def _cmv_tokenize(text: str):
-    toks = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _CMV_TOKENS.match(text, pos)
-        if not m:
-            raise syntax.ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
-        if m.lastgroup in ("ws", "comment"):
-            chunk = m.group()
-            line += chunk.count("\n")
-            if "\n" in chunk:
-                bol = m.start() + chunk.rfind("\n") + 1
-        else:
-            toks.append((m.lastgroup if m.lastgroup != "punct" else m.group(), m.group(), line, pos - bol + 1))
-        pos = m.end()
-    toks.append(("eof", "", line, len(text) - bol + 1))
-    return toks
+class _CmvParser(syntax._Parser):
+    """The .cmv grammar over the session parser's tokens.  It has no
+    keywords: new, lin, un, if, then, else and ok are identifiers read by
+    their text, and tt and ff are values only where a value is expected, so
+    a label or a binder may take any of these names."""
 
-
-class _CmvParser:
     def __init__(self, text: str):
-        self.toks = _cmv_tokenize(text)
+        self.toks = syntax._tokenize(text, _CMV_TOKENS, ())
         self.i = 0
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind, text=None):
+    def _keyword(self, word: str) -> None:
         t = self.next()
-        if t[0] != kind or (text is not None and t[1] != text):
-            raise syntax.ParseError(f"expected {text or kind}, found {t[1]!r}", t[2], t[3])
-        return t
+        if t.kind != "ident" or t.text != word:
+            raise syntax.ParseError(f"expected {word}, found {t.text!r}", t.line, t.col)
 
     def parse_program(self) -> CmvProcess:
         self.expect("(")
         t = self.expect("ident")
-        if t[1] != "new":
-            raise syntax.ParseError("program must start with (new x y)", t[2], t[3])
-        x = self.expect("ident")[1]
-        y = self.expect("ident")[1]
+        if t.text != "new":
+            raise syntax.ParseError("program must start with (new x y)", t.line, t.col)
+        x = self.expect("ident").text
+        y = self.expect("ident").text
         if x == y:
-            raise syntax.ParseError("restriction binds two distinct endpoints", t[2], t[3])
+            raise syntax.ParseError("restriction binds two distinct endpoints", t.line, t.col)
         self.expect(")")
         self.expect("(")
         body = self.parse_par()
         self.expect(")")
-        if self.peek()[0] != "eof":
-            t = self.peek()
-            raise syntax.ParseError(f"unexpected trailing input {t[1]!r}", t[2], t[3])
+        if self.peek().kind != "eof":
+            raise self.error(f"unexpected trailing input {self.peek().text!r}")
         return CRes(x, y, body)
 
     def parse_par(self) -> CmvProcess:
         left = self.parse_single()
-        while self.peek()[0] == "|":
+        while self.peek().kind == "|":
             self.next()
             left = CPar(left, self.parse_single())
         return left
@@ -188,7 +166,7 @@ class _CmvParser:
                 if frame[0] == "if":
                     if frame[2] is None:
                         frame[2] = node
-                        self.expect("ident", "else")
+                        self._keyword("else")
                         break
                     pending.pop()
                     node = CCond(frame[1], frame[2], node)
@@ -198,7 +176,7 @@ class _CmvParser:
                     frame[2].append(CBranch(label, "!", payload=value, cont=node))
                 else:
                     frame[2].append(CBranch(label, "?", var=value, cont=node))
-                if self.peek()[0] == "+":
+                if self.peek().kind == "+":
                     self.next()
                     frame[3] = self._branch_head()
                     break
@@ -212,59 +190,47 @@ class _CmvParser:
         """Read a whole process, or open a choice or conditional on pending
         and return None."""
         t = self.peek()
-        if t[0] == "nat" and t[1] == "0":
+        if t.kind == "nat" and t.text == "0":
             self.next()
             return Inact()
-        if t[0] == "ident" and t[1] == "ok":
+        if t.kind == "ident" and t.text == "ok":
             self.next()
             return CSuccess()
-        if t[0] == "ident" and t[1] == "if":
+        if t.kind == "ident" and t.text == "if":
             self.next()
             guard = self.parse_value()
-            self.expect("ident", "then")
+            self._keyword("then")
             pending.append(["if", guard, None])
             return None
-        if t[0] == "ident" and t[1] == "lin":
+        if t.kind == "ident" and t.text == "lin":
             self.next()
-            endpoint = self.expect("ident")[1]
+            endpoint = self.expect("ident").text
             self.expect("(")
             pending.append(["lin", endpoint, [], self._branch_head()])
             return None
-        if t[0] == "ident" and t[1] == "un":
-            raise syntax.ParseError("unrestricted choices are outside the linear fragment", t[2], t[3])
-        if t[0] == "(":
+        if t.kind == "ident" and t.text == "un":
+            raise syntax.ParseError("unrestricted choices are outside the linear fragment", t.line, t.col)
+        if t.kind == "(":
             self.next()
             inner = self.parse_par()
             self.expect(")")
             return inner
-        raise syntax.ParseError(f"expected a process, found {t[1]!r}", t[2], t[3])
+        raise self.error(f"expected a process, found {t.text!r}")
 
     def _branch_head(self) -> tuple[str, str, Value | str]:
         """A branch up to its continuation: label, polarity, and the
         payload of an output or the variable of an input."""
-        label = self.expect("ident")[1]
+        label = self.expect("ident").text
         pol = self.next()
-        if pol[0] == "!":
+        if pol.kind == "!":
             payload = self.parse_value()
             self.expect(".")
             return label, "!", payload
-        if pol[0] == "?":
-            var = self.expect("ident")[1]
+        if pol.kind == "?":
+            var = self.expect("ident").text
             self.expect(".")
             return label, "?", var
-        raise syntax.ParseError("expected ! or ?", pol[2], pol[3])
-
-    def parse_value(self) -> Value:
-        t = self.next()
-        if t[0] == "nat":
-            return NatVal(int(t[1]))
-        if t[0] == "ident" and t[1] == "tt":
-            return TT
-        if t[0] == "ident" and t[1] == "ff":
-            return BoolVal(False)
-        if t[0] == "ident":
-            return Var(t[1])
-        raise syntax.ParseError(f"expected a value, found {t[1]!r}", t[2], t[3])
+        raise syntax.ParseError("expected ! or ?", pol.line, pol.col)
 
 
 def _children(p: CmvProcess) -> list[CmvProcess]:
@@ -348,53 +314,39 @@ def _free_of(p: CmvProcess) -> frozenset:
     try:
         return p._free
     except AttributeError:
-        _facts(p)
+        syntax._fill_slots(p, _children, _fill)
         return p._free
 
 
 def _ends_of(p: CmvProcess) -> frozenset:
     """The endpoints of the choices in p, outside inner restrictions."""
-    try:
-        return p._ends
-    except AttributeError:
-        _facts(p)
-        return p._ends
+    _free_of(p)
+    return p._ends
 
 
-def _facts(p: CmvProcess) -> None:
-    """Set _free and _ends on p and on every node below it that lacks them,
-    children first and without recursion.  A node with the same set as a
+def _fill(q: CmvProcess) -> None:
+    """Set q's slots from its children's.  A node with the same set as a
     child shares the child's set."""
-    todo = [p]
-    while todo:
-        q = todo[-1]
-        if hasattr(q, "_free"):  # met twice in a shared term
-            todo.pop()
-            continue
-        missing = [k for k in _children(q) if not hasattr(k, "_free")]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        free = ends = _NONE
-        match q:
-            case CChoice(endpoint, branches):
-                for b in branches:
-                    if b.polarity == "!":
-                        free = _union(free, _with_value(b.cont._free, b.payload))
-                    else:
-                        free = _union(free, _without(b.cont._free, b.var))
-                    ends = _union(ends, b.cont._ends)
-                if endpoint not in ends:
-                    ends = ends | {endpoint}
-            case CCond(g, t, e):
-                free, ends = _with_value(_union(t._free, e._free), g), _union(t._ends, e._ends)
-            case CPar(l, r):
-                free, ends = _union(l._free, r._free), _union(l._ends, r._ends)
-            case CRes(_, _, body):
-                free = body._free
-        object.__setattr__(q, "_free", free)
-        object.__setattr__(q, "_ends", ends)
+    free = ends = _NONE
+    match q:
+        case CChoice(endpoint, branches):
+            for b in branches:
+                if b.polarity == "!":
+                    free = _union(free, _with_value(b.cont._free, b.payload))
+                else:
+                    free = _union(free, _without(b.cont._free, b.var))
+                ends = _union(ends, b.cont._ends)
+            if endpoint not in ends:
+                ends = ends | {endpoint}
+        case CCond(g, t, e):
+            free, ends = _with_value(_union(t._free, e._free), g), _union(t._ends, e._ends)
+        case CPar(l, r):
+            free, ends = _union(l._free, r._free), _union(l._ends, r._ends)
+        case CRes(_, _, body):
+            free = body._free
+    object.__setattr__(q, "_free", free)
+    object.__setattr__(q, "_ends", ends)
+    object.__setattr__(q, "_key", None)  # no form kept yet
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +467,19 @@ _INACT_FORM = ("0",)
 _SUCCESS_FORM = ("ok",)
 
 
-def cmv_canon(p: CmvProcess, forms: dict | None = None) -> tuple:
+def cmv_canon(p: CmvProcess) -> tuple:
     """Canonical form up to structural congruence (commutativity and
     associativity of |, garbage collection of 0) and alpha-conversion.
 
-    A bound variable is ("b", i) for the binder i binders further out (a de
-    Bruijn index), so a subterm that uses no binder around it has one form
-    wherever it sits.  forms memoises the forms of such subterms by node:
-    explore_cmv keeps one for an exploration, and each entry holds its
-    node, so no id in a key is reused while the cache lives.  Computed
-    without recursion."""
-    if forms is None:
-        forms = {}
+    Values are formed as in syntax.canon_process, a bound variable by the
+    number of binders between it and its own (a de Bruijn index), so a
+    subterm that uses no binder around it has one form wherever it sits.
+    Such a subterm keeps its form, unless it is p itself, as a process node
+    does.  Computed without recursion."""
+    _free_of(p)  # every node below then has its slots set
     # todo holds (node, enclosing binders innermost last, count): a node is
     # visited (count None), then its subterms, then it is built from the
-    # last count forms in done
+    # last count entries of done
     done: list[tuple] = []
     todo: list[tuple] = [(p, (), None)]
     while todo:
@@ -543,27 +493,25 @@ def cmv_canon(p: CmvProcess, forms: dict | None = None) -> tuple:
                 items = []
                 for b, form in zip(q.branches, below):
                     if b.polarity == "!":
-                        items.append(("!", b.label, _value_form(b.payload, env), form))
+                        items.append(("!", b.label, _canon_value(b.payload, env), form))
                     else:
                         items.append(("?", b.label, form))
                 key = ("lin", q.endpoint, tuple(sorted(items)))
             elif kind is CCond:
-                key = ("if", _value_form(q.guard, env), below[0], below[1])
+                key = ("if", _canon_value(q.guard, env), below[0], below[1])
             elif kind is CRes:
                 key = ("res", tuple(sorted((q.x, q.y))), tuple(sorted(below)))
             else:
                 key = ("par", tuple(sorted(below)))
-            if not env:
-                forms[id(q)] = (q, key)
+            if not env and q is not p:
+                object.__setattr__(q, "_key", key)
             done.append(key)
             continue
-        if env and _free_of(q).isdisjoint(env):
+        if env and q._free.isdisjoint(env):
             env = ()
-        if not env:
-            hit = forms.get(id(q))
-            if hit is not None:
-                done.append(hit[1])
-                continue
+        if not env and q._key is not None:
+            done.append(q._key)
+            continue
         if kind is CChoice:
             todo.append((q, env, len(q.branches)))
             for b in reversed(q.branches):
@@ -583,40 +531,20 @@ def cmv_canon(p: CmvProcess, forms: dict | None = None) -> tuple:
     return done[0]
 
 
-def _value_form(v: Value, env: tuple) -> tuple:
-    if isinstance(v, Var):
-        for i in range(len(env) - 1, -1, -1):
-            if env[i] == v.name:
-                return ("b", len(env) - 1 - i)
-        return ("f", v.name)
-    if isinstance(v, NatVal):
-        return ("n", v.value)
-    return ("t", v.value)
-
-
 def cmv_has_success(p: CmvProcess) -> bool:
-    match p:
-        case CSuccess():
-            return True
-        case CPar(l, r):
-            return cmv_has_success(l) or cmv_has_success(r)
-        case CRes(_, _, body):
-            return cmv_has_success(body)
-        case _:
-            return False
+    """Some parallel component of p, under its restriction, is a success."""
+    return any(isinstance(c, CSuccess) for c in _components(p.body if isinstance(p, CRes) else p))
 
 
 def explore_cmv(p: CmvProcess, max_states: int = lts.DEFAULT_MAX_STATES, max_depth: int | None = None) -> lts.Graph:
     """Every state reachable from p within the bounds (see lts.explore),
-    identified by cmv_canon, in breadth-first order.  The forms of the
-    subterms that several states share are computed once per
-    exploration."""
-    forms: dict = {}
+    identified by cmv_canon, in breadth-first order.  A subterm that several
+    states share keeps its form, so the form is computed once."""
 
     def transitions(q: CmvProcess):
-        return [(step, cmv_canon(succ, forms), succ) for step, succ in cmv_enabled(q)]
+        return [(step, cmv_canon(succ), succ) for step, succ in cmv_enabled(q)]
 
-    return lts.explore([(cmv_canon(p, forms), p)], transitions, lambda q, _: q, max_states, max_depth)
+    return lts.explore([(cmv_canon(p), p)], transitions, lambda q, _: q, max_states, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -964,11 +892,7 @@ class _Translator:
 def _unused_z(b: CBranch) -> str:
     """The binder of the l.i announcement that external output branch b
     answers, whose value nobody reads: the smallest z<n> not free in b."""
-    taken = _with_value(_free_of(b.cont), b.payload)
-    n = 0
-    while f"z{n}" in taken:
-        n += 1
-    return f"z{n}"
+    return syntax._fresh("z", _with_value(_free_of(b.cont), b.payload))
 
 
 def check_cmv(p: CmvProcess) -> dict[str, str]:

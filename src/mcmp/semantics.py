@@ -14,12 +14,10 @@ from . import lts
 from .lts import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, TruncatedError
 from .syntax import (
     BoolVal,
-    Branch,
     Choice,
     Cond,
     McmpError,
     Nil,
-    Prefix,
     Process,
     Rec,
     Session,
@@ -198,44 +196,12 @@ def successor_keys(m: Session) -> list[tuple[Step, tuple]]:
 
 
 def apply_step(m: Session, step: Step) -> Session:
-    """The session after step, which must be enabled in m: the top-level
-    terms of the participants it consumes must offer what it names."""
+    """The session after step, which must be one of enabled_steps(m)."""
     r = resolve(m)
-    if step.kind in ("if-tt", "if-ff"):
-        proc = r.process_of(step.participant)
-        want = step.kind == "if-tt"
-        if not (
-            step.consumed == {step.participant}
-            and isinstance(proc, Cond)
-            and isinstance(proc.guard, BoolVal)
-            and proc.guard.value == want
-        ):
-            raise McmpError("step is not enabled")
-        return r.with_parts({step.participant: proc.then if want else proc.els})
-    pproc = r.process_of(step.sender)
-    qproc = r.process_of(step.receiver)
-    if not (
-        step.consumed == {step.sender, step.receiver}
-        and isinstance(pproc, Choice)
-        and isinstance(qproc, Choice)
-        and 0 <= step.sender_branch < len(pproc.branches)
-        and 0 <= step.receiver_branch < len(qproc.branches)
-    ):
-        raise McmpError("step is not enabled")
-    bp = pproc.branches[step.sender_branch]
-    bq = qproc.branches[step.receiver_branch]
-    if (
-        bp.prefix.polarity != "!"
-        or bq.prefix.polarity != "?"
-        or bp.prefix.target != step.receiver
-        or bq.prefix.target != step.sender
-        or bp.prefix.label != step.label
-        or bq.prefix.label != step.label
-        or bp.prefix.payload != step.payload
-    ):
-        raise McmpError("step is not enabled")
-    receiver_cont = substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)
-    return r.with_parts({step.sender: bp.cont, step.receiver: receiver_cont})
+    for _, enabled, procs, _ in _transitions(r):
+        if enabled == step:
+            return r.with_parts(procs)
+    raise McmpError("step is not enabled")
 
 
 # ---------------------------------------------------------------------------

@@ -204,26 +204,32 @@ _CLOSED: frozenset = frozenset()
 def free_names(proc: Process) -> frozenset:
     """The names free in proc: a value variable as itself, a process
     variable X as ("X", X).  Each node's set is computed once, children
-    first and without recursion; a node with the same names as a child
-    shares the child's set, and closed nodes share one empty set."""
+    first and without recursion (see _fill_slots); a node with the same
+    names as a child shares the child's set, and closed nodes share one
+    empty set."""
     try:
         return proc._free
     except AttributeError:
-        pass
-    todo = [proc]
+        _fill_slots(proc, _subterms, _fill_free)
+        return proc._free
+
+
+def _fill_slots(p, children, fill) -> None:
+    """Call fill on p and on every node below it whose _free slot is unset,
+    children first (children(node) lists a node's) and without recursion.
+    fill sets _free, so a node met twice in a shared term is filled once."""
+    todo = [p]
     while todo:
-        p = todo[-1]
-        if hasattr(p, "_free"):  # met twice in a shared term
+        q = todo[-1]
+        if hasattr(q, "_free"):  # met twice in a shared term
             todo.pop()
             continue
-        missing = [k for k in _subterms(p) if not hasattr(k, "_free")]
+        missing = [k for k in children(q) if not hasattr(k, "_free")]
         if missing:
             todo += missing
             continue
         todo.pop()
-        object.__setattr__(p, "_free", _node_free(p))
-        object.__setattr__(p, "_key", None)  # no form kept yet
-    return proc._free
+        fill(q)
 
 
 def _subterms(p: Process) -> list[Process]:
@@ -237,25 +243,25 @@ def _subterms(p: Process) -> list[Process]:
     return []
 
 
-def _node_free(p: Process) -> frozenset:
-    """free_names(p) from the sets of its subterms."""
+def _fill_free(p: Process) -> None:
+    """Set p's free names from the sets of its subterms, and no form yet."""
+    free = _CLOSED
     match p:
         case ProcVar(name):
-            return frozenset((("X", name),))
+            free = frozenset((("X", name),))
         case Rec(x, body):
-            return _without(body._free, ("X", x))
+            free = _without(body._free, ("X", x))
         case Cond(g, t, e):
-            return _with_value(_union(t._free, e._free), g)
+            free = _with_value(_union(t._free, e._free), g)
         case Choice(branches):
-            out = _CLOSED
             for b in branches:
                 pre = b.prefix
                 if pre.polarity == "!":
-                    out = _union(out, _with_value(b.cont._free, pre.payload))
+                    free = _union(free, _with_value(b.cont._free, pre.payload))
                 else:
-                    out = _union(out, _without(b.cont._free, pre.var))
-            return out
-    return _CLOSED
+                    free = _union(free, _without(b.cont._free, pre.var))
+    object.__setattr__(p, "_free", free)
+    object.__setattr__(p, "_key", None)  # no form kept yet
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -318,12 +324,16 @@ def substitute_value(proc: Process, value: Value, var: str) -> Process:
 def _rename_binder(old: str, body: Process) -> tuple[str, Process]:
     """A name old_<n> not free in body, with the smallest such n, and body
     with old renamed to it; the same body always gets the same name."""
-    free = free_names(body)
-    n = 0
-    while f"{old}_{n}" in free:
-        n += 1
-    new = f"{old}_{n}"
+    new = _fresh(f"{old}_", free_names(body))
     return new, substitute_value(body, Var(new), old)
+
+
+def _fresh(stem: str, taken) -> str:
+    """stem<n> for the smallest n that makes a name not in taken."""
+    n = 0
+    while f"{stem}{n}" in taken:
+        n += 1
+    return f"{stem}{n}"
 
 
 def substitute_proc(proc: Process, repl: Process, var: str) -> Process:
@@ -636,11 +646,13 @@ class _Tok:
     col: int
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str, pattern: re.Pattern = _TOKEN_RE, keywords=_KEYWORDS) -> list[_Tok]:
+    """The tokens of text under pattern, whose groups are named as in
+    _TOKEN_RE; an identifier in keywords is a 'kw' token."""
     toks: list[_Tok] = []
     pos, line, bol = 0, 1, 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
         col = pos - bol + 1
@@ -652,7 +664,7 @@ def _tokenize(text: str) -> list[_Tok]:
         elif m.lastgroup == "nat":
             toks.append(_Tok("nat", m.group(), line, col))
         elif m.lastgroup == "ident":
-            kind = "kw" if m.group() in _KEYWORDS else "ident"
+            kind = "kw" if m.group() in keywords else "ident"
             toks.append(_Tok(kind, m.group(), line, col))
         else:
             toks.append(_Tok(m.group(), m.group(), line, col))
@@ -708,10 +720,8 @@ class _Parser:
         t = self.next()
         if t.kind == "nat":
             return NatVal(int(t.text))
-        if t.kind == "kw" and t.text == "tt":
-            return TT
-        if t.kind == "kw" and t.text == "ff":
-            return FF
+        if t.text == "tt" or t.text == "ff":  # keywords here, identifiers in .cmv
+            return TT if t.text == "tt" else FF
         if t.kind == "ident":
             return Var(t.text)
         raise ParseError(f"expected a value, found {t.text!r}", t.line, t.col)

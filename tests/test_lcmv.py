@@ -204,3 +204,37 @@ def test_explore_cmv_canonical_merges_congruent():
     p = parse_cmv("(new x y)(0 | 0 | lin x (l!tt.0) | lin y (l?z.0))")
     q = parse_cmv("(new x y)(lin y (l?z.0) | lin x (l!tt.0))")
     assert cmv_canon(p) == cmv_canon(q)
+
+
+_CLASSIFIED = '{\n  "choices": {\n    "0": "external",\n    "1": "internal"\n  },\n  "ok": true\n}\n'
+
+
+def _rejected(message):
+    return (2, '{\n  "error": "%s"\n}\n' % message.replace('"', '\\"'), 2, message + "\n")
+
+
+# the .cmv grammar has no keywords: tt is a value only where a value is
+# expected, and then and else are matched by their text
+FRONT_END = [
+    ("(new x y)(lin x (tt!1.0) | lin y (tt?z.0))",
+     (0, _CLASSIFIED, 0, "role x = y?tt.i(z0).y!tt(1).0\nrole y = x!tt.i(tt).x?tt(z).0\n\n")),
+    ("(new x y)(lin x (a!1.0) | lin y (a?tt.0))",
+     (0, _CLASSIFIED, 0, "role x = y?a.i(z0).y!a(1).0\nrole y = x!a.i(tt).x?a(tt).0\n\n")),
+    ("(new x y)(if tt then 0 els 0)", _rejected("1:24: expected else, found 'els'")),
+    ("(new x y)(un x (l!tt.0) | lin y (l?z.0))", _rejected("1:11: unrestricted choices are outside the linear fragment")),
+    ("(new x x)(0)", _rejected("1:2: restriction binds two distinct endpoints")),
+    ("(new x y)(0) extra", _rejected("1:14: unexpected trailing input 'extra'")),
+]
+
+
+@pytest.mark.parametrize("text,expected", FRONT_END)
+def test_front_end_exit_codes_and_output(text, expected, tmp_path, capsys):
+    from mcmp import cli
+
+    path = tmp_path / "program.cmv"
+    path.write_text(text + "\n")
+    got = []
+    for argv in (["--json", "cmv", "check", str(path)], ["cmv", "encode", str(path)]):
+        got.append(cli.main(argv))
+        got.append(capsys.readouterr().out)
+    assert tuple(got) == expected

@@ -487,14 +487,27 @@ def test_forms_do_not_depend_on_sharing():
         return CChoice("x", (CBranch("a", "?", var="v", cont=q),
                              CBranch("b", "?", var="v", cont=CChoice("x", (CBranch("c", "?", var="w", cont=q),)))))
 
-    q = CChoice("x", (CBranch("d", "!", payload=Var("v"), cont=Inact()),))
-    copy = CChoice("x", (CBranch("d", "!", payload=Var("v"), cont=Inact()),))
-    dag = CRes("x", "y", shared(q))
-    tree = CRes("x", "y", CChoice("x", (CBranch("a", "?", var="v", cont=q),
-                                        CBranch("b", "?", var="v", cont=CChoice("x", (CBranch("c", "?", var="w", cont=copy),))))))
-    assert lcmv.cmv_canon(dag) == lcmv.cmv_canon(tree)
-    forms: dict = {}
-    assert lcmv.cmv_canon(tree, forms) == lcmv.cmv_canon(dag, forms)
+    def terms():
+        """A DAG that holds q twice, and a tree with a copy of q in the
+        second place, both fresh, so no node keeps a form yet."""
+        q = CChoice("x", (CBranch("d", "!", payload=Var("v"), cont=Inact()),))
+        copy = CChoice("x", (CBranch("d", "!", payload=Var("v"), cont=Inact()),))
+        dag = CRes("x", "y", shared(q))
+        tree = CRes("x", "y", CChoice("x", (CBranch("a", "?", var="v", cont=q),
+                                            CBranch("b", "?", var="v", cont=CChoice("x", (CBranch("c", "?", var="w", cont=copy),))))))
+        return q, copy, dag, tree
+
+    q, copy, dag, tree = terms()
+    dag_first = [lcmv.cmv_canon(dag), lcmv.cmv_canon(tree)]
+    _, _, dag2, tree2 = terms()
+    tree_first = [lcmv.cmv_canon(tree2), lcmv.cmv_canon(dag2)]
+    assert dag_first[0] == dag_first[1] == tree_first[0] == tree_first[1]
+    # q and its copy use v, which a binder around them binds everywhere
+    assert q._key is None and copy._key is None
+    # a closed subterm keeps its form; the term asked for does not
+    assert dag.body._key is not None and dag._key is None
+    # kept forms give the same answer again
+    assert [lcmv.cmv_canon(dag), lcmv.cmv_canon(tree)] == dag_first
     # and one that uses v at index 0 everywhere is a different term
     other = CRes("x", "y", CChoice("x", (CBranch("a", "?", var="v", cont=q),
                                          CBranch("b", "?", var="w", cont=CChoice("x", (CBranch("c", "?", var="v", cont=copy),))))))
@@ -507,11 +520,12 @@ def test_canonical_forms_agree_with_level_based_reference():
     states = []
     for text in PROGRAMS[:80]:
         states += lcmv.explore_cmv(lcmv.parse_cmv(text), max_states=50).states
-    forms: dict = {}
-    ours = [lcmv.cmv_canon(s, forms) for s in states]
+    ours = [lcmv.cmv_canon(s) for s in states]
     theirs = [ref_canon(s) for s in states]
     for (a, ra), (b, rb) in itertools.combinations(zip(ours, theirs), 2):
         assert (a == b) == (ra == rb)
+    # the states' nodes now keep their forms, which give the same answers
+    assert [lcmv.cmv_canon(s) for s in states] == ours
 
 
 def _chain(k):
