@@ -278,10 +278,17 @@ def cmd_verify(args) -> int:
 
 def cmd_detect(args) -> int:
     from . import patterns, semantics
-    session, _ = _load_session(args)
-    witness = patterns.detect_m(session) if args.pattern == "m" else patterns.detect_star(session)
-    graph = semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth)
-    _write_dot(args, graph)
+    cmv = args.file.endswith(".cmv")
+    if cmv and args.dot:
+        raise syntax.McmpError("--dot is not available for a .cmv program: detect draws only a session's state graph")
+    if cmv:
+        from . import lcmv
+        term = lcmv.parse_cmv(_read(args.file))
+    else:
+        term, _ = _load_session(args)
+    witness = patterns.detect_m(term) if args.pattern == "m" else patterns.detect_star(term)
+    if not cmv:
+        _write_dot(args, semantics.explore(term, max_states=args.max_states, max_depth=args.max_depth))
     if witness is None:
         _emit(args, {"found": False}, f"no {args.pattern} pattern")
         return FAIL

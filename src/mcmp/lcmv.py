@@ -35,19 +35,18 @@ from .syntax import (
     _canon_value,
     _union,
     _with_value,
-    _without,
     render_value,
 )
 
 
-class _CmvTerm:
-    """Base of the process nodes.  _free holds the node's free value
-    variables, _ends the endpoints of the choices in it, outside inner
-    restrictions, and _key its canonical form or None (see cmv_canon).  All
-    three stay unset until _free_of first meets the node, and take no part
-    in ==, hash or repr."""
+class _CmvTerm(syntax._Term):
+    """Base of the process nodes: a term node (see syntax._Term) whose _free
+    holds its free value variables, and whose _ends holds the endpoints of
+    the choices in it, outside inner restrictions.  All three slots stay
+    unset until _free_of first meets the node, and take no part in ==,
+    hash or repr."""
 
-    __slots__ = ("_free", "_ends", "_key")
+    __slots__ = ("_ends",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,27 +232,24 @@ class _CmvParser(syntax._Parser):
         raise syntax.ParseError("expected ! or ?", pol.line, pol.col)
 
 
-def _children(p: CmvProcess) -> list[CmvProcess]:
-    match p:
-        case CChoice(_, branches):
-            return [b.cont for b in branches]
-        case CCond(_, t, e):
-            return [t, e]
-        case CPar(l, r):
-            return [l, r]
-        case CRes(_, _, body):
-            return [body]
+def _scope(p: CmvProcess) -> list:
+    """p's subterms, each with the binder it sits under or None: an input's
+    variable.  A restriction binds endpoints, which forms keep as names."""
+    kind = type(p)
+    if kind is CChoice:
+        return [(b.cont, None if b.polarity == "!" else b.var) for b in p.branches]
+    if kind is CCond:
+        return [(p.then, None), (p.els, None)]
+    if kind is CPar:
+        return [(p.left, None), (p.right, None)]
+    if kind is CRes:
+        return [(p.body, None)]
     return []
 
 
 def _subterms(p: CmvProcess) -> list[CmvProcess]:
     """p and every term under it, in preorder, without recursion."""
-    out, todo = [], [p]
-    while todo:
-        q = todo.pop()
-        out.append(q)
-        todo.extend(reversed(_children(q)))
-    return out
+    return syntax._nodes(p, _scope)
 
 
 def parse_cmv(text: str) -> CmvProcess:
@@ -314,7 +310,7 @@ def _free_of(p: CmvProcess) -> frozenset:
     try:
         return p._free
     except AttributeError:
-        syntax._fill_slots(p, _children, _fill)
+        syntax._fill_slots(p, _scope, _fill)
         return p._free
 
 
@@ -327,23 +323,19 @@ def _ends_of(p: CmvProcess) -> frozenset:
 def _fill(q: CmvProcess) -> None:
     """Set q's slots from its children's.  A node with the same set as a
     child shares the child's set."""
-    free = ends = _NONE
+    free, ends = syntax._free_below(q, _scope), _NONE
+    if type(q) is not CRes:
+        for k, _ in _scope(q):
+            ends = _union(ends, k._ends)
     match q:
         case CChoice(endpoint, branches):
             for b in branches:
                 if b.polarity == "!":
-                    free = _union(free, _with_value(b.cont._free, b.payload))
-                else:
-                    free = _union(free, _without(b.cont._free, b.var))
-                ends = _union(ends, b.cont._ends)
+                    free = _with_value(free, b.payload)
             if endpoint not in ends:
                 ends = ends | {endpoint}
-        case CCond(g, t, e):
-            free, ends = _with_value(_union(t._free, e._free), g), _union(t._ends, e._ends)
-        case CPar(l, r):
-            free, ends = _union(l._free, r._free), _union(l._ends, r._ends)
-        case CRes(_, _, body):
-            free = body._free
+        case CCond(g, _, _):
+            free = _with_value(free, g)
     object.__setattr__(q, "_free", free)
     object.__setattr__(q, "_ends", ends)
     object.__setattr__(q, "_key", None)  # no form kept yet
@@ -469,66 +461,47 @@ _SUCCESS_FORM = ("ok",)
 
 def cmv_canon(p: CmvProcess) -> tuple:
     """Canonical form up to structural congruence (commutativity and
-    associativity of |, garbage collection of 0) and alpha-conversion.
+    associativity of |, garbage collection of 0) and alpha-conversion, made
+    and kept as a process's is (see syntax._canon_walk)."""
+    try:
+        key = p._key
+    except AttributeError:  # a node _free_of has not met yet
+        _free_of(p)
+        key = None
+    return syntax._canon_walk(p, _scope, _form) if key is None else key
 
-    Values are formed as in syntax.canon_process, a bound variable by the
-    number of binders between it and its own (a de Bruijn index), so a
-    subterm that uses no binder around it has one form wherever it sits.
-    Such a subterm keeps its form, unless it is p itself, as a process node
-    does.  Computed without recursion."""
-    _free_of(p)  # every node below then has its slots set
-    # todo holds (node, enclosing binders innermost last, count): a node is
-    # visited (count None), then its subterms, then it is built from the
-    # last count entries of done
-    done: list[tuple] = []
-    todo: list[tuple] = [(p, (), None)]
-    while todo:
-        q, env, count = todo.pop()
-        kind = type(q)
-        if count is not None:
-            cut = len(done) - count
-            below = done[cut:]
-            del done[cut:]
-            if kind is CChoice:
-                items = []
-                for b, form in zip(q.branches, below):
-                    if b.polarity == "!":
-                        items.append(("!", b.label, _canon_value(b.payload, env), form))
-                    else:
-                        items.append(("?", b.label, form))
-                key = ("lin", q.endpoint, tuple(sorted(items)))
-            elif kind is CCond:
-                key = ("if", _canon_value(q.guard, env), below[0], below[1])
-            elif kind is CRes:
-                key = ("res", tuple(sorted((q.x, q.y))), tuple(sorted(below)))
+
+def _form(q: CmvProcess, env: tuple, forms: list) -> tuple:
+    """q's form from its subterms' forms, under the binders env.  A
+    composition's form lists its parallel components' forms in sorted
+    order: those of nested compositions spliced in, and inaction dropped."""
+    kind = type(q)
+    if kind is CChoice:
+        items = []
+        for b, form in zip(q.branches, forms):
+            if b.polarity == "!":
+                items.append(("!", b.label, _canon_value(b.payload, env), form))
             else:
-                key = ("par", tuple(sorted(below)))
-            if not env and q is not p:
-                object.__setattr__(q, "_key", key)
-            done.append(key)
-            continue
-        if env and q._free.isdisjoint(env):
-            env = ()
-        if not env and q._key is not None:
-            done.append(q._key)
-            continue
-        if kind is CChoice:
-            todo.append((q, env, len(q.branches)))
-            for b in reversed(q.branches):
-                todo.append((b.cont, env if b.polarity == "!" else env + (b.var,), None))
-        elif kind is CCond:
-            todo += ((q, env, 2), (q.els, env, None), (q.then, env, None))
-        elif kind is Inact:
-            done.append(_INACT_FORM)
-        elif kind is CSuccess:
-            done.append(_SUCCESS_FORM)
-        elif kind is CPar or kind is CRes:
-            comps = _components(q.body if kind is CRes else q)
-            todo.append((q, env, len(comps)))
-            todo += ((c, env, None) for c in reversed(comps))
-        else:
-            raise TypeError(q)
-    return done[0]
+                items.append(("?", b.label, form))
+        return ("lin", q.endpoint, tuple(sorted(items)))
+    if kind is Inact:
+        return _INACT_FORM
+    if kind is CSuccess:
+        return _SUCCESS_FORM
+    if kind is CCond:
+        return ("if", _canon_value(q.guard, env), forms[0], forms[1])
+    comps = []
+    for form in forms:
+        if form[0] == "par":
+            comps += form[1]
+        elif form != _INACT_FORM:
+            comps.append(form)
+    comps.sort()
+    if kind is CRes:
+        return ("res", tuple(sorted((q.x, q.y))), tuple(comps))
+    if kind is CPar:
+        return ("par", tuple(comps))
+    raise TypeError(q)
 
 
 def cmv_has_success(p: CmvProcess) -> bool:

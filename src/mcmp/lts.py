@@ -62,7 +62,6 @@ class Terms:
         self.fid: list[int] = []  # lid -> the fid of its form
         self.head: list[int] = []  # lid -> the lid of its head
         self.peers: list[tuple | None] = []  # lid -> the places its head sends to, or None
-        self.form: list = []  # fid -> form
         self.cache: dict = {}  # pair steps (see memo), keyed by every pair that met
         self._lids: dict[int, int] = {}
         self._fids: dict = {}
@@ -72,8 +71,7 @@ class Terms:
     def fid_of(self, form) -> int:
         fid = self._fids.get(form)
         if fid is None:
-            fid = self._fids[form] = len(self.form)
-            self.form.append(form)
+            fid = self._fids[form] = len(self._fids)
         return fid
 
     def lid(self, term, fid: int | None = None) -> int:

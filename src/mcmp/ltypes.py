@@ -13,21 +13,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import lts
+from . import lts, syntax
 
 
-@dataclass(frozen=True)
-class End:
+@dataclass(frozen=True, slots=True)
+class End(syntax._Term):
     pass
 
 
-@dataclass(frozen=True)
-class TVar:
+@dataclass(frozen=True, slots=True)
+class TVar(syntax._Term):
     name: str
 
 
-@dataclass(frozen=True)
-class TRec:
+@dataclass(frozen=True, slots=True)
+class TRec(syntax._Term):
     var: str
     body: "LocalType"
 
@@ -41,8 +41,8 @@ class TBranch:
     cont: "LocalType"
 
 
-@dataclass(frozen=True)
-class TChoice:
+@dataclass(frozen=True, slots=True)
+class TChoice(syntax._Term):
     branches: tuple[TBranch, ...]
 
     def __post_init__(self):
@@ -88,17 +88,7 @@ class TypeAction:
 
 
 def pt(t: LocalType) -> set[str]:
-    match t:
-        case End() | TVar():
-            return set()
-        case TRec(_, body):
-            return pt(body)
-        case TChoice(branches):
-            out = {b.target for b in branches}
-            for b in branches:
-                out |= pt(b.cont)
-            return out
-    raise TypeError(t)
+    return {b.target for u in syntax._nodes(t, _scope) if isinstance(u, TChoice) for b in u.branches}
 
 
 def prefix_set(t: LocalType) -> frozenset[tuple[str, str]]:
@@ -113,20 +103,30 @@ def prefix_set(t: LocalType) -> frozenset[tuple[str, str]]:
     raise TypeError(t)
 
 
-def ftv(t: LocalType) -> set[str]:
-    match t:
-        case End():
-            return set()
-        case TVar(name):
-            return {name}
-        case TRec(x, body):
-            return ftv(body) - {x}
-        case TChoice(branches):
-            out: set[str] = set()
-            for b in branches:
-                out |= ftv(b.cont)
-            return out
-    raise TypeError(t)
+def ftv(t: LocalType) -> frozenset[str]:
+    """The type variables free in t.  Each node's set is computed once, as
+    for processes (see syntax.free_names)."""
+    try:
+        return t._free
+    except AttributeError:
+        syntax._fill_slots(t, _scope, _fill)
+        return t._free
+
+
+def _scope(t: LocalType) -> list:
+    """t's subterms, each with the binder it sits under or None."""
+    kind = type(t)
+    if kind is TChoice:
+        return [(b.cont, None) for b in t.branches]
+    if kind is TRec:
+        return [(t.body, t.var)]
+    return []
+
+
+def _fill(t: LocalType) -> None:
+    free = frozenset((t.name,)) if type(t) is TVar else syntax._free_below(t, _scope)
+    object.__setattr__(t, "_free", free)
+    object.__setattr__(t, "_key", None)  # no form kept yet
 
 
 def _guards(var: str, t: LocalType) -> bool:
@@ -141,14 +141,7 @@ def _guards(var: str, t: LocalType) -> bool:
 
 
 def guarded(t: LocalType) -> bool:
-    match t:
-        case End() | TVar():
-            return True
-        case TRec(x, body):
-            return _guards(x, body) and guarded(body)
-        case TChoice(branches):
-            return all(guarded(b.cont) for b in branches)
-    raise TypeError(t)
+    return all(_guards(u.var, u.body) for u in syntax._nodes(t, _scope) if isinstance(u, TRec))
 
 
 def closed(t: LocalType) -> bool:
@@ -157,36 +150,28 @@ def closed(t: LocalType) -> bool:
 
 def well_formed(t: LocalType) -> bool:
     """Every choice has pairwise distinct labels per (participant, polarity)."""
-    match t:
-        case End() | TVar():
-            return True
-        case TRec(_, body):
-            return well_formed(body)
-        case TChoice(branches):
-            seen = set()
-            for b in branches:
-                key = (b.target, b.polarity, b.label)
-                if key in seen:
-                    return False
-                seen.add(key)
-            return all(well_formed(b.cont) for b in branches)
-    raise TypeError(t)
+    return all(
+        len({(b.target, b.polarity, b.label) for b in u.branches}) == len(u.branches)
+        for u in syntax._nodes(t, _scope)
+        if isinstance(u, TChoice)
+    )
 
 
 def tsubst(t: LocalType, repl: LocalType, var: str) -> LocalType:
+    """t[repl/var].  Every subterm in which var is not free is returned as
+    the same object, so it keeps its form."""
     match t:
         case TVar(name) if name == var:
             return repl
-        case TRec(x, body):
-            if x == var:
-                return t
-            return TRec(x, tsubst(body, repl, var))
+        case TRec(x, body) if x != var:
+            new = tsubst(body, repl, var)
+            return t if new is body else TRec(x, new)
         case TChoice(branches):
-            return TChoice(
-                tuple(TBranch(b.target, b.polarity, b.label, b.payload, tsubst(b.cont, repl, var)) for b in branches)
-            )
-        case _:
-            return t
+            new = [tsubst(b.cont, repl, var) for b in branches]
+            if any(k is not b.cont for k, b in zip(new, branches)):
+                return TChoice(tuple(b if k is b.cont else TBranch(b.target, b.polarity, b.label, b.payload, k)
+                                     for k, b in zip(new, branches)))
+    return t
 
 
 def unfold(t: LocalType) -> LocalType:
@@ -294,12 +279,11 @@ def type_transitions(participant: str, t: LocalType) -> list[tuple[TypeAction, L
     return out
 
 
-def _sync_steps(p: str, tp: LocalType, hp: TChoice, kp: tuple, q: str, tq: LocalType, hq: TChoice, kq: tuple):
-    """The synchronisations in which p sends to q, which depend on their
-    types alone (tp and tq, with heads hp and hq and canonical forms kp and
-    kq): p may send p!q:l(U) and q may receive the same label with the same
-    payload type from p.  Each is (p's branch index, action, p's new type
-    and its canonical form, q's new type and its form)."""
+def _sync_steps(p: str, hp: TChoice, q: str, hq: TChoice):
+    """The synchronisations in which p sends to q, which depend on the heads
+    of their types alone (hp and hq): p may send p!q:l(U) and q may receive
+    the same label with the same payload type from p.  Each is (p's branch
+    index, action, p's new type, q's new type)."""
     out = []
     for i, bp in enumerate(hp.branches):
         if bp.polarity != "!" or bp.target != q:
@@ -307,7 +291,7 @@ def _sync_steps(p: str, tp: LocalType, hp: TChoice, kp: tuple, q: str, tq: Local
         for bq in hq.branches:
             if bq.polarity == "?" and bq.target == p and bq.label == bp.label and bq.payload == bp.payload:
                 act = TypeAction("ctx", p, q, bp.label, bp.payload)
-                out.append((i, act, (bp.cont, _cont_key(tp, kp, bp)), (bq.cont, _cont_key(tq, kq, bq))))
+                out.append((i, act, bp.cont, bq.cont))
     return out
 
 
@@ -329,14 +313,16 @@ def _table(delta: LocalContext):
     """A term table for the types of delta (see lts.Terms), and its pair
     steps: the synchronisations of two types, ordered by the sender's place
     in delta's entries, then by its branch."""
-    table = lts.Terms(delta.domain(), _canon_type, head, _targets)
+    table = lts.Terms(delta.domain(), _type_form, head, _targets)
     rank = {table.place[p]: r for r, p in enumerate(delta.domain())}
     t = table
 
     def pair(k: int, lid: int, j: int, jlid: int):
-        found = _sync_steps(t.names[k], t.term[lid], t.term[t.head[lid]], t.form[t.fid[lid]],
-                            t.names[j], t.term[jlid], t.term[t.head[jlid]], t.form[t.fid[jlid]])
-        return [((rank[k], i), act, ((k, tp, t.fid_of(kp)), (j, tq, t.fid_of(kq)))) for i, act, (tp, kp), (tq, kq) in found]
+        # a new type is a continuation of a head, whose form the table made,
+        # so it reads its kept form
+        found = _sync_steps(t.names[k], t.term[t.head[lid]], t.names[j], t.term[t.head[jlid]])
+        return [((rank[k], i), act, ((k, tp, t.fid_of(_type_form(tp))), (j, tq, t.fid_of(_type_form(tq)))))
+                for i, act, tp, tq in found]
 
     return table, pair
 
@@ -353,41 +339,35 @@ def context_steps(delta: LocalContext) -> list[tuple[TypeAction, LocalContext]]:
     return [(act, delta.with_entries({table.names[k]: u for k, u, _ in new})) for _, act, new in table.steps(lids, pair)]
 
 
-def _canon_type(t: LocalType, env: tuple = ()) -> tuple:
-    match t:
-        case End():
-            return ("end",)
-        case TVar(name):
-            for n, i in reversed(env):
-                if n == name:
-                    return ("b", i)
-            return ("f", name)
-        case TRec(x, body):
-            return ("rec", _canon_type(body, env + ((x, len(env)),)))
-        case TChoice(branches):
-            return (
-                "sum",
-                tuple(
-                    sorted((b.target, b.polarity, b.label, b.payload, _canon_type(b.cont, env)) for b in branches)
-                ),
-            )
+_END_FORM = ("end",)
+
+
+def _type_form(t: LocalType) -> tuple:
+    """The canonical form of t, equal for two types exactly when they are
+    alpha-equivalent (see syntax._canon_walk)."""
+    try:
+        key = t._key
+    except AttributeError:  # a node ftv has not met yet
+        ftv(t)
+        key = None
+    return syntax._canon_walk(t, _scope, _form) if key is None else key
+
+
+def _form(t: LocalType, env: tuple, forms: list) -> tuple:
+    kind = type(t)
+    if kind is TChoice:
+        return ("sum", tuple(sorted((b.target, b.polarity, b.label, b.payload, k) for b, k in zip(t.branches, forms))))
+    if kind is End:
+        return _END_FORM
+    if kind is TVar:
+        return syntax._bound(env, t.name, t.name)
+    if kind is TRec:
+        return ("rec", forms[0])
     raise TypeError(t)
 
 
-def _cont_key(t: LocalType, t_key: tuple, b: TBranch) -> tuple:
-    """_canon_type(b.cont) for a branch b of head(t), given t_key =
-    _canon_type(t).  When t is a choice, t_key holds that form already: its
-    branches are keyed by (target, polarity, label), unique in a
-    well-formed type."""
-    if isinstance(t, TChoice):
-        for item in t_key[1]:
-            if item[0] == b.target and item[1] == b.polarity and item[2] == b.label:
-                return item[4]
-    return _canon_type(b.cont)
-
-
 def canon_context(delta: LocalContext) -> tuple:
-    return tuple(sorted((p, _canon_type(t)) for p, t in delta.entries))
+    return tuple(sorted((p, _type_form(t)) for p, t in delta.entries))
 
 
 @dataclass

@@ -67,11 +67,12 @@ class Prefix:
 
 
 class _Term:
-    """Base of the process nodes.  _free holds the node's free names (see
-    free_names) and _key its canonical form or None (see canon_process).
-    Both stay unset until free_names first meets the node, so building a
-    term costs nothing more.  The base declares the weakref slot, which
-    Python 3.10 dataclasses cannot add."""
+    """Base of the nodes of the three term languages: processes, local types
+    (mcmp.ltypes) and .cmv programs (mcmp.lcmv).  _free holds the node's
+    free names and _key its canonical form or None (see _canon_walk).  Both
+    stay unset until the language's free-name walk first meets the node, so
+    building a term costs nothing more.  The base declares the weakref
+    slot, which Python 3.10 dataclasses cannot add."""
 
     __slots__ = ("_free", "_key", "__weakref__")
 
@@ -163,24 +164,7 @@ class ParseError(McmpError):
 
 def choices(proc: Process) -> list[Choice]:
     """Every choice occurrence in proc, outermost first."""
-    out: list[Choice] = []
-
-    def walk(p: Process):
-        match p:
-            case Choice(branches):
-                out.append(p)
-                for b in branches:
-                    walk(b.cont)
-            case Cond(_, t, e):
-                walk(t)
-                walk(e)
-            case Rec(_, body):
-                walk(body)
-            case _:
-                pass
-
-    walk(proc)
-    return out
+    return [p for p in _nodes(proc, _scope) if isinstance(p, Choice)]
 
 
 def mentioned_participants(proc: Process) -> set[str]:
@@ -210,13 +194,13 @@ def free_names(proc: Process) -> frozenset:
     try:
         return proc._free
     except AttributeError:
-        _fill_slots(proc, _subterms, _fill_free)
+        _fill_slots(proc, _scope, _fill_free)
         return proc._free
 
 
-def _fill_slots(p, children, fill) -> None:
+def _fill_slots(p, scope, fill) -> None:
     """Call fill on p and on every node below it whose _free slot is unset,
-    children first (children(node) lists a node's) and without recursion.
+    children first (scope(node) lists a node's) and without recursion.
     fill sets _free, so a node met twice in a shared term is filled once."""
     todo = [p]
     while todo:
@@ -224,7 +208,7 @@ def _fill_slots(p, children, fill) -> None:
         if hasattr(q, "_free"):  # met twice in a shared term
             todo.pop()
             continue
-        missing = [k for k in children(q) if not hasattr(k, "_free")]
+        missing = [k for k, _ in scope(q) if not hasattr(k, "_free")]
         if missing:
             todo += missing
             continue
@@ -232,34 +216,51 @@ def _fill_slots(p, children, fill) -> None:
         fill(q)
 
 
-def _subterms(p: Process) -> list[Process]:
-    match p:
-        case Choice(branches):
-            return [b.cont for b in branches]
-        case Cond(_, t, e):
-            return [t, e]
-        case Rec(_, body):
-            return [body]
+def _nodes(p, scope) -> list:
+    """p and every node below it (scope(node) lists a node's subterms), in
+    preorder and without recursion."""
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        out.append(q)
+        for k, _ in reversed(scope(q)):
+            todo.append(k)
+    return out
+
+
+def _scope(p: Process) -> list:
+    """p's subterms, each with the binder it sits under or None: an input's
+    variable, or ("X", X) for the body of rec X."""
+    kind = type(p)
+    if kind is Choice:
+        return [(b.cont, None if b.prefix.polarity == "!" else b.prefix.var) for b in p.branches]
+    if kind is Cond:
+        return [(p.then, None), (p.els, None)]
+    if kind is Rec:
+        return [(p.body, ("X", p.var))]
     return []
+
+
+def _free_below(q, scope) -> frozenset:
+    """The names free in q's subterms, each outside the binder over it."""
+    free = _CLOSED
+    for sub, binder in scope(q):
+        free = _union(free, _without(sub._free, binder))
+    return free
 
 
 def _fill_free(p: Process) -> None:
     """Set p's free names from the sets of its subterms, and no form yet."""
-    free = _CLOSED
+    free = _free_below(p, _scope)
     match p:
         case ProcVar(name):
             free = frozenset((("X", name),))
-        case Rec(x, body):
-            free = _without(body._free, ("X", x))
-        case Cond(g, t, e):
-            free = _with_value(_union(t._free, e._free), g)
+        case Cond(g, _, _):
+            free = _with_value(free, g)
         case Choice(branches):
             for b in branches:
-                pre = b.prefix
-                if pre.polarity == "!":
-                    free = _union(free, _with_value(b.cont._free, pre.payload))
-                else:
-                    free = _union(free, _without(b.cont._free, pre.var))
+                if b.prefix.polarity == "!":
+                    free = _with_value(free, b.prefix.payload)
     object.__setattr__(p, "_free", free)
     object.__setattr__(p, "_key", None)  # no form kept yet
 
@@ -391,86 +392,82 @@ _FALSE_KEY = ("t", False)
 
 def canon_process(proc: Process) -> tuple:
     """The canonical form of proc, equal for two processes exactly when they
-    are alpha-equivalent.  A sum is ("sum", its summands' forms in sorted
-    order), and a choice of one summand has that summand's form.  Free
-    names stay names, and a bound name is ("b", i) for the binder i binders
-    further out (a de Bruijn index), so a subterm's form does not depend on
-    how deep it sits.  A node deep enough in a term keeps its form once
-    computed (see _KEEP_DEPTH), and the form of a subterm whose free names
-    no enclosing binder of the term binds is that same object, so a walk
-    descends only where a binder is used or no form is kept yet."""
+    are alpha-equivalent (see _canon_walk).  A sum is ("sum", its summands'
+    forms in sorted order), and a choice of one summand has that summand's
+    form."""
     try:
         key = proc._key
     except AttributeError:  # a node free_names has not met yet
+        free_names(proc)
         key = None
-    return _canon(proc) if key is None else key
+    return _canon_walk(proc, _scope, _form) if key is None else key
 
 
-# A node keeps its form only when it lies at least this many levels below
-# the term whose form was asked for.  The term itself is rebuilt on each
-# request from its subterms' forms, one tuple per summand, so a process
-# that lives for a whole run, such as a participant's, does not carry the
-# top of its form; its continuations, which steps ask for, keep theirs.
-_KEEP_DEPTH = 1
-
-
-def _canon(proc: Process) -> tuple:
-    # todo holds (node, enclosing binders innermost last, depth below proc,
-    # ready): a node is visited, then its subterms, then it is built from
-    # their forms in done.  A binder is a value variable's name or
-    # ("X", X), as in free_names.
-    free_names(proc)  # every node below then has both slots set
-    done: list[tuple] = []
-    todo: list[tuple[Process, tuple, int, bool]] = [(proc, (), 0, False)]
-    while todo:
-        p, env, depth, ready = todo.pop()
-        kind = type(p)
-        if ready:
-            if kind is Choice:
-                n = len(p.branches)
-                items = []
-                for b, k in zip(p.branches, done[-n:]):
-                    pre = b.prefix
-                    if pre.polarity == "!":
-                        items.append(("!", pre.target, pre.label, _canon_value(pre.payload, env), k))
-                    else:
-                        items.append(("?", pre.target, pre.label, k))
-                del done[-n:]
-                items.sort()
-                key = items[0] if n == 1 else ("sum", *items)
-            elif kind is Rec:
-                key = ("rec", done.pop())
+def _form(p: Process, env: tuple, forms: list) -> tuple:
+    """p's form from its subterms' forms, under the binders env."""
+    kind = type(p)
+    if kind is Choice:
+        items = []
+        for b, k in zip(p.branches, forms):
+            pre = b.prefix
+            if pre.polarity == "!":
+                items.append(("!", pre.target, pre.label, _canon_value(pre.payload, env), k))
             else:
-                els = done.pop()
-                key = ("if", _canon_value(p.guard, env), done.pop(), els)
-            if not env and depth >= _KEEP_DEPTH:
-                object.__setattr__(p, "_key", key)
-            done.append(key)
+                items.append(("?", pre.target, pre.label, k))
+        items.sort()
+        return items[0] if len(items) == 1 else ("sum", *items)
+    if kind is Nil:
+        return _NIL_KEY
+    if kind is Success:
+        return _SUCCESS_KEY
+    if kind is ProcVar:
+        return ("X",) + _bound(env, ("X", p.name), p.name)
+    if kind is Rec:
+        return ("rec", forms[0])
+    if kind is Cond:
+        return ("if", _canon_value(p.guard, env), forms[0], forms[1])
+    raise TypeError(p)
+
+
+def _canon_walk(p, scope, form) -> tuple:
+    """The canonical form of p, a node whose slots are set, in the language
+    that scope and form describe: scope(node) lists a node's subterms, each
+    with the binder it sits under or None, and form(node, env, forms) builds
+    a node's form from its subterms' forms under env, the binders around
+    it, innermost last.  A bound name is ("b", i) for the binder i binders
+    further out (a de Bruijn index), and a free name stays a name, so a
+    subterm's form does not depend on how deep it sits.
+
+    A node keeps its form in _key when no binder around it binds a name
+    free in it, and it is not p: p is rebuilt on each request from its
+    subterms' forms, so a term that lives for a whole run, such as a
+    participant's process, does not carry the top of its form, while its
+    continuations, which steps ask for, keep theirs.  The form of a kept
+    subterm is that same object, so the walk descends only where a binder
+    is used or no form is kept yet.  Computed without recursion."""
+    # q is the node being built, under the binders env, from the forms of
+    # its subterms subs made so far; stack holds the nodes above it
+    q, env, subs, forms = p, (), scope(p), []
+    stack = []
+    while True:
+        if len(forms) < len(subs):
+            sub, binder = subs[len(forms)]
+            inner = env if binder is None else env + (binder,)
+            if inner and sub._free.isdisjoint(inner):
+                inner = ()
+            if not inner and sub._key is not None:
+                forms.append(sub._key)
+            else:
+                stack.append((q, env, subs, forms))
+                q, env, subs, forms = sub, inner, scope(sub), []
             continue
-        if env and p._free.isdisjoint(env):
-            env = ()
-        if not env and p._key is not None:
-            done.append(p._key)
-            continue
-        below = depth + 1
-        if kind is Choice:
-            todo.append((p, env, depth, True))
-            for b in reversed(p.branches):
-                pre = b.prefix
-                todo.append((b.cont, env if pre.polarity == "!" else env + (pre.var,), below, False))
-        elif kind is Nil:
-            done.append(_NIL_KEY)
-        elif kind is Success:
-            done.append(_SUCCESS_KEY)
-        elif kind is ProcVar:
-            done.append(("X",) + _bound(env, ("X", p.name), p.name))
-        elif kind is Rec:
-            todo += ((p, env, depth, True), (p.body, env + (("X", p.var),), below, False))
-        elif kind is Cond:
-            todo += ((p, env, depth, True), (p.els, env, below, False), (p.then, env, below, False))
-        else:
-            raise TypeError(p)
-    return done[0]
+        key = form(q, env, forms)
+        if not stack:
+            return key
+        if not env:
+            object.__setattr__(q, "_key", key)
+        q, env, subs, forms = stack.pop()
+        forms.append(key)
 
 
 def _bound(env: tuple, binder, name: str) -> tuple:
@@ -699,10 +696,15 @@ class _Parser:
         t = self.peek()
         return ParseError(message, t.line, t.col)
 
-    # -- labels: IDENT with an optional reserved ".o"/".i" suffix
+    def expect_name(self) -> _Tok:
+        """An identifier, or a keyword where only a name can stand: a label
+        or an input's binder."""
+        return self.next() if self.peek().kind == "kw" else self.expect("ident")
+
+    # -- labels: a name with an optional reserved ".o"/".i" suffix
 
     def parse_label(self) -> str:
-        t = self.expect("ident")
+        t = self.expect_name()
         label = t.text
         if (
             self.peek().kind == "."
@@ -792,7 +794,7 @@ class _Parser:
             payload = self.parse_value()
             prefix = Prefix(target.text, "!", label, payload=payload)
         else:
-            var = self.expect("ident").text
+            var = self.expect_name().text
             prefix = Prefix(target.text, "?", label, var=var)
         self.expect(")")
         self.expect(".")

@@ -298,6 +298,19 @@ def test_json_output_independent_of_earlier_parses(fixture_dir, capsys):
     assert [run(capsys, *argv) for argv in commands] == first
 
 
+def test_detect_reads_cmv_programs(fixture_dir, capsys, tmp_path):
+    from mcmp import lcmv, patterns
+
+    path = str(fixture_dir / "cmv_m_witness.cmv")
+    code, out = run(capsys, "--json", "detect", path, "--pattern", "m")
+    expected = patterns.detect_m(lcmv.parse_cmv((fixture_dir / "cmv_m_witness.cmv").read_text()))
+    assert code == 0 and json.loads(out) == {"found": True, "witness": json.loads(expected.to_json())}
+    # detect draws no state graph for a .cmv program: --dot is a usage error
+    dot = tmp_path / "graph.dot"
+    code, out = run(capsys, "--json", "--dot", str(dot), "detect", path, "--pattern", "m")
+    assert code == 2 and ".cmv" in json.loads(out)["error"] and not dot.exists()
+
+
 def _contract_cases():
     """Every command on every fixture, every encoding for encode and
     verify-encoding, with the fixture given by file name."""
@@ -314,6 +327,8 @@ def _contract_cases():
     for name in sorted(corpus.CMV):
         path = f"{name}.cmv"
         yield from (["cmv", "check", path], ["cmv", "encode", path], ["verify-encoding", path, "--via", "lcmv-mcbs"])
+        for pattern in ("m", "star"):
+            yield ["detect", path, "--pattern", pattern]
     # bounds out of range are usage errors
     yield ["simulate", "ping.mcmp", "--max-steps", "-3"]
     yield ["safety", "ping.mcmp", "--max-states", "0"]

@@ -238,3 +238,18 @@ def test_front_end_exit_codes_and_output(text, expected, tmp_path, capsys):
         got.append(cli.main(argv))
         got.append(capsys.readouterr().out)
     assert tuple(got) == expected
+
+
+@pytest.mark.parametrize("text", [text for text, expected in FRONT_END if expected[2] == 0]
+                         + [pytest.param(corpus.text(name), id=name)
+                            for name in ("cmv_chain", "cmv_deadlocked", "cmv_mixed", "cmv_ping")])
+def test_encode_output_parses_back(text, tmp_path, capsys):
+    # a label or binder named like a session keyword (tt) is read back as a
+    # name, so the printed target is the translation
+    from mcmp import cli
+
+    path = tmp_path / "program.cmv"
+    path.write_text(text + "\n")
+    assert cli.main(["cmv", "encode", str(path)]) == 0
+    back, _ = syntax.parse_source(capsys.readouterr().out, allow_reserved=True)
+    assert syntax.canon_session(back) == syntax.canon_session(encode_lcmv_to_mcbs(parse_cmv(text)))

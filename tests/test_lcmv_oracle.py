@@ -545,7 +545,7 @@ def _target_nodes(k):
         q = todo.pop()
         if id(q) not in seen:
             seen[id(q)] = q
-            todo += syntax._subterms(q)
+            todo += (sub for sub, _ in syntax._scope(q))
     return len(seen)
 
 

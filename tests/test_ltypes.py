@@ -400,3 +400,144 @@ def test_explore_contexts_terminates_on_generated():
         delta = LocalContext(tuple(entries))
         g = explore_contexts(delta)
         assert len(g.contexts) < 500
+
+
+# ---------------------------------------------------------------------------
+# canonical forms of types (the kernel's walk, see syntax._canon_walk)
+
+
+def reference_canon_type(t, env=()):
+    """The form of t with rec variables numbered by level, recomputed in
+    full and recursively, so that no form of a subterm is reused under
+    another context."""
+    match t:
+        case End():
+            return ("end",)
+        case TVar(name):
+            for n, i in reversed(env):
+                if n == name:
+                    return ("b", i)
+            return ("f", name)
+        case TRec(x, body):
+            return ("rec", reference_canon_type(body, env + ((x, len(env)),)))
+        case TChoice(branches):
+            return (
+                "sum",
+                tuple(sorted((b.target, b.polarity, b.label, b.payload, reference_canon_type(b.cont, env))
+                             for b in branches)),
+            )
+    raise TypeError(t)
+
+
+def rebuild_type(t):
+    """A copy of t of fresh nodes, which keep no facts yet."""
+    match t:
+        case End():
+            return End()
+        case TVar(name):
+            return TVar(name)
+        case TRec(x, body):
+            return TRec(x, rebuild_type(body))
+        case TChoice(branches):
+            return TChoice(tuple(TBranch(b.target, b.polarity, b.label, b.payload, rebuild_type(b.cont))
+                                 for b in branches))
+    raise TypeError(t)
+
+
+def type_subterms(t):
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        out.append(u)
+        if isinstance(u, TRec):
+            todo.append(u.body)
+        elif isinstance(u, TChoice):
+            todo += reversed([b.cont for b in u.branches])
+    return out
+
+
+def random_nested_type(rng, depth, scope=()):
+    """A type with nested and shadowing recursions over two variable names,
+    and a variable no binder binds (u), so that subterms are open."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        return TVar(rng.choice(scope + ("u",))) if rng.random() < 0.5 else End()
+    if roll < 0.35:
+        x = rng.choice(("t", "s"))
+        return TRec(x, random_nested_type(rng, depth - 1, scope + (x,)))
+    heads = sorted({(rng.choice("pq"), rng.choice("!?"), rng.choice(("a", "b"))) for _ in range(rng.randint(1, 3))})
+    return TChoice(tuple(TBranch(q, pol, label, rng.choice(("nat", "bool")), random_nested_type(rng, depth - 1, scope))
+                         for q, pol, label in heads))
+
+
+def rename_rec(t, old, new):
+    """t with every binder old, and the variables it binds, renamed to new
+    (new must not occur in t)."""
+    match t:
+        case TVar(name):
+            return TVar(new if name == old else name)
+        case TRec(x, body):
+            return TRec(new if x == old else x, rename_rec(body, old, new))
+        case TChoice(branches):
+            return TChoice(tuple(TBranch(b.target, b.polarity, b.label, b.payload, rename_rec(b.cont, old, new))
+                                 for b in branches))
+    return End()
+
+
+def type_corpus(source):
+    if source == "corpus":
+        wholes = []
+        for name in corpus.SESSIONS:
+            _, delta = corpus.load(name)
+            for d in explore_contexts(delta, max_states=200).contexts:
+                wholes += [rebuild_type(u) for _, u in d.entries]
+        return wholes
+    rng = random.Random(17)
+    wholes = []
+    for _ in range(150):
+        t = random_nested_type(rng, 5) if rng.random() < 0.7 else gen_rec_type(rng, ["p", "q"], ["a", "b"], 4)
+        wholes += [t, rename_rec(rebuild_type(t), "t", "v")]
+    return wholes
+
+
+@pytest.mark.parametrize("order", ["outside-in", "inside-out"])
+@pytest.mark.parametrize("source", ["corpus", "random"])
+def test_type_forms_agree_with_level_reference(source, order):
+    terms = [u for t in type_corpus(source) for u in type_subterms(t)]
+    # outside-in, a subterm is first met under its binders; inside-out, a
+    # type under a binder already has the form it got on its own
+    for t in terms if order == "outside-in" else reversed(terms):
+        ltypes._type_form(t)
+    by_form, by_reference = {}, {}
+    for i, t in enumerate(terms):
+        by_form.setdefault(ltypes._type_form(t), set()).add(i)
+        by_reference.setdefault(reference_canon_type(t), set()).add(i)
+    assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_reference.values()))
+    if source == "random":
+        # the corpus holds alpha-variants, recursions and open types
+        assert len(by_form) < len(set(map(id, terms))) and len(set(map(repr, terms))) > len(by_form)
+        assert sum(isinstance(t, TRec) for t in terms) > 50 and sum(bool(ftv(t)) for t in terms) > 100
+
+
+def test_only_the_type_asked_for_and_types_using_a_binder_keep_no_form():
+    t = T("q!x(nat).rec t.(q!b(nat).q!e(nat).t + q!c(nat).q!d(bool).end)")
+    form = ltypes._type_form(t)
+    rec = t.branches[0].cont
+    uses_t, closed_cont = (b.cont for b in rec.body.branches)
+    assert t._key is None and rec.body._key is None and uses_t._key is None
+    assert form[1][0][4] is rec._key and closed_cont._key is not None
+    # unfolding shares every continuation without the variable
+    u = unfold(rec)
+    assert u.branches[1] is rec.body.branches[1] and u.branches[0].cont.branches[0].cont is rec
+    assert ltypes._type_form(u.branches[1].cont) is closed_cont._key
+
+
+def test_deep_types_need_no_recursion():
+    def deep():
+        t = TVar("t")
+        for i in range(5000):
+            t = TChoice((TBranch("q", "!?"[i % 2], f"l{i}", "nat", t),))
+        return TRec("t", t)
+
+    assert ftv(deep()) == frozenset() and ftv(deep().body) == {"t"}
+    assert len(canon_context(LocalContext((("p", deep()),)))) == 1
