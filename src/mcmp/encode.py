@@ -86,36 +86,22 @@ def _ru(rel: frozenset, f: set[str]) -> frozenset:
 
 
 def _order_slices(names_in_order: tuple[str, ...], all_names: set[str]) -> dict[str, frozenset]:
-    """Walk the left-nested parallel tree, seeding the root with the full
-    irreflexive relation and filtering with lu on left branches, ru on right
-    branches; each leaf keeps the pairs relevant for its own encoding."""
-    full = frozenset((p, q) for p in sorted(all_names) for q in sorted(all_names) if p != q)
-    slices: dict[str, frozenset] = {}
+    """Walk the left-nested parallel tree of names_in_order, seeding the
+    root with the full irreflexive relation and filtering with lu on left
+    branches, ru on right branches; each leaf keeps the pairs relevant for
+    its own encoding.  Each right branch is a leaf, the last name of the
+    subtree above it, so the walk goes from the last name down."""
     if len(names_in_order) == 1:
-        slices[names_in_order[0]] = frozenset()
-        return slices
-
-    def leaf_roles(node) -> set[str]:
-        if isinstance(node, str):
-            return {node}
-        return leaf_roles(node[0]) | leaf_roles(node[1])
-
-    tree = names_in_order[0]
-    for name in names_in_order[1:]:
-        tree = (tree, name)
-
-    def assign(node, mark: str, rel: frozenset):
-        filt = _lu if mark == "l" else _ru
-        if isinstance(node, str):
-            slices[node] = filt(rel, {node})
-            return
-        rel2 = filt(rel, leaf_roles(node))
-        assign(node[0], "l", rel2)
-        assign(node[1], "r", rel2)
-
-    assign(tree[0], "l", full)
-    assign(tree[1], "r", full)
-    return slices
+        return {names_in_order[0]: frozenset()}
+    rel = frozenset((p, q) for p in sorted(all_names) for q in sorted(all_names) if p != q)
+    left = set(names_in_order)
+    slices = []
+    for name in reversed(names_in_order[1:]):
+        slices.append((name, _ru(rel, {name})))
+        left.discard(name)
+        rel = _lu(rel, left)
+    slices.append((names_in_order[0], rel))
+    return dict(reversed(slices))
 
 
 def build_order(m: Session) -> dict[str, frozenset]:

@@ -257,46 +257,36 @@ def parse_cmv(text: str) -> CmvProcess:
 
 
 def render_cmv(p: CmvProcess) -> str:
-    match p:
-        case CRes(x, y, body):
-            return f"(new {x} {y})({_render_par(body)})"
-        case _:
-            return _render_par(p)
+    """The surface syntax of p (see syntax._render): every component,
+    inaction included, joined by |."""
+    return syntax._render([p], _text)
 
 
-def _render_par(p: CmvProcess) -> str:
-    match p:
-        case CPar(l, r):
-            return f"{_render_par(l)} | {_render_par(r)}"
-        case _:
-            return _render_single(p)
-
-
-def _render_single(p: CmvProcess) -> str:
-    match p:
-        case Inact():
-            return "0"
-        case CSuccess():
-            return "ok"
-        case CCond(g, t, e):
-            return f"if {render_value(g)} then {_render_single(t)} else {_render_single(e)}"
-        case CChoice(endpoint, branches):
-            parts = []
-            for b in branches:
-                if b.polarity == "!":
-                    parts.append(f"{b.label}!{render_value(b.payload)}.{_render_cont(b.cont)}")
-                else:
-                    parts.append(f"{b.label}?{b.var}.{_render_cont(b.cont)}")
-            return f"lin {endpoint} ({' + '.join(parts)})"
-        case CPar():
-            return f"({_render_par(p)})"
+def _text(p: CmvProcess) -> list:
+    """p's text and subterms, in order."""
+    kind = type(p)
+    if kind is CChoice:
+        out = []
+        for b in p.branches:
+            head = f"{b.label}!{render_value(b.payload)}." if b.polarity == "!" else f"{b.label}?{b.var}."
+            out += (" + ", head, *_cont(b.cont))
+        return [f"lin {p.endpoint} (", *out[1:], ")"]
+    if kind is CPar:
+        return [p.left, " | ", p.right]
+    if kind is Inact:
+        return ["0"]
+    if kind is CSuccess:
+        return ["ok"]
+    if kind is CCond:
+        return [f"if {render_value(p.guard)} then ", *_cont(p.then), " else ", *_cont(p.els)]
+    if kind is CRes:
+        return [f"(new {p.x} {p.y})(", p.body, ")"]
     raise TypeError(p)
 
 
-def _render_cont(p: CmvProcess) -> str:
-    if isinstance(p, CPar):
-        return f"({_render_par(p)})"
-    return _render_single(p)
+def _cont(p: CmvProcess) -> tuple:
+    """A continuation's items: bracketed when it is a composition."""
+    return ("(", p, ")") if type(p) is CPar else (p,)
 
 
 # ---------------------------------------------------------------------------
@@ -368,32 +358,35 @@ def _rebuild(components: list[CmvProcess]) -> CmvProcess:
 
 
 def _subst_val(p: CmvProcess, value: Value, var: str) -> CmvProcess:
-    """p[value/var].  Every subterm in which var is not free is returned as
-    the same object, so a step rebuilds only the path to var's
-    occurrences."""
+    """p[value/var], renaming a binder that would capture a variable value
+    as a process's substitution does (see syntax._substitute).  Every
+    subterm in which var is not free is returned as the same object, so a
+    step rebuilds only the path to var's occurrences."""
     if var not in _free_of(p):
         return p
+    avoid = (value.name,) if isinstance(value, Var) else ()
+    return syntax._substitute(p, var, value, _scope, _rule, _free_of, avoid)
 
-    def sv(v: Value) -> Value:
-        return value if isinstance(v, Var) and v.name == var else v
 
-    match p:
-        case CChoice(endpoint, branches):
-            new = []
-            for b in branches:
-                if b.polarity == "!":
-                    new.append(CBranch(b.label, "!", payload=sv(b.payload), cont=_subst_val(b.cont, value, var)))
-                elif b.var == var:
-                    new.append(b)
-                else:
-                    new.append(CBranch(b.label, "?", var=b.var, cont=_subst_val(b.cont, value, var)))
-            return CChoice(endpoint, tuple(new))
-        case CCond(g, t, e):
-            return CCond(sv(g), _subst_val(t, value, var), _subst_val(e, value, var))
-        case CPar(l, r):
-            return CPar(_subst_val(l, value, var), _subst_val(r, value, var))
-        case _:
-            return p
+def _rule(p: CmvProcess, subs: list, binders: list, var: str, value: Value) -> CmvProcess:
+    """p with the subterms subs under binders, and with value for var where
+    var stands in p itself."""
+    kind = type(p)
+    if kind is CChoice:
+        new = []
+        for b, cont, binder in zip(p.branches, subs, binders):
+            if b.polarity == "!":
+                new.append(CBranch(b.label, "!", payload=value if b.payload == Var(var) else b.payload, cont=cont))
+            else:
+                new.append(b if cont is b.cont and binder == b.var else CBranch(b.label, "?", var=binder, cont=cont))
+        return CChoice(p.endpoint, tuple(new))
+    if kind is CCond:
+        return CCond(value if p.guard == Var(var) else p.guard, subs[0], subs[1])
+    if kind is CPar:
+        return CPar(subs[0], subs[1])
+    if kind is CRes:
+        return CRes(p.x, p.y, subs[0])
+    return p
 
 
 @dataclass(frozen=True)

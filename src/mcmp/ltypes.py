@@ -93,14 +93,9 @@ def pt(t: LocalType) -> set[str]:
 
 def prefix_set(t: LocalType) -> frozenset[tuple[str, str]]:
     """Prefixes of the top choice layer only."""
-    match t:
-        case End() | TVar():
-            return frozenset()
-        case TRec(_, body):
-            return prefix_set(body)
-        case TChoice(branches):
-            return frozenset((b.target, b.polarity) for b in branches)
-    raise TypeError(t)
+    while isinstance(t, TRec):
+        t = t.body
+    return frozenset((b.target, b.polarity) for b in t.branches) if isinstance(t, TChoice) else frozenset()
 
 
 def ftv(t: LocalType) -> frozenset[str]:
@@ -130,14 +125,11 @@ def _fill(t: LocalType) -> None:
 
 
 def _guards(var: str, t: LocalType) -> bool:
-    match t:
-        case End() | TChoice():
-            return True
-        case TVar(name):
-            return name != var
-        case TRec(x, body):
-            return x != var and _guards(var, body)
-    raise TypeError(t)
+    while isinstance(t, TRec):
+        if t.var == var:
+            return False
+        t = t.body
+    return not (isinstance(t, TVar) and t.name == var)
 
 
 def guarded(t: LocalType) -> bool:
@@ -158,20 +150,23 @@ def well_formed(t: LocalType) -> bool:
 
 
 def tsubst(t: LocalType, repl: LocalType, var: str) -> LocalType:
-    """t[repl/var].  Every subterm in which var is not free is returned as
-    the same object, so it keeps its form."""
-    match t:
-        case TVar(name) if name == var:
-            return repl
-        case TRec(x, body) if x != var:
-            new = tsubst(body, repl, var)
-            return t if new is body else TRec(x, new)
-        case TChoice(branches):
-            new = [tsubst(b.cont, repl, var) for b in branches]
-            if any(k is not b.cont for k, b in zip(new, branches)):
-                return TChoice(tuple(b if k is b.cont else TBranch(b.target, b.polarity, b.label, b.payload, k)
-                                     for k, b in zip(new, branches)))
-    return t
+    """t[repl/var] (see syntax._substitute).  Every subterm in which var is
+    not free is returned as the same object, so it keeps its form."""
+    return syntax._substitute(t, var, repl, _scope, _rule, ftv, ())
+
+
+def _rule(t: LocalType, subs: list, binders: list, var: str, repl: LocalType) -> LocalType:
+    """t with the subterms subs, and repl for var if t is var; t itself, and
+    each of its branches, when nothing in it changed."""
+    kind = type(t)
+    if kind is TChoice:
+        if all(k is b.cont for k, b in zip(subs, t.branches)):
+            return t
+        return TChoice(tuple(b if k is b.cont else TBranch(b.target, b.polarity, b.label, b.payload, k)
+                             for k, b in zip(subs, t.branches)))
+    if kind is TRec:
+        return t if subs[0] is t.body else TRec(t.var, subs[0])
+    return repl if kind is TVar and t.name == var else t
 
 
 def unfold(t: LocalType) -> LocalType:
@@ -467,25 +462,27 @@ def _act_json(a: TypeAction) -> dict:
 
 
 def render_type(t: LocalType) -> str:
-    match t:
-        case End():
-            return "end"
-        case TVar(name):
-            return name
-        case TRec(x, body):
-            return f"rec {x}.{_render_tcont(body)}"
-        case TChoice(branches):
-            parts = []
-            for b in branches:
-                head_txt = f"{b.target}{b.polarity}{b.label}({b.payload})"
-                parts.append(f"{head_txt}.{_render_tcont(b.cont)}")
-            return " + ".join(parts)
+    """The surface syntax of t (see syntax._render)."""
+    return syntax._render([t], _text)
+
+
+def _text(t: LocalType) -> list:
+    """t's text and subterms, in order."""
+    kind = type(t)
+    if kind is TChoice:
+        out = []
+        for b in t.branches:
+            out += (" + ", f"{b.target}{b.polarity}{b.label}({b.payload}).", *_cont(b.cont))
+        return out[1:]
+    if kind is TRec:
+        return [f"rec {t.var}.", *_cont(t.body)]
+    if kind is End:
+        return ["end"]
+    if kind is TVar:
+        return [t.name]
     raise TypeError(t)
 
 
-def _render_tcont(t: LocalType) -> str:
-    if isinstance(t, TChoice) and len(t.branches) > 1:
-        return f"({render_type(t)})"
-    if isinstance(t, TRec):
-        return f"({render_type(t)})"
-    return render_type(t)
+def _cont(t: LocalType) -> tuple:
+    """A continuation's items: bracketed when it is a sum or a recursion."""
+    return ("(", t, ")") if type(t) is TRec or (type(t) is TChoice and len(t.branches) > 1) else (t,)

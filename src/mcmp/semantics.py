@@ -210,17 +210,12 @@ def apply_step(m: Session, step: Step) -> Session:
 
 def has_success(m: Session) -> bool:
     """Some participant has a top-level unguarded success marker."""
-
-    def unguarded_success(p: Process) -> bool:
-        match p:
-            case Success():
-                return True
-            case Rec(_, body):
-                return unguarded_success(body)
-            case _:
-                return False
-
-    return any(unguarded_success(proc) for _, proc in m.parts)
+    for _, p in m.parts:
+        while isinstance(p, Rec):
+            p = p.body
+        if isinstance(p, Success):
+            return True
+    return False
 
 
 def barbs(m: Session) -> set[Barb]:

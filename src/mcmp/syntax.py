@@ -290,43 +290,95 @@ def _with_value(names: frozenset, v: Value) -> frozenset:
 
 
 def substitute_value(proc: Process, value: Value, var: str) -> Process:
-    """Capture-avoiding substitution proc[value/var].  Every subterm in which
-    var is not free is kept as the same object."""
-
-    def walk(p: Process) -> Process:
-        if var not in free_names(p):
-            return p
-        match p:
-            case Choice(branches):
-                new = []
-                for b in branches:
-                    pre, cont = b.prefix, b.cont
-                    if pre.polarity == "!":
-                        if pre.payload == Var(var):
-                            pre = Prefix(pre.target, "!", pre.label, payload=value)
-                    elif pre.var == var:
-                        new.append(b)
-                        continue
-                    elif isinstance(value, Var) and pre.var == value.name and var in free_names(cont):
-                        renamed_var, cont = _rename_binder(pre.var, cont)
-                        pre = Prefix(pre.target, "?", pre.label, var=renamed_var)
-                    new_cont = walk(cont)
-                    new.append(b if pre is b.prefix and new_cont is b.cont else Branch(pre, new_cont))
-                return Choice(tuple(new))
-            case Cond(g, t, e):
-                return Cond(value if g == Var(var) else g, walk(t), walk(e))
-            case Rec(x, body):
-                return Rec(x, walk(body))
-        raise TypeError(p)
-
-    return walk(proc)
+    """Capture-avoiding substitution proc[value/var] (see _substitute).
+    Every subterm in which var is not free is kept as the same object."""
+    if var not in free_names(proc):
+        return proc
+    avoid = (value.name,) if isinstance(value, Var) else ()
+    return _substitute(proc, var, value, _scope, _rule, free_names, avoid)
 
 
-def _rename_binder(old: str, body: Process) -> tuple[str, Process]:
-    """A name old_<n> not free in body, with the smallest such n, and body
-    with old renamed to it; the same body always gets the same name."""
-    new = _fresh(f"{old}_", free_names(body))
-    return new, substitute_value(body, Var(new), old)
+def substitute_proc(proc: Process, repl: Process, var: str) -> Process:
+    """proc[repl/var] on process variables.  Every subterm in which var is
+    not free is kept as the same object."""
+    if ("X", var) not in free_names(proc):
+        return proc
+    return _substitute(proc, ("X", var), repl, _scope, _rule, free_names, ())
+
+
+def _rule(p: Process, subs: list, binders: list, name, repl) -> Process:
+    """p with the subterms subs under binders, and with repl for name where
+    name stands in p itself, as a process variable or a value."""
+    kind = type(p)
+    if kind is Choice:
+        new = []
+        for b, cont, binder in zip(p.branches, subs, binders):
+            pre = b.prefix
+            if pre.polarity == "!":
+                if type(pre.payload) is Var and pre.payload.name == name:
+                    pre = Prefix(pre.target, "!", pre.label, payload=repl)
+            elif binder != pre.var:
+                pre = Prefix(pre.target, "?", pre.label, var=binder)
+            new.append(b if pre is b.prefix and cont is b.cont else Branch(pre, cont))
+        return Choice(tuple(new))
+    if kind is Cond:
+        return Cond(repl if type(p.guard) is Var and p.guard.name == name else p.guard, subs[0], subs[1])
+    if kind is Rec:
+        return Rec(p.var, subs[0])
+    return repl if kind is ProcVar and ("X", p.name) == name else p
+
+
+def _substitute(p, name, repl, scope, rule, free, avoid):
+    """p with repl for the free occurrences of name, in the language that
+    scope and rule describe: scope(node) lists a node's subterms, each with
+    the binder it sits under or None, and rule(node, subs, binders, name,
+    repl) builds a node from its new subterms subs, which sit under
+    binders, with repl for name where name stands in the node itself.  The
+    walk keeps as the same object a subterm under a binder named name, and
+    one whose _free slot is set and lacks name.
+
+    A binder in avoid (the names free in repl) that sits over an occurrence
+    of name is renamed to <binder>_<n>, for the smallest n that makes a name
+    not free below it (free(node) gives those names and fills the slots), so
+    the same term always gets the same name.  The walk always enters p, so
+    a caller whose rule rebuilds every node it is given first checks that
+    name is free in p.  Computed children first and without recursion."""
+    # q is the node being rebuilt from the new subterms subs made so far,
+    # and items iterates over the rest of its subterms; stack holds the
+    # nodes above it, and a renamed subterm's frame (None, name, repl,
+    # avoid) says which substitution to make in it next
+    q, items, subs, binders = p, iter(scope(p)), [], []
+    stack = []
+    while True:
+        for sub, binder in items:
+            names = getattr(sub, "_free", None)
+            if binder == name or (names is not None and name not in names):
+                subs.append(sub)
+                binders.append(binder)
+                continue
+            stack.append((q, items, subs, binders))
+            if binder in avoid:
+                taken = free(sub)
+                binders.append(_fresh(f"{binder}_", taken))
+                if binder in taken:
+                    stack.append((None, name, repl, avoid))
+                    name, repl, avoid = binder, Var(binders[-1]), (binders[-1],)
+            else:
+                binders.append(binder)
+            q, items, subs, binders = sub, iter(scope(sub)), [], []
+            break
+        else:
+            new = rule(q, subs, binders, name, repl)
+            if not stack:
+                return new
+            frame = stack.pop()
+            if frame[0] is None:  # new is a renamed subterm: now substitute into it
+                _, name, repl, avoid = frame
+                free(new)
+                q, items, subs, binders = new, iter(scope(new)), [], []
+            else:
+                q, items, subs, binders = frame
+                subs.append(new)
 
 
 def _fresh(stem: str, taken) -> str:
@@ -335,32 +387,6 @@ def _fresh(stem: str, taken) -> str:
     while f"{stem}{n}" in taken:
         n += 1
     return f"{stem}{n}"
-
-
-def substitute_proc(proc: Process, repl: Process, var: str) -> Process:
-    """proc[repl/var] on process variables.  Every subterm in which var is
-    not free is kept as the same object."""
-    name = ("X", var)
-
-    def walk(p: Process) -> Process:
-        if name not in free_names(p):
-            return p
-        match p:
-            case ProcVar():
-                return repl
-            case Rec(x, body):
-                return Rec(x, walk(body))
-            case Choice(branches):
-                new = []
-                for b in branches:
-                    cont = walk(b.cont)
-                    new.append(b if cont is b.cont else Branch(b.prefix, cont))
-                return Choice(tuple(new))
-            case Cond(g, t, e):
-                return Cond(g, walk(t), walk(e))
-        raise TypeError(p)
-
-    return walk(proc)
 
 
 def unfold_rec(proc: Process) -> Process:
@@ -697,8 +723,8 @@ class _Parser:
         return ParseError(message, t.line, t.col)
 
     def expect_name(self) -> _Tok:
-        """An identifier, or a keyword where only a name can stand: a label
-        or an input's binder."""
+        """An identifier, or a keyword where only a name can stand: a label,
+        an input's binder or a participant's name."""
         return self.next() if self.peek().kind == "kw" else self.expect("ident")
 
     # -- labels: a name with an optional reserved ".o"/".i" suffix
@@ -747,6 +773,8 @@ class _Parser:
 
     def parse_unary(self) -> Process:
         t = self.peek()
+        if t.kind in ("ident", "kw") and self.peek(1).kind in ("!", "?"):  # a target may be a keyword
+            return self.parse_atom()
         if t.kind == "nat" and t.text == "0":
             self.next()
             return Nil()
@@ -774,17 +802,13 @@ class _Parser:
             inner = self.parse_process()
             self.expect(")")
             return inner
-        if t.kind == "ident":
-            nxt = self.peek(1)
-            if nxt.kind in ("!", "?"):
-                return self.parse_atom()
-            if t.text[0].isupper():
-                self.next()
-                return ProcVar(t.text)
+        if t.kind == "ident" and t.text[0].isupper():
+            self.next()
+            return ProcVar(t.text)
         raise self.error(f"expected a process, found {t.text!r}")
 
     def parse_atom(self) -> Choice:
-        target = self.expect("ident")
+        target = self.expect_name()
         pol = self.next()
         if pol.kind not in ("!", "?"):
             raise ParseError("expected ! or ?", pol.line, pol.col)
@@ -810,7 +834,7 @@ class _Parser:
             raise self.error("empty source")
         while self.peek().kind == "kw" and self.peek().text == "role":
             self.next()
-            t = self.expect("ident")
+            t = self.expect_name()
             name = t.text
             if any(p == name for p, _ in parts):
                 raise ParseError(f"duplicate participant {name!r}", t.line, t.col)
@@ -826,7 +850,7 @@ class _Parser:
             self.expect("{")
             entries: list[tuple[str, "ltypes.LocalType"]] = []
             while self.peek().kind != "}":
-                t = self.expect("ident")
+                t = self.expect_name()
                 if any(p == t.text for p, _ in entries):
                     raise ParseError(f"duplicate type entry {t.text!r}", t.line, t.col)
                 self.expect(":")
@@ -862,6 +886,18 @@ class _Parser:
         from . import ltypes
 
         t = self.peek()
+        if t.kind in ("ident", "kw") and self.peek(1).kind in ("!", "?"):
+            target = self.next().text
+            pol = self.next().kind
+            label = self.parse_label()
+            self.expect("(")
+            pt = self.next()
+            if pt.kind != "kw" or pt.text not in ("nat", "bool"):
+                raise ParseError("expected payload type nat or bool", pt.line, pt.col)
+            self.expect(")")
+            self.expect(".")
+            cont = self.parse_tunary()
+            return ltypes.TChoice((ltypes.TBranch(target, pol, label, pt.text, cont),))
         if t.kind == "kw" and t.text == "end":
             self.next()
             return ltypes.End()
@@ -880,19 +916,6 @@ class _Parser:
             self.expect(")")
             return inner
         if t.kind == "ident":
-            nxt = self.peek(1)
-            if nxt.kind in ("!", "?"):
-                target = self.next().text
-                pol = self.next().kind
-                label = self.parse_label()
-                self.expect("(")
-                pt = self.next()
-                if pt.kind != "kw" or pt.text not in ("nat", "bool"):
-                    raise ParseError("expected payload type nat or bool", pt.line, pt.col)
-                self.expect(")")
-                self.expect(".")
-                cont = self.parse_tunary()
-                return ltypes.TChoice((ltypes.TBranch(target, pol, label, pt.text, cont),))
             self.next()
             return ltypes.TVar(t.text)
         raise self.error(f"expected a local type, found {t.text!r}")
@@ -900,13 +923,11 @@ class _Parser:
 
 def _unguarded_procvar(proc: Process, var: str) -> bool:
     """True iff var occurs in proc not under a prefix or conditional."""
-    match proc:
-        case ProcVar(name):
-            return name == var
-        case Rec(x, body):
-            return x != var and _unguarded_procvar(body, var)
-        case _:
+    while isinstance(proc, Rec):
+        if proc.var == var:
             return False
+        proc = proc.body
+    return isinstance(proc, ProcVar) and proc.name == var
 
 
 def parse_session(text: str, allow_reserved: bool = False) -> Session:
@@ -951,50 +972,51 @@ def render_value(v: Value) -> str:
 
 
 def render_process(proc: Process) -> str:
-    """The surface syntax of proc.  Prefix chains nest as deep as they are
-    long, so the printer keeps its own stack of terms and text to emit; what
-    comes first is pushed last."""
+    """The surface syntax of proc (see _render)."""
+    return _render([proc], _text)
+
+
+def _text(p: Process) -> list:
+    """p's text and subterms, in order."""
+    kind = type(p)
+    if kind is Choice:
+        out = []
+        for b in p.branches:
+            pre = b.prefix
+            value = render_value(pre.payload) if pre.polarity == "!" else pre.var
+            out += (" + ", f"{pre.target}{pre.polarity}{pre.label}({value}).", *_cont(b.cont))
+        return out[1:]
+    if kind is Nil:
+        return ["0"]
+    if kind is Success:
+        return ["ok"]
+    if kind is ProcVar:
+        return [p.name]
+    if kind is Rec:
+        return [f"rec {p.var}.", *_cont(p.body)]
+    if kind is Cond:
+        return [f"if {render_value(p.guard)} then ", *_cont(p.then), " else ", *_cont(p.els)]
+    raise TypeError(p)
+
+
+def _cont(p: Process) -> tuple:
+    """A continuation's items: bracketed when it is a sum, a conditional or
+    a recursion."""
+    return ("(", p, ")") if type(p) in (Cond, Rec) or (type(p) is Choice and len(p.branches) > 1) else (p,)
+
+
+def _render(items: list, text) -> str:
+    """The text of items, strings and terms of the language in which
+    text(node) lists a node's strings and subterms in order.  Computed
+    without recursion: what is still to print is a stack, next item last."""
     out: list[str] = []
-    todo: list[Process | str] = [proc]
-
-    def push_cont(p: Process) -> None:
-        # a continuation is bracketed when it is a sum, conditional or recursion
-        if isinstance(p, (Cond, Rec)) or (isinstance(p, Choice) and len(p.branches) > 1):
-            todo.extend((")", p, "("))
-        else:
-            todo.append(p)
-
+    todo = items[::-1]
     while todo:
         item = todo.pop()
-        match item:
-            case str():
-                out.append(item)
-            case Nil():
-                out.append("0")
-            case Success():
-                out.append("ok")
-            case ProcVar(name):
-                out.append(name)
-            case Rec(x, body):
-                out.append(f"rec {x}.")
-                push_cont(body)
-            case Cond(g, t, e):
-                out.append(f"if {render_value(g)} then ")
-                push_cont(e)
-                todo.append(" else ")
-                push_cont(t)
-            case Choice(branches):
-                for k in range(len(branches) - 1, -1, -1):
-                    pre = branches[k].prefix
-                    push_cont(branches[k].cont)
-                    if pre.polarity == "!":
-                        todo.append(f"{pre.target}!{pre.label}({render_value(pre.payload)}).")
-                    else:
-                        todo.append(f"{pre.target}?{pre.label}({pre.var}).")
-                    if k:
-                        todo.append(" + ")
-            case _:
-                raise TypeError(item)
+        if type(item) is str:
+            out.append(item)
+        else:
+            todo += reversed(text(item))
     return "".join(out)
 
 

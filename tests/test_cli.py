@@ -200,6 +200,16 @@ def test_max_depth_bounds_cmv_sources(tmp_path, capsys):
     assert run(capsys, *argv, "--max-depth", "1000")[0] == 0
 
 
+def test_detect_decides_deep_cmv_chains(tmp_path, capsys):
+    # y sends the variable of its first input back in its last message, so
+    # the one step from the root substitutes 1500 prefixes deep
+    n = 1500
+    path = tmp_path / "chain.cmv"
+    path.write_text(_cmv_chain(n).replace(f"m{n - 1}!{n - 1}.", f"m{n - 1}!v0."))
+    code, out = run(capsys, "--json", "detect", str(path), "--pattern", "m")
+    assert (code, json.loads(out)) == (1, {"found": False})
+
+
 def _session_chain(k: int) -> str:
     """p and q exchange k messages in alternating directions, with a types
     block; k + 1 states, k steps deep."""

@@ -39,6 +39,53 @@ def test_build_order_worked_example():
     assert slices["c"] == frozenset({("a", "c"), ("b", "c")})
 
 
+def reference_order_slices(names_in_order, all_names):
+    """The slices as the definition builds them: the left-nested parallel
+    tree of names_in_order, walked from the root with the full relation,
+    filtering with lu on left branches and ru on right branches."""
+    full = frozenset((p, q) for p in sorted(all_names) for q in sorted(all_names) if p != q)
+    if len(names_in_order) == 1:
+        return {names_in_order[0]: frozenset()}
+    slices = {}
+
+    def leaf_roles(node):
+        return {node} if isinstance(node, str) else leaf_roles(node[0]) | leaf_roles(node[1])
+
+    def assign(node, mark, rel):
+        filt = encode._lu if mark == "l" else encode._ru
+        if isinstance(node, str):
+            slices[node] = filt(rel, {node})
+            return
+        rel2 = filt(rel, leaf_roles(node))
+        assign(node[0], "l", rel2)
+        assign(node[1], "r", rel2)
+
+    tree = names_in_order[0]
+    for name in names_in_order[1:]:
+        tree = (tree, name)
+    assign(tree[0], "l", full)
+    assign(tree[1], "r", full)
+    return slices
+
+
+def test_order_slices_match_the_tree_walk():
+    cases = []
+    for name in corpus.SESSIONS + corpus.UNTYPED:
+        m, context = corpus.load(name)
+        cases.append((m.participants(), syntax.session_participants(m)))
+        if context is not None:
+            cases.append((context.domain(), set(context.domain()).union(*map(ltypes.pt, dict(context.entries).values()))))
+    rng = random.Random(11)
+    pool = [f"r{i}" for i in range(12)]
+    for _ in range(300):
+        names = tuple(rng.sample(pool, rng.randint(1, 8)))
+        cases.append((names, set(names) | set(rng.sample(pool, rng.randint(0, 3)))))
+    for names, all_names in cases:
+        got = encode._order_slices(names, all_names)
+        want = reference_order_slices(names, all_names)
+        assert got == want and list(got) == list(want), names
+
+
 def test_build_order_singleton_empty():
     m = parse_session("role p = 0")
     assert build_order(m) == {"p": frozenset()}

@@ -242,10 +242,12 @@ def test_front_end_exit_codes_and_output(text, expected, tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [text for text, expected in FRONT_END if expected[2] == 0]
                          + [pytest.param(corpus.text(name), id=name)
-                            for name in ("cmv_chain", "cmv_deadlocked", "cmv_mixed", "cmv_ping")])
+                            for name in ("cmv_chain", "cmv_deadlocked", "cmv_mixed", "cmv_ping")]
+                         + [pytest.param(f"(new {kw} y)(lin {kw} (a!1.0) | lin y (a?z.0))", id=f"endpoint-{kw}")
+                            for kw in sorted(syntax._KEYWORDS)])
 def test_encode_output_parses_back(text, tmp_path, capsys):
-    # a label or binder named like a session keyword (tt) is read back as a
-    # name, so the printed target is the translation
+    # a label, binder or endpoint named like a session keyword (tt) is read
+    # back as a name, so the printed target is the translation
     from mcmp import cli
 
     path = tmp_path / "program.cmv"

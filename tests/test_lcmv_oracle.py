@@ -263,6 +263,8 @@ def ref_subst(p, value, var):
             return CCond(sv(g), ref_subst(t, value, var), ref_subst(e, value, var))
         case CPar(l, r):
             return CPar(ref_subst(l, value, var), ref_subst(r, value, var))
+        case CRes(x, y, body):
+            return CRes(x, y, ref_subst(body, value, var))
     return p
 
 
@@ -555,6 +557,29 @@ def test_translations_share_nodes_across_states():
     # k*k nodes; shared, the count grows with k
     assert counts[40] <= 2.2 * counts[20] and counts[80] <= 2.2 * counts[40], counts
     assert counts[80] < 10 * 80, counts
+
+
+def test_deep_programs_substitute_and_print_without_recursion():
+    # the variable w that y's first input binds is sent 5000 prefixes below
+    k = 5000
+    heads = [f"lin y (m{i}?v{i}." for i in range(k)]
+    p = lcmv.parse_cmv(f"(new x y)(lin x (a!7.0) | lin y (a?w.{' '.join(heads)} lin y (b!w.0){')' * k}))")
+    cont = p.body.right.branches[0].cont
+    got = lcmv._subst_val(cont, NatVal(7), "w")
+    assert lcmv._free_of(got) == frozenset()
+    [(_, succ)] = lcmv.cmv_enabled(p)
+    text = lcmv.render_cmv(succ)
+    assert text == f"(new x y)({''.join(heads)}lin y (b!7.0){')' * k})"
+    assert lcmv.render_cmv(got) == text[len("(new x y)("):-1]
+
+
+def test_reduction_renames_a_capturing_binder():
+    # z, the value sent, reaches the conditional under the input binder z,
+    # which is renamed as a process's substitution renames it
+    p = lcmv.parse_cmv("(new x y)(lin x (a!z.0) | lin y (a?w. lin y (b?z. if w then 0 else ok)))")
+    [(_, succ)] = lcmv.cmv_enabled(p)
+    assert lcmv.render_cmv(succ) == "(new x y)(lin y (b?z_0.if z then 0 else ok))"
+    assert lcmv._free_of(succ) == {"z"}
 
 
 def test_parser_reads_long_chains_without_recursion():

@@ -541,3 +541,17 @@ def test_deep_types_need_no_recursion():
 
     assert ftv(deep()) == frozenset() and ftv(deep().body) == {"t"}
     assert len(canon_context(LocalContext((("p", deep()),)))) == 1
+
+
+def test_deep_types_unfold_and_print_without_recursion():
+    t = TVar("t")
+    for i in range(5000):
+        t = TChoice((TBranch("q", "!?"[i % 2], f"l{i}", "nat", t),))
+    rec = TRec("t", t)
+    bottom = unfold(rec)
+    for _ in range(5000):
+        bottom = bottom.branches[0].cont
+    assert bottom is rec
+    text = ltypes.render_type(rec)
+    assert text.startswith("rec t.q?l4999(nat).q!l4998(nat).") and text.endswith("q!l0(nat).t")
+    assert ltypes.render_type(unfold(rec)) == text[len("rec t."):-1] + f"({text})"

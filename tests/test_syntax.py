@@ -85,6 +85,20 @@ def test_render_nil_and_sum_order():
     assert render(p) == "a!l1(tt).0 + b?l2(x).0"
 
 
+def test_keyword_participant_names_parse_back():
+    # a role, a types entry and a prefix's target may take a keyword's name
+    text = (
+        "role if = ok!a(1).(if tt then ok else 0)\n"
+        "role ok = if?a(x).end!b(x).0\n"
+        "role end = ok?b(y).(rec X.ok?c(z).X)\n"
+        "types {\n  if: ok!a(nat).end\n  ok: if?a(nat).end!b(nat).end\n  end: ok?b(nat).end\n}\n"
+    )
+    m, ctx = parse_source(text)
+    assert m.participants() == ("if", "ok", "end") and ctx.domain() == ("if", "ok", "end")
+    assert m.process_of("if").branches[0].cont == syntax.Cond(syntax.TT, syntax.Success(), Nil())
+    assert render_session(m, ctx) == text
+
+
 @pytest.mark.parametrize("name", sorted(corpus.SESSIONS))
 def test_roundtrip_corpus(name):
     m, ctx = corpus.load(name)

@@ -363,6 +363,19 @@ def test_substitute_returns_the_term_when_the_variable_is_not_free():
     assert unfolded.branches[1].cont.then is body.branches[0].cont
 
 
+def test_deep_terms_substitute_and_print_without_recursion():
+    # 5000 inputs over an output of x: the substitution rebuilds every node
+    # above it, and the innermost binder, y0, would capture a value y0
+    p = Choice((Branch(Prefix("q", "!", "out", payload=Var("x")), Nil()),))
+    for i in range(5000):
+        p = Choice((Branch(Prefix("q", "?", f"l{i}", var=f"y{i}"), p),))
+    for value, tail in ((NatVal(7), "q?l0(y0).q!out(7).0"), (Var("y0"), "q?l0(y0_0).q!out(y0).0")):
+        got = substitute_value(p, value, "x")
+        text = syntax.render_process(got)
+        assert text.startswith("q?l4999(y4999).q?l4998(y4998).") and text.endswith(tail)
+        assert text.count(".") == 5001
+
+
 def test_substitute_proc_matches_reference():
     for t in random_terms(seed=9):
         for s in subterms(t):
