@@ -16,6 +16,11 @@ from . import lts, syntax
 
 OK, FAIL, USAGE, TRUNCATED = 0, 1, 2, 3
 
+# the most characters of text encode prints: an i or oi translation repeats
+# continuations, each one shared object, so its text can be exponentially
+# longer than the term (over 1e32 characters for a 200-message chain)
+MAX_ENCODE_TEXT = 16 * 2**20
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -175,7 +180,7 @@ def _write_dot(args, graph) -> None:
 def cmd_check(args) -> int:
     from . import typecheck
     session, context = _load_session(args, need_types=True)
-    errors = typecheck.check_session(session, context)
+    errors = typecheck.check_session(session, context, args.max_states, args.max_depth)
     payload = {"ok": not errors, "errors": [e.to_json() for e in errors]}
     if errors:
         lines = "\n".join(f"  {e.kind} at {e.location}: {e.message}" for e in errors)
@@ -250,6 +255,9 @@ def cmd_encode(args) -> int:
             target_context = encode.encode_types(context, args.via, order=order)
         except syntax.McmpError:
             target_context = None
+    size = syntax.render_length(target, target_context)
+    if size > MAX_ENCODE_TEXT:
+        raise lts.TruncatedError(f"the target's text has {size} characters, past encode's output bound of {MAX_ENCODE_TEXT >> 20} MiB")
     text = syntax.render_session(target, target_context)
     payload = {
         "target": text,

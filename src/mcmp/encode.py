@@ -12,21 +12,16 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from . import ltypes, semantics, syntax
-from .ltypes import End, LocalContext, LocalType, TBranch, TChoice, TRec, TVar
+from .ltypes import LocalContext, LocalType, TBranch, TChoice
 from .semantics import TruncatedError, explore, explore_many, weak_bisim_classes
 from .syntax import (
     TT,
     Branch,
     Choice,
-    Cond,
     McmpError,
-    Nil,
     Prefix,
     Process,
-    ProcVar,
-    Rec,
     Session,
-    Success,
     _fresh,
     choices,
     classify,
@@ -137,42 +132,52 @@ class _OrderView:
 class _Tables:
     """The o and i tables of the in-family encodings, with oi the o table
     applied to the top layer of the choice the i table builds (that choice
-    is always separate).  A subclass supplies what the tables build with:
-    choice(branches); head(b), a branch's peer and polarity; with_cont(b,
-    cont); the announcements send(q, label, cont) and recv(q, label, cont);
-    guard(q, outs), the o table's outputs; and walk(term, view), which
-    translates a continuation."""
+    is always separate).  A subclass supplies the term language, as scope
+    and rule (see syntax._substitute) and the choice node type choice, and
+    what the tables build with: head(b), a branch's peer and polarity;
+    with_cont(b, cont); the announcements send(q, label, cont) and recv(q,
+    label, cont); and guard(q, outs), the o table's outputs.
+
+    An encoder is one translation's memo: walk(term, view) is computed once
+    per subterm and view, so a continuation that a choice's translation
+    repeats, or that several translated terms share, is one object."""
 
     def __init__(self, style: str):
         self.style = style
+        self._memos: dict[_OrderView, dict] = {}
 
-    def translate_choice(self, branches: tuple, view: _OrderView):
+    def walk(self, term, view: _OrderView):
+        def node(q, subs: list):
+            if type(q) is self.choice:
+                return self.translate_choice(tuple(zip(q.branches, subs)), view)
+            return self.rule(q, subs, (), None, None)
+
+        return syntax._rebuild(term, self.scope, node, self._memos.setdefault(view, {}))
+
+    def translate_choice(self, pairs: tuple, view: _OrderView):
+        """The translation of a choice, given as (branch, translated
+        continuation) pairs."""
         if self.style == "per-peer":
             groups: dict[str, list] = {}
-            for b in branches:
-                groups.setdefault(self.head(b)[0], []).append(b)
+            for b, cont in pairs:
+                groups.setdefault(self.head(b)[0], []).append((b, cont))
             out: list = []
             for q, group in groups.items():
                 out.extend(self.table(group, q, "i", view))
             return self.choice(tuple(out))
-        peers = {self.head(b)[0] for b in branches}
+        peers = {self.head(b)[0] for b, _ in pairs}
         if len(peers) != 1:
             raise McmpError(self.SEVERAL_PEERS)
-        return self.choice(self.table(branches, peers.pop(), self.style, view))
+        return self.choice(self.table(pairs, peers.pop(), self.style, view))
 
-    def table(self, branches, q: str, style: str, view: _OrderView) -> tuple:
+    def table(self, pairs, q: str, style: str, view: _OrderView) -> tuple:
         """The branches that one choice toward q translates to."""
-        outs = [b for b in branches if self.head(b)[1] == "!"]
-        ins = [b for b in branches if self.head(b)[1] == "?"]
+        outs = tuple(self.with_cont(b, cont) for b, cont in pairs if self.head(b)[1] == "!")
+        ins = tuple(self.with_cont(b, cont) for b, cont in pairs if self.head(b)[1] == "?")
         if style == "o" and outs and ins:
             raise McmpError(self.MIXED)
-        # the order is read, then the inputs translated, then the outputs:
-        # that fixes which of several faults in a choice is reported
-        less = style != "o" and view.less_than(q)
-        ins = tuple(self.with_cont(b, self.walk(b.cont, view)) for b in ins)
-        outs = tuple(self.with_cont(b, self.walk(b.cont, view)) for b in outs)
         if style != "o":
-            top = self.i_table(outs, ins, q, less)
+            top = self.i_table(outs, ins, q, view.less_than(q))
             if style == "i":
                 return top
             # oi: the o table on the top layer of the i table's choice
@@ -201,37 +206,11 @@ def _dummy_var(cont: Process) -> str:
 
 
 class _Encoder(_Tables):
-    """One process translation's memo: walk(p, view) is computed once per
-    term and view, so a continuation that a choice's translation repeats,
-    or that several translated sessions share, is one object."""
-
     SEVERAL_PEERS = "source choice addresses several participants; not in the source fragment"
     MIXED = "separate-choice source required, found a mixed choice"
+    scope = staticmethod(syntax._scope)
+    rule = staticmethod(syntax._rule)
     choice = Choice
-
-    def __init__(self, style: str):
-        super().__init__(style)
-        self._memo: dict[tuple[int, _OrderView], tuple[Process, Process]] = {}
-
-    def walk(self, p: Process, view: _OrderView) -> Process:
-        # an entry holds its term, so no id in a key is reused while it lives
-        key = (id(p), view)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[1]
-        match p:
-            case Nil() | Success() | ProcVar():
-                out = p
-            case Rec(x, body):
-                out = Rec(x, self.walk(body, view))
-            case Cond(g, t, e):
-                out = Cond(g, self.walk(t, view), self.walk(e, view))
-            case Choice(branches):
-                out = self.translate_choice(branches, view)
-            case _:
-                raise TypeError(p)
-        self._memo[key] = (p, out)
-        return out
 
     @staticmethod
     def head(b: Branch) -> tuple[str, str]:
@@ -257,17 +236,9 @@ class _Encoder(_Tables):
 class _TypeEncoder(_Tables):
     SEVERAL_PEERS = "type choice addresses several participants; no translation given"
     MIXED = "mixed choice type has no separate-choice translation"
+    scope = staticmethod(ltypes._scope)
+    rule = staticmethod(ltypes._rule)
     choice = TChoice
-
-    def walk(self, t: LocalType, view: _OrderView) -> LocalType:
-        match t:
-            case End() | TVar():
-                return t
-            case TRec(x, body):
-                return TRec(x, self.walk(body, view))
-            case TChoice(branches):
-                return self.translate_choice(branches, view)
-        raise TypeError(t)
 
     @staticmethod
     def head(b: TBranch) -> tuple[str, str]:
@@ -310,6 +281,14 @@ def _translator(m: Session, e: EncodingId, order: dict[str, frozenset] | None = 
     _check_no_reserved(m)
     slices = order if order is not None else build_order(m)
     views = {p: _OrderView(p, slices.get(p, frozenset())) for p in m.participants()}
+    if e.style != "o":
+        # the walk translates a choice after its continuations, so the
+        # order is read here first, outermost choice first: the unordered
+        # pair reported is the first one met reading the term
+        for p, proc in m.parts:
+            for c in choices(proc):
+                for b in c.branches:
+                    views[p].less_than(b.prefix.target)
     encoder = _Encoder(e.style)
     return lambda s: Session(tuple((p, encoder.walk(proc, views[p])) for p, proc in s.parts))
 

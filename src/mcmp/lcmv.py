@@ -297,11 +297,7 @@ _NONE: frozenset = frozenset()
 
 def _free_of(p: CmvProcess) -> frozenset:
     """The value variables free in p."""
-    try:
-        return p._free
-    except AttributeError:
-        syntax._fill_slots(p, _scope, _fill)
-        return p._free
+    return syntax._free_of(p, _scope, _fill)
 
 
 def _ends_of(p: CmvProcess) -> frozenset:
@@ -328,7 +324,6 @@ def _fill(q: CmvProcess) -> None:
             free = _with_value(free, g)
     object.__setattr__(q, "_free", free)
     object.__setattr__(q, "_ends", ends)
-    object.__setattr__(q, "_key", None)  # no form kept yet
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +451,7 @@ def cmv_canon(p: CmvProcess) -> tuple:
     """Canonical form up to structural congruence (commutativity and
     associativity of |, garbage collection of 0) and alpha-conversion, made
     and kept as a process's is (see syntax._canon_walk)."""
-    try:
-        key = p._key
-    except AttributeError:  # a node _free_of has not met yet
-        _free_of(p)
-        key = None
-    return syntax._canon_walk(p, _scope, _form) if key is None else key
+    return syntax._canon_walk(p, _scope, _form, _fill)
 
 
 def _form(q: CmvProcess, env: tuple, forms: list) -> tuple:

@@ -101,11 +101,7 @@ def prefix_set(t: LocalType) -> frozenset[tuple[str, str]]:
 def ftv(t: LocalType) -> frozenset[str]:
     """The type variables free in t.  Each node's set is computed once, as
     for processes (see syntax.free_names)."""
-    try:
-        return t._free
-    except AttributeError:
-        syntax._fill_slots(t, _scope, _fill)
-        return t._free
+    return syntax._free_of(t, _scope, _fill)
 
 
 def _scope(t: LocalType) -> list:
@@ -121,7 +117,6 @@ def _scope(t: LocalType) -> list:
 def _fill(t: LocalType) -> None:
     free = frozenset((t.name,)) if type(t) is TVar else syntax._free_below(t, _scope)
     object.__setattr__(t, "_free", free)
-    object.__setattr__(t, "_key", None)  # no form kept yet
 
 
 def _guards(var: str, t: LocalType) -> bool:
@@ -340,12 +335,7 @@ _END_FORM = ("end",)
 def _type_form(t: LocalType) -> tuple:
     """The canonical form of t, equal for two types exactly when they are
     alpha-equivalent (see syntax._canon_walk)."""
-    try:
-        key = t._key
-    except AttributeError:  # a node ftv has not met yet
-        ftv(t)
-        key = None
-    return syntax._canon_walk(t, _scope, _form) if key is None else key
+    return syntax._canon_walk(t, _scope, _form, _fill)
 
 
 def _form(t: LocalType, env: tuple, forms: list) -> tuple:

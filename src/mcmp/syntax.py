@@ -191,17 +191,24 @@ def free_names(proc: Process) -> frozenset:
     first and without recursion (see _fill_slots); a node with the same
     names as a child shares the child's set, and closed nodes share one
     empty set."""
+    return _free_of(proc, _scope, _fill_free)
+
+
+def _free_of(p, scope, fill) -> frozenset:
+    """p's _free slot, in the language that scope describes, after filling
+    the unset slots at and below p with fill (see _fill_slots)."""
     try:
-        return proc._free
+        return p._free
     except AttributeError:
-        _fill_slots(proc, _scope, _fill_free)
-        return proc._free
+        _fill_slots(p, scope, fill)
+        return p._free
 
 
 def _fill_slots(p, scope, fill) -> None:
     """Call fill on p and on every node below it whose _free slot is unset,
-    children first (scope(node) lists a node's) and without recursion.
-    fill sets _free, so a node met twice in a shared term is filled once."""
+    children first (scope(node) lists a node's) and without recursion, and
+    keep no form for it yet.  fill sets _free, so a node met twice in a
+    shared term is filled once."""
     todo = [p]
     while todo:
         q = todo[-1]
@@ -214,6 +221,28 @@ def _fill_slots(p, scope, fill) -> None:
             continue
         todo.pop()
         fill(q)
+        object.__setattr__(q, "_key", None)
+
+
+def _rebuild(p, scope, node, memo: dict):
+    """node(p, subs), where subs holds the results for p's subterms in the
+    order scope(p) lists them, each computed the same way: children first
+    and without recursion.  memo maps id(q) to (q, q's result), so a subterm
+    met twice, in p or in an earlier call with the same memo, is done once,
+    and no id in it is reused while memo lives."""
+    todo = [p]
+    while todo:
+        q = todo[-1]
+        if id(q) in memo:  # met twice in a shared term
+            todo.pop()
+            continue
+        missing = [k for k, _ in scope(q) if id(k) not in memo]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        memo[id(q)] = (q, node(q, [memo[id(k)][1] for k, _ in scope(q)]))
+    return memo[id(p)][1]
 
 
 def _nodes(p, scope) -> list:
@@ -250,7 +279,7 @@ def _free_below(q, scope) -> frozenset:
 
 
 def _fill_free(p: Process) -> None:
-    """Set p's free names from the sets of its subterms, and no form yet."""
+    """Set p's free names from the sets of its subterms."""
     free = _free_below(p, _scope)
     match p:
         case ProcVar(name):
@@ -262,7 +291,6 @@ def _fill_free(p: Process) -> None:
                 if b.prefix.polarity == "!":
                     free = _with_value(free, b.prefix.payload)
     object.__setattr__(p, "_free", free)
-    object.__setattr__(p, "_key", None)  # no form kept yet
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -421,12 +449,7 @@ def canon_process(proc: Process) -> tuple:
     are alpha-equivalent (see _canon_walk).  A sum is ("sum", its summands'
     forms in sorted order), and a choice of one summand has that summand's
     form."""
-    try:
-        key = proc._key
-    except AttributeError:  # a node free_names has not met yet
-        free_names(proc)
-        key = None
-    return _canon_walk(proc, _scope, _form) if key is None else key
+    return _canon_walk(proc, _scope, _form, _fill_free)
 
 
 def _form(p: Process, env: tuple, forms: list) -> tuple:
@@ -455,14 +478,15 @@ def _form(p: Process, env: tuple, forms: list) -> tuple:
     raise TypeError(p)
 
 
-def _canon_walk(p, scope, form) -> tuple:
-    """The canonical form of p, a node whose slots are set, in the language
-    that scope and form describe: scope(node) lists a node's subterms, each
-    with the binder it sits under or None, and form(node, env, forms) builds
-    a node's form from its subterms' forms under env, the binders around
-    it, innermost last.  A bound name is ("b", i) for the binder i binders
-    further out (a de Bruijn index), and a free name stays a name, so a
-    subterm's form does not depend on how deep it sits.
+def _canon_walk(p, scope, form, fill) -> tuple:
+    """The canonical form of p in the language that scope, form and fill
+    describe: scope(node) lists a node's subterms, each with the binder it
+    sits under or None, form(node, env, forms) builds a node's form from its
+    subterms' forms under env, the binders around it, innermost last, and
+    fill sets a node's slots (see _fill_slots).  A bound name is ("b", i)
+    for the binder i binders further out (a de Bruijn index), and a free
+    name stays a name, so a subterm's form does not depend on how deep it
+    sits.
 
     A node keeps its form in _key when no binder around it binds a name
     free in it, and it is not p: p is rebuilt on each request from its
@@ -471,6 +495,11 @@ def _canon_walk(p, scope, form) -> tuple:
     continuations, which steps ask for, keep theirs.  The form of a kept
     subterm is that same object, so the walk descends only where a binder
     is used or no form is kept yet.  Computed without recursion."""
+    try:
+        if p._key is not None:
+            return p._key
+    except AttributeError:  # a node whose slots are unset
+        _fill_slots(p, scope, fill)
     # q is the node being built, under the binders env, from the forms of
     # its subterms subs made so far; stack holds the nodes above it
     q, env, subs, forms = p, (), scope(p), []
@@ -544,26 +573,17 @@ def apply_rename(m: Session, sigma: dict[str, str]) -> Session:
     def ren(name: str) -> str:
         return sigma.get(name, name)
 
-    def walk(p: Process) -> Process:
-        match p:
-            case Choice(branches):
-                new = []
-                for b in branches:
-                    pre = b.prefix
-                    if pre.polarity == "!":
-                        np = Prefix(ren(pre.target), "!", pre.label, payload=pre.payload)
-                    else:
-                        np = Prefix(ren(pre.target), "?", pre.label, var=pre.var)
-                    new.append(Branch(np, walk(b.cont)))
-                return Choice(tuple(new))
-            case Cond(g, t, e):
-                return Cond(g, walk(t), walk(e))
-            case Rec(x, body):
-                return Rec(x, walk(body))
-            case _:
-                return p
+    def node(p: Process, subs: list) -> Process:
+        if type(p) is not Choice:
+            return _rule(p, subs, (), None, None)
+        new = []
+        for b, k in zip(p.branches, subs):
+            pre = b.prefix
+            new.append(Branch(Prefix(ren(pre.target), pre.polarity, pre.label, pre.payload, pre.var), k))
+        return Choice(tuple(new))
 
-    return Session(tuple((ren(name), walk(proc)) for name, proc in m.parts))
+    memo: dict = {}
+    return Session(tuple((ren(name), _rebuild(proc, _scope, node, memo)) for name, proc in m.parts))
 
 
 def is_symmetric(m: Session, sigma: dict[str, str]) -> bool:
@@ -756,20 +776,23 @@ class _Parser:
 
     # -- processes
 
-    def parse_process(self) -> Process:
-        first = self.parse_unary()
+    def _sum(self, unary, kind, noun: str):
+        """A unary() term, or the choice (of node type kind) that sums them."""
+        term = unary()
         if self.peek().kind != "+":
-            return first
-        if not isinstance(first, Choice):
-            raise self.error("only prefixed terms can be summands")
-        branches = list(first.branches)
-        while self.peek().kind == "+":
+            return term
+        branches = []
+        while True:
+            if not isinstance(term, kind):
+                raise self.error(f"only prefixed {noun} can be summands")
+            branches += term.branches
+            if self.peek().kind != "+":
+                return kind(tuple(branches))
             self.next()
-            nxt = self.parse_unary()
-            if not isinstance(nxt, Choice):
-                raise self.error("only prefixed terms can be summands")
-            branches.extend(nxt.branches)
-        return Choice(tuple(branches))
+            term = unary()
+
+    def parse_process(self) -> Process:
+        return self._sum(self.parse_unary, Choice, "terms")
 
     def parse_unary(self) -> Process:
         t = self.peek()
@@ -809,9 +832,7 @@ class _Parser:
 
     def parse_atom(self) -> Choice:
         target = self.expect_name()
-        pol = self.next()
-        if pol.kind not in ("!", "?"):
-            raise ParseError("expected ! or ?", pol.line, pol.col)
+        pol = self.next()  # parse_unary has seen ! or ?
         label = self.parse_label()
         self.expect("(")
         if pol.kind == "!":
@@ -868,19 +889,7 @@ class _Parser:
     def parse_ltype(self):
         from . import ltypes
 
-        first = self.parse_tunary()
-        if self.peek().kind != "+":
-            return first
-        if not isinstance(first, ltypes.TChoice):
-            raise self.error("only prefixed types can be summands")
-        branches = list(first.branches)
-        while self.peek().kind == "+":
-            self.next()
-            nxt = self.parse_tunary()
-            if not isinstance(nxt, ltypes.TChoice):
-                raise self.error("only prefixed types can be summands")
-            branches.extend(nxt.branches)
-        return ltypes.TChoice(tuple(branches))
+        return self._sum(self.parse_tunary, ltypes.TChoice, "types")
 
     def parse_tunary(self):
         from . import ltypes
@@ -941,19 +950,20 @@ def parse_source(text: str, allow_reserved: bool = False):
 
 
 def parse_process(text: str, allow_reserved: bool = False) -> Process:
-    parser = _Parser(text, allow_reserved)
-    proc = parser.parse_process()
-    if parser.peek().kind != "eof":
-        raise parser.error("unexpected trailing input")
-    return proc
+    return _parse_whole(text, allow_reserved, _Parser.parse_process)
 
 
 def parse_ltype(text: str, allow_reserved: bool = False):
+    return _parse_whole(text, allow_reserved, _Parser.parse_ltype)
+
+
+def _parse_whole(text: str, allow_reserved: bool, rule):
+    """The term rule(parser) reads from the whole of text."""
     parser = _Parser(text, allow_reserved)
-    t = parser.parse_ltype()
+    term = rule(parser)
     if parser.peek().kind != "eof":
         raise parser.error("unexpected trailing input")
-    return t
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +1040,26 @@ def render_session(m: Session, context=None) -> str:
             lines.append(f"  {name}: {ltypes.render_type(t)}")
         lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def render_length(m: Session, context=None) -> int:
+    """len(render_session(m, context)), computed without the text: each
+    subterm is measured once however often the terms repeat it (see
+    _rebuild), so in time linear in the shared terms."""
+    from . import ltypes
+
+    def length(entries, scope, text, around: str) -> int:
+        memo: dict = {}
+
+        def node(q, subs: list) -> int:
+            return sum(subs) + sum(len(item) for item in text(q) if type(item) is str)
+
+        return sum(len(around) + len(name) + _rebuild(t, scope, node, memo) for name, t in entries)
+
+    n = length(m.parts, _scope, _text, "role  = \n")
+    if context is not None:
+        n += len("types {\n}\n") + length(context.entries, ltypes._scope, ltypes._text, "  : \n")
+    return n
 
 
 def render(term) -> str:

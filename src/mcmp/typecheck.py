@@ -144,9 +144,10 @@ def _check(gamma: SharedContext, proc: Process, t: LocalType, where: str, errors
             raise TypeError(proc)
 
 
-def check_session(m: Session, delta: LocalContext) -> list[CheckError]:
+def check_session(m: Session, delta: LocalContext, max_states: int | None = None, max_depth: int | None = None) -> list[CheckError]:
     """Every participant checks against its declared type and the context is
-    safe; both conditions are reported independently."""
+    safe, within the optional bounds (see ltypes.is_safe); both conditions
+    are reported independently."""
     errors: list[CheckError] = []
     dom = set(delta.domain())
     roles = set(m.participants())
@@ -158,7 +159,7 @@ def check_session(m: Session, delta: LocalContext) -> list[CheckError]:
     for p, proc in m.parts:
         if p in dom:
             errors.extend(check_process(SharedContext(), proc, delta.type_of(p), where=p))
-    ok, witness = ltypes.is_safe(delta)
+    ok, witness = ltypes.is_safe(delta, max_states, max_depth)
     if not ok:
         errors.append(CheckError("context-unsafe", "context", f"declared context is not safe: {witness}"))
     return errors

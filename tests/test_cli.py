@@ -125,7 +125,7 @@ def test_truncation_exit_code(fixture_dir, capsys):
 
 def test_safety_and_df_honour_bounds(fixture_dir, capsys):
     # a context cut off by a bound would otherwise read as stuck or unsafe
-    for command in ("safety", "df"):
+    for command in ("check", "safety", "df"):
         code, out = run(capsys, "--json", command, str(fixture_dir / "election5.mcmp"), "--max-depth", "1")
         assert code == 3 and json.loads(out)["truncated"]
         code, _ = run(capsys, command, str(fixture_dir / "election5.mcmp"), "--max-states", "2")
@@ -156,6 +156,23 @@ def test_deep_nesting_is_truncation_not_traceback(tmp_path):
         assert done.returncode == 3, done.stderr
         assert "Traceback" not in done.stderr
         assert json.loads(done.stdout)["truncated"]
+
+
+def test_encode_stops_at_the_output_bound(tmp_path):
+    # the i table repeats continuations, so the text of a 200-message
+    # chain's translation doubles per message while the term stays linear
+    n = 200
+    p = [f"q!l{i}(tt)" if i % 2 == 0 else f"q?l{i}(x{i})" for i in range(n)]
+    q = [f"p?l{i}(x{i})" if i % 2 == 0 else f"p!l{i}(ff)" for i in range(n)]
+    path = tmp_path / "chain.mcmp"
+    path.write_text(f"role p = {'.'.join(p)}.ok\nrole q = {'.'.join(q)}.0\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "mcmp.cli", "--json", "encode", str(path), "--via", "mcbs-scbs"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=2)
+    assert done.returncode == 3, done.stderr
+    out = json.loads(done.stdout)
+    assert out["truncated"] and "output bound of 16 MiB" in out["error"]
 
 
 def test_cmv_encode_prints_long_chains(tmp_path):

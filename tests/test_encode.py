@@ -265,6 +265,36 @@ def test_compositionality_splice_subterms():
 # type translation
 
 
+@pytest.mark.parametrize("enc_id", ["dmp-smp", "dmp-mp", "mcmp-msmp"])
+def test_first_unordered_peer_is_the_outermost(enc_id):
+    # reading p7's term meets a before b, though the walk translates b's
+    # choice first
+    m, _ = corpus.load("p7")
+    with pytest.raises(McmpError, match="^participants p and a are unordered$"):
+        run_encode(m, enc_id)
+
+
+def test_correspondence_on_a_300_message_chain():
+    # deeper than the recursion limit allows a walk that recurses per prefix
+    m = chain_session(random.Random(3), 300)
+    for enc_id in ("scbs-bs", "smp-mp"):
+        report = verify_correspondence(m, enc_id, max_depth=1000)
+        assert report.passed(), report.to_json()
+
+
+def test_render_length_is_the_length_of_the_text():
+    for name in corpus.SESSIONS + corpus.UNTYPED:
+        m, context = corpus.load(name)
+        assert syntax.render_length(m, context) == len(render_session(m, context))
+        for enc_id in sorted(set(ENCODINGS) - {"lcmv-mcbs"}):
+            try:
+                target = run_encode(m, enc_id)
+                target_context = None if context is None else encode_types(context, enc_id)
+            except McmpError:
+                continue
+            assert syntax.render_length(target, target_context) == len(render_session(target, target_context))
+
+
 def test_type_translation_end_identity():
     delta = ltypes.LocalContext((("p", ltypes.End()),))
     for enc_id in sorted(set(ENCODINGS) - {"lcmv-mcbs"}):

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from mcmp import encode, semantics, syntax
+from mcmp import encode, ltypes, semantics, syntax
 from mcmp.syntax import (
     FF,
     TT,
@@ -463,3 +463,47 @@ def test_dummy_binders_are_the_smallest_name_not_free():
     m = parse_session("role p = q!a(tt).q!b(w0).0 + q!c(tt).0 role q = p?a(x).p?b(w0).0 + p?c(x).0")
     p = encode.encode(m, "scbs-bs").process_of("p")
     assert [b.prefix.var for b in p.branches] == ["w1", "w0"]
+
+
+def test_type_encoder_translates_a_repeated_continuation_once():
+    # mcbs-scbs repeats the translated outputs under reset, as one object;
+    # translating the result again keeps that continuation one object
+    delta = ltypes.LocalContext((("p", syntax.parse_ltype("q!a(bool).q!c(bool).end + q?b(bool).end")),))
+    order = {"p": frozenset({("p", "q")})}
+    once = encode.encode_types(delta, "mcbs-scbs", order=order)
+    twice = encode.encode_types(once, "scbs-bs", order=order).type_of("p")
+    repeated = [u for u in syntax._nodes(twice, ltypes._scope) if ltypes.render_type(u) == "q?enc_o(bool).q!c(bool).end"]
+    assert len(repeated) == 2 and repeated[0] is repeated[1]
+
+
+def deep_side(peer, k):
+    """One side of a k-message chain with peer, outputs and inputs
+    alternating, built in code: deeper than any parser allows."""
+    p = Success()
+    for i in reversed(range(k)):
+        pre = Prefix(peer, "!", f"l{i}", payload=TT) if i % 2 == 0 else Prefix(peer, "?", f"l{i}", var=f"x{i}")
+        p = Choice((Branch(pre, p),))
+    return p
+
+
+def test_deep_terms_rename_and_encode_without_recursion():
+    k = 5000
+    m = syntax.Session((("p", deep_side("q", k)), ("q", deep_side("p", k))))
+    # q's first message differs from p's, so the comparison of the two forms
+    # stops at their tops (comparing equal forms nested this deep recurses)
+    first = Choice((Branch(Prefix("p", "!", "other", payload=TT), m.process_of("q").branches[0].cont),))
+    assert not syntax.is_symmetric(m.with_parts({"q": first}), {"p": "q", "q": "p"})
+    renamed = syntax.apply_rename(m, {"q": "r"})
+    assert syntax.render_process(renamed.process_of("p")).startswith("r!l0(tt).r?l1(x1).")
+    order = {"p": frozenset({("p", "q")})}
+    t = ltypes.End()
+    for i in reversed(range(k)):
+        t = ltypes.TChoice((ltypes.TBranch("q", "!?"[i % 2], f"l{i}", "bool", t),))
+    delta = ltypes.LocalContext((("p", t),))
+    for enc_id, e in encode.ENCODINGS.items():
+        if e.style == "lcmv":
+            continue
+        proc = encode.encode_process(m.process_of("p"), "p", order["p"], enc_id)
+        assert f"l{k - 1}" in syntax.render_process(proc)
+        typed = encode.encode_types(delta, enc_id, order=order).type_of("p")
+        assert f"l{k - 1}" in ltypes.render_type(typed)
