@@ -47,7 +47,8 @@ def _run(args) -> int:
         _emit(args, {"error": str(e), "truncated": True}, f"truncated: {e}")
         return TRUNCATED
     except RecursionError:
-        # the parser and the term walks recurse once per nesting level
+        # the type checker, subtyping, form comparison and the .cmv translation
+        # recurse once per prefix
         message = "nesting depth: the input nests deeper than the recursion limit allows"
         _emit(args, {"error": message, "truncated": True}, f"truncated: {message}")
         return TRUNCATED

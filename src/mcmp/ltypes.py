@@ -32,7 +32,7 @@ class TRec(syntax._Term):
     body: "LocalType"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TBranch:
     target: str
     polarity: str  # '!' or '?'
@@ -119,16 +119,8 @@ def _fill(t: LocalType) -> None:
     object.__setattr__(t, "_free", free)
 
 
-def _guards(var: str, t: LocalType) -> bool:
-    while isinstance(t, TRec):
-        if t.var == var:
-            return False
-        t = t.body
-    return not (isinstance(t, TVar) and t.name == var)
-
-
 def guarded(t: LocalType) -> bool:
-    return all(_guards(u.var, u.body) for u in syntax._nodes(t, _scope) if isinstance(u, TRec))
+    return all(syntax._guards(u.var, u.body, TRec, TVar) for u in syntax._nodes(t, _scope) if isinstance(u, TRec))
 
 
 def closed(t: LocalType) -> bool:
@@ -172,13 +164,7 @@ def unfold(t: LocalType) -> LocalType:
 
 def head(t: LocalType) -> LocalType:
     """Unfold outermost recursions down to end, a variable or a choice."""
-    steps = 0
-    while isinstance(t, TRec):
-        t = unfold(t)
-        steps += 1
-        if steps > 64:
-            raise ValueError("unguarded recursive type")
-    return t
+    return syntax._head(t, TRec, unfold, ValueError, "unguarded recursive type")
 
 
 # ---------------------------------------------------------------------------

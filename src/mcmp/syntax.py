@@ -426,13 +426,20 @@ def unfold_rec(proc: Process) -> Process:
 
 def head_normal(proc: Process) -> Process:
     """Unfold outermost recursions until a non-rec constructor appears."""
-    seen = 0
-    while isinstance(proc, Rec):
-        proc = unfold_rec(proc)
-        seen += 1
-        if seen > 64:
-            raise McmpError("unguarded recursion")
-    return proc
+    return _head(proc, Rec, unfold_rec, McmpError, "unguarded recursion")
+
+
+def _head(t, rec, unfold, error, message: str):
+    """t with each of its leading binders (node type rec) unfolded once.  An
+    unfolding of a guarded term takes exactly one binder off its top, so a
+    binder still on top after them is unguarded, and raises error(message)."""
+    u = t
+    while type(u) is rec:
+        u = u.body
+        t = unfold(t)
+    if type(t) is rec:
+        raise error(message)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -795,56 +802,65 @@ class _Parser:
         return self._sum(self.parse_unary, Choice, "terms")
 
     def parse_unary(self) -> Process:
-        t = self.peek()
-        if t.kind in ("ident", "kw") and self.peek(1).kind in ("!", "?"):  # a target may be a keyword
-            return self.parse_atom()
+        return self._unary(self._prefix, self._leaf, Choice, Branch, Rec, ProcVar, "recursion")
+
+    def _unary(self, prefix, leaf, choice, branch, rec, var_kind, noun: str):
+        """A run of prefixes and `rec X.` binders, then leaf(), built from the
+        inside out, so a run costs no stack.  prefix(target, polarity, label)
+        reads the part in brackets and returns the fields of the branch
+        before its continuation.  Guards are checked innermost first, so
+        errors come in the order the grammar's recursive reading gives."""
+        run = []
+        while True:
+            t = self.peek()
+            if t.kind in ("ident", "kw") and self.peek(1).kind in ("!", "?"):  # a target may be a keyword
+                self.next()
+                run.append(prefix(t.text, self.next().kind, self.parse_label()))
+            elif t.kind == "kw" and t.text == "rec":
+                self.next()
+                run.append((t, self.expect("ident").text))
+            else:
+                break
+            self.expect(".")
+        term = leaf()
+        for entry in reversed(run):
+            if type(entry[0]) is not _Tok:
+                term = choice((branch(*entry, term),))
+                continue
+            t, var = entry  # a binder's token and the name it binds
+            if not _guards(var, term, rec, var_kind):
+                raise ParseError(f"{noun} rec {var} is not guarded", t.line, t.col)
+            term = rec(var, term)
+        return term
+
+    def _prefix(self, target: str, polarity: str, label: str) -> tuple:
+        self.expect("(")
+        if polarity == "!":
+            prefix = Prefix(target, "!", label, payload=self.parse_value())
+        else:
+            prefix = Prefix(target, "?", label, var=self.expect_name().text)
+        self.expect(")")
+        return (prefix,)
+
+    def _leaf(self) -> Process:
+        t = self.next()
         if t.kind == "nat" and t.text == "0":
-            self.next()
             return Nil()
         if t.kind == "kw" and t.text == "ok":
-            self.next()
             return Success()
-        if t.kind == "kw" and t.text == "rec":
-            self.next()
-            var = self.expect("ident").text
-            self.expect(".")
-            body = self.parse_unary()
-            if _unguarded_procvar(body, var):
-                raise ParseError(f"recursion rec {var} is not guarded", t.line, t.col)
-            return Rec(var, body)
         if t.kind == "kw" and t.text == "if":
-            self.next()
             guard = self.parse_value()
             self.expect("kw", "then")
             then = self.parse_process()
             self.expect("kw", "else")
-            els = self.parse_process()
-            return Cond(guard, then, els)
+            return Cond(guard, then, self.parse_process())
         if t.kind == "(":
-            self.next()
             inner = self.parse_process()
             self.expect(")")
             return inner
         if t.kind == "ident" and t.text[0].isupper():
-            self.next()
             return ProcVar(t.text)
-        raise self.error(f"expected a process, found {t.text!r}")
-
-    def parse_atom(self) -> Choice:
-        target = self.expect_name()
-        pol = self.next()  # parse_unary has seen ! or ?
-        label = self.parse_label()
-        self.expect("(")
-        if pol.kind == "!":
-            payload = self.parse_value()
-            prefix = Prefix(target.text, "!", label, payload=payload)
-        else:
-            var = self.expect_name().text
-            prefix = Prefix(target.text, "?", label, var=var)
-        self.expect(")")
-        self.expect(".")
-        cont = self.parse_unary()
-        return Choice((Branch(prefix, cont),))
+        raise ParseError(f"expected a process, found {t.text!r}", t.line, t.col)
 
     # -- sessions
 
@@ -894,49 +910,41 @@ class _Parser:
     def parse_tunary(self):
         from . import ltypes
 
-        t = self.peek()
-        if t.kind in ("ident", "kw") and self.peek(1).kind in ("!", "?"):
-            target = self.next().text
-            pol = self.next().kind
-            label = self.parse_label()
-            self.expect("(")
-            pt = self.next()
-            if pt.kind != "kw" or pt.text not in ("nat", "bool"):
-                raise ParseError("expected payload type nat or bool", pt.line, pt.col)
-            self.expect(")")
-            self.expect(".")
-            cont = self.parse_tunary()
-            return ltypes.TChoice((ltypes.TBranch(target, pol, label, pt.text, cont),))
+        return self._unary(self._tprefix, self._tleaf, ltypes.TChoice, ltypes.TBranch, ltypes.TRec, ltypes.TVar,
+                           "recursive type")
+
+    def _tprefix(self, target: str, polarity: str, label: str) -> tuple:
+        self.expect("(")
+        pt = self.next()
+        if pt.kind != "kw" or pt.text not in ("nat", "bool"):
+            raise ParseError("expected payload type nat or bool", pt.line, pt.col)
+        self.expect(")")
+        return target, polarity, label, pt.text
+
+    def _tleaf(self):
+        from . import ltypes
+
+        t = self.next()
         if t.kind == "kw" and t.text == "end":
-            self.next()
             return ltypes.End()
-        if t.kind == "kw" and t.text == "rec":
-            self.next()
-            var = self.expect("ident").text
-            self.expect(".")
-            body = self.parse_tunary()
-            rec = ltypes.TRec(var, body)
-            if not ltypes.guarded(rec):
-                raise ParseError(f"recursive type rec {var} is not guarded", t.line, t.col)
-            return rec
         if t.kind == "(":
-            self.next()
             inner = self.parse_ltype()
             self.expect(")")
             return inner
         if t.kind == "ident":
-            self.next()
             return ltypes.TVar(t.text)
-        raise self.error(f"expected a local type, found {t.text!r}")
+        raise ParseError(f"expected a local type, found {t.text!r}", t.line, t.col)
 
 
-def _unguarded_procvar(proc: Process, var: str) -> bool:
-    """True iff var occurs in proc not under a prefix or conditional."""
-    while isinstance(proc, Rec):
-        if proc.var == var:
-            return False
-        proc = proc.body
-    return isinstance(proc, ProcVar) and proc.name == var
+def _guards(var: str, body, rec, var_kind) -> bool:
+    """True iff the binder var is guarded over body: var does not stand at
+    body's top under binders (node type rec) of other names only.  One rule
+    for processes and local types; var_kind is the node type of a variable."""
+    while type(body) is rec:
+        if body.var == var:
+            return True
+        body = body.body
+    return not (type(body) is var_kind and body.name == var)
 
 
 def parse_session(text: str, allow_reserved: bool = False) -> Session:
