@@ -8,6 +8,7 @@ checked property fails (a witness is reported), 2 on usage or parse errors,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -16,25 +17,29 @@ from . import lts, syntax
 
 OK, FAIL, USAGE, TRUNCATED = 0, 1, 2, 3
 
-# the most characters of text encode prints: an i or oi translation repeats
-# continuations, each one shared object, so its text can be exponentially
-# longer than the term (over 1e32 characters for a 200-message chain)
-MAX_ENCODE_TEXT = 16 * 2**20
-
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "run"):
-        code = _run(args)
-    else:
-        parser.print_help()
-        code = USAGE
+    # the cyclic collector is paused for the command: terms, tables and graphs
+    # hold no cycles, so reference counting frees them, and a pass would only
+    # walk them again; the few small cycles of a run wait for the next pass
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _drop_stdout()
-    return code
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if hasattr(args, "run"):
+            code = _run(args)
+        else:
+            parser.print_help()
+            code = USAGE
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _run(args) -> int:
@@ -257,8 +262,8 @@ def cmd_encode(args) -> int:
         except syntax.McmpError:
             target_context = None
     size = syntax.render_length(target, target_context)
-    if size > MAX_ENCODE_TEXT:
-        raise lts.TruncatedError(f"the target's text has {size} characters, past encode's output bound of {MAX_ENCODE_TEXT >> 20} MiB")
+    if size > encode.MAX_ENCODE_TEXT:
+        raise lts.TruncatedError(f"the target's text has {size} characters, past encode's output bound of {encode.MAX_ENCODE_TEXT >> 20} MiB")
     text = syntax.render_session(target, target_context)
     payload = {
         "target": text,

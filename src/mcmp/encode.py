@@ -9,7 +9,6 @@ parser rejects them), which keeps every encoding injective on labels.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 
 from . import ltypes, semantics, syntax
 from .ltypes import LocalContext, LocalType, TBranch, TChoice
@@ -23,6 +22,7 @@ from .syntax import (
     Process,
     Session,
     _fresh,
+    _record,
     choices,
     classify,
     free_names,
@@ -31,7 +31,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class EncodingId:
     name: str
     source: str
@@ -54,6 +54,14 @@ ENCODINGS: dict[str, EncodingId] = {
         EncodingId("lcmv-mcbs", "LCMV+", "MCBS", "lcmv", True, 2),
     ]
 }
+
+
+# an i or oi translation's text can be exponentially longer than the term
+# (1.7e17 characters for a 100-message chain): encode prints at most
+# MAX_ENCODE_TEXT, and verify-encoding, whose target's canonical forms spell
+# out the same repetitions, explores from a root of at most MAX_VERIFY_TEXT
+MAX_ENCODE_TEXT = 16 * 2**20
+MAX_VERIFY_TEXT = 2**30
 
 
 def encoding(name: str) -> EncodingId:
@@ -112,7 +120,7 @@ def order_of_context(delta: LocalContext) -> dict[str, frozenset]:
     return _order_slices(delta.domain(), mentioned)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class _OrderView:
     me: str
     pairs: frozenset
@@ -319,7 +327,7 @@ def encode_types(delta: LocalContext, enc_id: str | EncodingId, order: dict[str,
 # good-encoding verification harness
 
 
-@dataclass
+@_record
 class CorrespondenceReport:
     encoding: str
     completeness: bool
@@ -329,7 +337,7 @@ class CorrespondenceReport:
     distributability_preserved: bool
     max_emulation_factor: int
     step_bound: int
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict] = ()
 
     def passed(self) -> bool:
         return (
@@ -342,7 +350,7 @@ class CorrespondenceReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "passed": self.passed()}, sort_keys=True, indent=2)
+        return json.dumps({**{n: getattr(self, n) for n in self.__match_args__}, "passed": self.passed()}, sort_keys=True, indent=2)
 
 
 def verify_correspondence(
@@ -372,9 +380,11 @@ def verify_correspondence(
             if not syntax.alpha_equal(encode_process(proc, p, slices.get(p, frozenset()), e), target_root.process_of(p))
         ]
 
-    return _correspondence(
-        e, source, _translator(root, e, slices), semantics.has_success, distributability, max_states, max_depth
-    )
+    translate = _translator(root, e, slices)
+    size = syntax.render_length(translate(root))
+    if size > MAX_VERIFY_TEXT:
+        raise TruncatedError(f"the translated root's text has {size} characters, past verify-encoding's bound of {MAX_VERIFY_TEXT >> 30} GiB")
+    return _correspondence(e, source, translate, semantics.has_success, distributability, max_states, max_depth)
 
 
 def _correspondence(

@@ -15,7 +15,6 @@ in caches keyed by node identity that live as long as it does.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import lts, syntax
 from .syntax import (
@@ -33,6 +32,7 @@ from .syntax import (
     Value,
     Var,
     _canon_value,
+    _record,
     _union,
     _with_value,
     render_value,
@@ -49,30 +49,30 @@ class _CmvTerm(syntax._Term):
     __slots__ = ("_ends",)
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Inact(_CmvTerm):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class CSuccess(_CmvTerm):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class CPar(_CmvTerm):
     left: "CmvProcess"
     right: "CmvProcess"
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class CRes(_CmvTerm):
     x: str
     y: str
     body: "CmvProcess"
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class CBranch:
     label: str
     polarity: str  # '!' or '?'
@@ -81,7 +81,7 @@ class CBranch:
     cont: "CmvProcess" = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class CChoice(_CmvTerm):
     endpoint: str
     branches: tuple[CBranch, ...]
@@ -90,7 +90,7 @@ class CChoice(_CmvTerm):
         assert self.branches
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class CCond(_CmvTerm):
     guard: Value
     then: "CmvProcess"
@@ -384,7 +384,7 @@ def _rule(p: CmvProcess, subs: list, binders: list, var: str, value: Value) -> C
     return p
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class CmvStep:
     """consumed holds the positions, in the state's parallel components, of
     the components whose top-level term the step consumes."""
@@ -507,12 +507,12 @@ def explore_cmv(p: CmvProcess, max_states: int = lts.DEFAULT_MAX_STATES, max_dep
 # classification (simplified linear typing)
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class CmvEnd:
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@_record(frozen=True, eq=False)
 class CmvChoiceT:
     """Abstract endpoint protocol: branch signatures with continuations; the
     view (internal/external) is solved for separately.  nodes are the choice
@@ -530,7 +530,7 @@ _END = CmvEnd()
 _DUAL = {"!": "?", "?": "!"}
 
 
-@dataclass(frozen=True, eq=False)
+@_record(frozen=True, eq=False)
 class _Views:
     """A solution for the protocols tx, of endpoint x, and ty: tx's
     occurrences are internal and ty's external when x_internal, and the

@@ -12,12 +12,10 @@ the state object when the graph's states are first read.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .syntax import McmpError
+from .syntax import McmpError, _record
 
 DEFAULT_MAX_STATES = 10000  # the bounds a command explores within unless given others
 DEFAULT_MAX_DEPTH = 256
@@ -32,15 +30,13 @@ def _bfs(starts, successors):
     breadth-first order; successors(node) lists its (label, node) edges
     and is called after node is yielded."""
     depth = dict.fromkeys(starts, 0)
-    queue = deque(depth)
-    while queue:
-        i = queue.popleft()
-        d = depth[i]
-        yield i, d
+    order = list(depth)
+    for i in order:  # nodes are appended as they are found
+        yield i, depth[i]
         for _, j in successors(i):
             if j not in depth:
-                depth[j] = d + 1
-                queue.append(j)
+                depth[j] = depth[i] + 1
+                order.append(j)
 
 
 class Terms:
@@ -191,7 +187,7 @@ class States(Sequence):
     __hash__ = None
 
 
-@dataclass
+@_record
 class Graph:
     """States numbered in discovery order, edges in the order found."""
 
@@ -324,45 +320,37 @@ def explore(roots, step, build, max_states: int | None = None, max_depth: int | 
         raise ValueError("exploration limits must be positive")
     index: dict = {}
     work: list = []
-    succ: list[list[tuple[object, int]]] = []
-    parent: list[tuple[int, object] | None] = []
+    for key, seed in roots:
+        if key not in index:
+            if max_states is not None and len(work) >= max_states:
+                raise TruncatedError("state budget exhausted while interning roots")
+            index[key] = len(work)
+            work.append(build(seed, key))
+    root_ids = [index[key] for key, _ in roots]
+    succ: list[list[tuple[object, int]]] = [[] for _ in work]
+    parent: list[tuple[int, object] | None] = [None] * len(work)
+    depth = [0] * len(work)  # steps from the roots
     edges: list[tuple[int, object, int]] = []
     truncated = False
-
-    def intern(key, seed, via: tuple[int, object] | None) -> int | None:
-        nonlocal truncated
-        if max_states is not None and len(work) >= max_states:
-            truncated = True
-            return None
-        index[key] = len(work)
-        work.append(build(seed, key))
-        succ.append([])
-        parent.append(via)
-        return len(work) - 1
-
-    root_ids = []
-    for key, seed in roots:
-        i = index.get(key)
-        if i is None:
-            i = intern(key, seed, None)
-        if i is None:
-            raise TruncatedError("state budget exhausted while interning roots")
-        root_ids.append(i)
-
-    def expand(i: int) -> list[tuple[object, int]]:
-        for label, key, seed in step(work[i]):
-            j = index.get(key)
-            if j is None:
-                j = intern(key, seed, (i, label))
-                if j is None:
-                    continue
-            edges.append((i, label, j))
-            succ[i].append((label, j))
-        return succ[i]
-
-    for i, depth in _bfs(root_ids, expand):
-        if max_depth is not None and depth >= max_depth and step(work[i]):
+    # the loop meets the states appended as it runs: they are numbered as
+    # they are found, which is breadth-first order
+    for i, w in enumerate(work):
+        found = step(w)
+        if max_depth is not None and depth[i] >= max_depth and found:
             truncated = True
             break
+        for label, key, seed in found:
+            j = index.get(key)
+            if j is None:
+                if max_states is not None and len(work) >= max_states:
+                    truncated = True
+                    continue
+                j = index[key] = len(work)
+                work.append(build(seed, key))
+                succ.append([])
+                parent.append((i, label))
+                depth.append(depth[i] + 1)
+            edges.append((i, label, j))
+            succ[i].append((label, j))
     states = work if view is None else States(work, view)
     return Graph(states, edges, root_ids, truncated, succ, parent, work)

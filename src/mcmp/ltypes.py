@@ -11,28 +11,28 @@ assumed true, i.e. a greatest fixpoint).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import lts, syntax
+from .syntax import _record
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class End(syntax._Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class TVar(syntax._Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class TRec(syntax._Term):
     var: str
     body: "LocalType"
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class TBranch:
     target: str
     polarity: str  # '!' or '?'
@@ -41,7 +41,7 @@ class TBranch:
     cont: "LocalType"
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class TChoice(syntax._Term):
     branches: tuple[TBranch, ...]
 
@@ -52,7 +52,7 @@ class TChoice(syntax._Term):
 LocalType = End | TVar | TRec | TChoice
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class LocalContext:
     entries: tuple[tuple[str, LocalType], ...]
 
@@ -74,7 +74,7 @@ class LocalContext:
         return LocalContext(tuple((p, new.get(p, u)) for p, u in self.entries))
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class TypeAction:
     kind: str  # 'out', 'in' or 'ctx'
     subject: str  # acting participant ('ctx': the sender)
@@ -341,7 +341,7 @@ def canon_context(delta: LocalContext) -> tuple:
     return tuple(sorted((p, _type_form(t)) for p, t in delta.entries))
 
 
-@dataclass
+@_record
 class ContextGraph(lts.Graph):
     # the exploration's term table: work[i] is (order, lids) of contexts[i]
     table: lts.Terms | None = None

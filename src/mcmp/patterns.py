@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from . import lts, semantics
 from .semantics import Step, TruncatedError, explore
-from .syntax import McmpError, Session
+from .syntax import McmpError, Session, _record
 
 lcmv = None  # imported by _cmv_alternatives for the first lcmv program, not per call
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class PatternWitness:
     kind: str  # 'm' or 'star'
     steps: tuple[str, ...]

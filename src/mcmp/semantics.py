@@ -7,7 +7,6 @@ finite graphs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import lts
@@ -23,6 +22,7 @@ from .syntax import (
     Session,
     Success,
     Value,
+    _record,
     canon_process,
     canon_session,
     head_normal,
@@ -32,7 +32,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Step:
     """A reduction step identified by what it consumes.
 
@@ -73,7 +73,7 @@ class Step:
         return f"{self.participant}:{self.kind}"
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Barb:
     kind: str  # 'out' or 'in'
     participant: str
@@ -249,10 +249,10 @@ def distributable_components(m: Session) -> list[Session]:
 # exploration
 
 
-@dataclass
+@_record
 class StateGraph(lts.Graph):
     # congruence[i] == congruence[j] iff canon_session(states[i]) == canon_session(states[j])
-    congruence: list[int] = field(default_factory=list)
+    congruence: list[int] = ()
 
     def to_dot(self, state_label=None) -> str:
         lines = ["digraph states {"]

@@ -10,7 +10,6 @@ canonical form; neither takes part in ==, hash or repr.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 RESERVED_LABELS = ("enc_o", "enc_i", "reset")
@@ -21,20 +20,60 @@ def is_reserved_label(label: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# values and prefixes
+# records, values and prefixes
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls=None, /, *, frozen: bool = False, slots: bool = False, eq: bool = True):
+    """The class decorator of the library's data classes: cls, with a base
+    record's fields and then its own annotated names, made as dataclass
+    would with the same options.  __init__, __eq__ and __hash__ are compiled
+    from source, so they cost what hand-written ones do."""
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen, slots=slots, eq=eq)
+    own = tuple(cls.__dict__.get("__annotations__", ()))
+    names = getattr(cls, "__match_args__", ()) + own
+    this, other = ("(" + "".join(f"{x}.{n}, " for n in names) + ")" for x in ("self", "other"))
+    source = [f"def __init__(self, {', '.join(names)}):", " pass"]
+    source += [f" _set(self, {n!r}, {n})" if frozen else f" self.{n} = {n}" for n in names]
+    source += [" self.__post_init__()"] * hasattr(cls, "__post_init__")
+    source += ["def __eq__(self, other):", " if other.__class__ is self.__class__:",
+               f"  return {this} == {other}", " return NotImplemented"] * eq
+    source += ["def __hash__(self):", f" return hash({this})"] * (eq and frozen)
+    made = {"_set": object.__setattr__}
+    exec(compile("\n".join(source), f"<{cls.__qualname__}>", "exec"), made)
+    made["__init__"].__defaults__ = tuple(getattr(cls, n) for n in names if hasattr(cls, n)) or None
+    methods = {"__init__": made["__init__"], "__repr__": _repr, "__match_args__": names}
+    if eq:
+        methods.update(__eq__=made["__eq__"], __hash__=made.get("__hash__"))  # None unless frozen
+    if frozen:
+        methods.update(__setattr__=_frozen, __delattr__=_frozen)
+    if slots:
+        body = {k: v for k, v in vars(cls).items() if k not in own and k not in ("__dict__", "__weakref__")}
+        return type(cls)(cls.__name__, cls.__bases__, {**body, **methods, "__slots__": own})
+    for name, method in methods.items():
+        setattr(cls, name, method)
+    return cls
+
+
+def _repr(self) -> str:
+    return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+@_record(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class NatVal:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class BoolVal:
     value: bool
 
@@ -45,7 +84,7 @@ TT = BoolVal(True)
 FF = BoolVal(False)
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Prefix:
     """p!l<v> when polarity == '!' (payload set), p?l(x) when '?' (var set)."""
 
@@ -71,40 +110,40 @@ class _Term:
     (mcmp.ltypes) and .cmv programs (mcmp.lcmv).  _free holds the node's
     free names and _key its canonical form or None (see _canon_walk).  Both
     stay unset until the language's free-name walk first meets the node, so
-    building a term costs nothing more.  The base declares the weakref
-    slot, which Python 3.10 dataclasses cannot add."""
+    building a term costs nothing more.  The base declares these slots and
+    the weakref slot, and _record gives each node class only its fields'."""
 
     __slots__ = ("_free", "_key", "__weakref__")
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Nil(_Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Success(_Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class ProcVar(_Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Rec(_Term):
     var: str
     body: "Process"
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Branch:
     prefix: Prefix
     cont: "Process"
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Choice(_Term):
     branches: tuple[Branch, ...]
 
@@ -112,7 +151,7 @@ class Choice(_Term):
         assert self.branches
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Cond(_Term):
     guard: Value
     then: "Process"
@@ -122,7 +161,7 @@ class Cond(_Term):
 Process = Nil | Success | ProcVar | Rec | Choice | Cond
 
 
-@dataclass(frozen=True, slots=True)
+@_record(frozen=True, slots=True)
 class Session:
     """Finite map from participants to processes; order of parts is the
     parse order and doubles as a left-nested parallel composition tree."""
@@ -688,12 +727,11 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"role", "rec", "if", "then", "else", "types", "tt", "ff", "ok", "end", "nat", "bool"}
 
 
-@dataclass
 class _Tok:
-    kind: str  # 'nat' | 'ident' | 'kw' | punct char | 'eof'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")  # kind: 'nat' | 'ident' | 'kw' | punct char | 'eof'
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 def _tokenize(text: str, pattern: re.Pattern = _TOKEN_RE, keywords=_KEYWORDS) -> list[_Tok]:
@@ -701,24 +739,23 @@ def _tokenize(text: str, pattern: re.Pattern = _TOKEN_RE, keywords=_KEYWORDS) ->
     _TOKEN_RE; an identifier in keywords is a 'kw' token."""
     toks: list[_Tok] = []
     pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = pattern.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
-        col = pos - bol + 1
-        if m.lastgroup in ("ws", "comment"):
-            chunk = m.group()
-            line += chunk.count("\n")
+    for m in pattern.finditer(text):
+        if m.start() != pos:
+            break
+        kind, chunk, pos = m.lastgroup, m.group(), m.end()
+        if kind == "ws" or kind == "comment":
             if "\n" in chunk:
-                bol = m.start() + chunk.rfind("\n") + 1
-        elif m.lastgroup == "nat":
-            toks.append(_Tok("nat", m.group(), line, col))
-        elif m.lastgroup == "ident":
-            kind = "kw" if m.group() in keywords else "ident"
-            toks.append(_Tok(kind, m.group(), line, col))
-        else:
-            toks.append(_Tok(m.group(), m.group(), line, col))
-        pos = m.end()
+                line += chunk.count("\n")
+                bol = text.rfind("\n", 0, pos) + 1
+            continue
+        col = m.start() - bol + 1
+        if kind == "ident":
+            kind = "kw" if chunk in keywords else "ident"
+        elif kind != "nat":
+            kind = chunk
+        toks.append(_Tok(kind, chunk, line, col))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
     toks.append(_Tok("eof", "", line, len(text) - bol + 1))
     return toks
 

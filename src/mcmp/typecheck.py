@@ -5,9 +5,8 @@ detection and the context step mirroring a session step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-from . import ltypes, semantics, syntax
+from . import ltypes, syntax
 from .ltypes import End, LocalContext, LocalType, TChoice, head, subtype, well_formed
 from .syntax import (
     BoolVal,
@@ -22,10 +21,11 @@ from .syntax import (
     Success,
     Value,
     Var,
+    _record,
 )
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class SharedContext:
     value_bindings: tuple[tuple[str, str], ...] = ()
     proc_bindings: tuple[tuple[str, LocalType], ...] = ()
@@ -49,7 +49,7 @@ class SharedContext:
         return SharedContext(self.value_bindings, self.proc_bindings + ((name, t),))
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class CheckError:
     kind: str
     location: str
@@ -174,6 +174,7 @@ def is_session_error(m: Session):
     that is listening to it but on other labels only.  Value error: an
     unguarded conditional over a closed non-boolean.  Returns (flag, witness).
     """
+    from . import semantics  # here, so that check does not load it
     r = semantics.resolve(m)
     for p, proc in r.parts:
         if isinstance(proc, Cond) and isinstance(proc.guard, NatVal):
@@ -199,9 +200,9 @@ def is_session_error(m: Session):
     return False, None
 
 
-def step_context(delta: LocalContext, step: semantics.Step) -> LocalContext:
-    """The context step matching a session step; conditionals leave the
-    context unchanged.  A missing match signals a subject-reduction bug."""
+def step_context(delta: LocalContext, step) -> LocalContext:
+    """The context step matching step, a semantics.Step; a conditional leaves
+    the context unchanged.  A missing match signals a subject-reduction bug."""
     if step.kind in ("if-tt", "if-ff"):
         return delta
     payload = type_value(SharedContext(), step.payload)

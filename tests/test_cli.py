@@ -181,6 +181,27 @@ def test_encode_stops_at_the_output_bound(tmp_path):
     assert out["truncated"] and "output bound of 16 MiB" in out["error"]
 
 
+def test_verify_encoding_stops_at_its_bound(tmp_path):
+    # the target is explored by canonical forms, which spell out every
+    # repeated continuation: a 100-message chain's root alone would spell
+    # 1.7e17 characters under the i table
+    n = 100
+    p = [f"q!l{i}(tt)" if i % 2 == 0 else f"q?l{i}(x{i})" for i in range(n)]
+    q = [f"p?l{i}(x{i})" if i % 2 == 0 else f"p!l{i}(ff)" for i in range(n)]
+    path = tmp_path / "chain.mcmp"
+    path.write_text(f"role p = {'.'.join(p)}.ok\nrole q = {'.'.join(q)}.0\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    out = {}
+    for via, code in (("mcbs-scbs", 3), ("scbs-bs", 0)):
+        argv = [sys.executable, "-m", "mcmp.cli", "--json", "verify-encoding", str(path), "--via", via]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == code, done.stderr
+        out[via] = json.loads(done.stdout)
+    assert out["mcbs-scbs"]["truncated"] and "past verify-encoding's bound of 1 GiB" in out["mcbs-scbs"]["error"]
+    assert out["scbs-bs"]["passed"]
+
+
 def test_cmv_encode_prints_long_chains(tmp_path):
     # each side's translation nests 600 prefixes, past what a printer that
     # recurses per prefix can print

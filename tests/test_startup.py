@@ -1,7 +1,7 @@
 """Each command loads only the layers it runs: a fresh interpreter runs
-mcmp's main once and lists the mcmp modules it imported.  Also the --via
-check, which stands in for argparse's choices so that building the parser
-loads no encoding."""
+mcmp's main once and lists the mcmp modules it imported, and none loads
+dataclasses.  Also the --via check, which stands in for argparse's choices
+so that building the parser loads no encoding."""
 
 import json
 import os
@@ -22,7 +22,7 @@ BASE = {"cli", "lts", "syntax"}
 # (argv, exit code, the layers loaded beyond BASE); label_ok.mcmp has no
 # types block, so parsing it loads no ltypes
 LOADS = [
-    (["check", "ping.mcmp"], 0, {"typecheck", "ltypes", "semantics"}),
+    (["check", "ping.mcmp"], 0, {"typecheck", "ltypes"}),
     (["safety", "ping.mcmp"], 0, {"ltypes"}),
     (["df", "ping.mcmp"], 0, {"ltypes"}),
     (["simulate", "label_ok.mcmp"], 0, {"semantics"}),
@@ -42,7 +42,7 @@ import contextlib, io, json, sys
 from mcmp.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m[len("mcmp."):] for m in sys.modules if m.startswith("mcmp."))]))
+print(json.dumps([code, sorted(m[len("mcmp."):] for m in sys.modules if m.startswith("mcmp.")), "dataclasses" in sys.modules]))
 """
 
 
@@ -53,9 +53,10 @@ def test_command_loads_only_its_layers(argv, code, layers):
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
     done = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    got_code, loaded = json.loads(done.stdout)
+    got_code, loaded, dataclasses = json.loads(done.stdout)
     assert got_code == code
     assert set(loaded) == BASE | layers
+    assert not dataclasses  # syntax._record makes the records
 
 
 def _parse(capsys, via):
