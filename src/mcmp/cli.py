@@ -279,7 +279,7 @@ def cmd_verify(args) -> int:
     if args.via == "lcmv-mcbs":
         from . import lcmv
         program = lcmv.parse_cmv(_read(args.file))
-        report = lcmv_correspondence(program, max_states=args.max_states, max_depth=args.max_depth)
+        report = lcmv.verify_correspondence(program, max_states=args.max_states, max_depth=args.max_depth)
     else:
         from . import encode
         session, _ = _load_session(args)
@@ -348,13 +348,6 @@ def cmd_cmv_encode(args) -> int:
     text = syntax.render_session(target)
     _emit(args, {"target": text, "via": "lcmv-mcbs"}, text)
     return OK
-
-
-def lcmv_correspondence(program, max_states: int, max_depth: int) -> encode.CorrespondenceReport:
-    """Good-encoding harness for the lcmv translation (see
-    lcmv.verify_correspondence)."""
-    from . import lcmv
-    return lcmv.verify_correspondence(program, max_states=max_states, max_depth=max_depth)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ import json
 
 from . import ltypes, semantics, syntax
 from .ltypes import LocalContext, LocalType, TBranch, TChoice
-from .semantics import TruncatedError, explore, explore_many, weak_bisim_classes
+from .lts import TruncatedError
+from .semantics import explore, explore_many, weak_bisim_classes
 from .syntax import (
     TT,
     Branch,
@@ -363,10 +364,8 @@ def verify_correspondence(
     sensitiveness, divergence reflection and distributability preservation
     for one source session."""
     e = encoding(enc_id) if isinstance(enc_id, str) else enc_id
-    source = explore(m, max_states=max_states, max_depth=max_depth)
     # a truncated source is reported before the translator checks the root
-    if source.truncated:
-        raise TruncatedError("source exploration truncated")
+    source = explore(m, max_states=max_states, max_depth=max_depth).complete("source exploration")
     root = source.states[source.root]
     slices = build_order(m)
 
@@ -395,12 +394,8 @@ def _correspondence(
     source state shows success, and distributability lists the participants
     of the root's translation that are not the translation of their own
     source component."""
-    if source.truncated:
-        raise TruncatedError("source exploration truncated")
-    encoded = [translate(s) for s in source.states]
-    joint = explore_many(encoded, max_states=max_states, max_depth=max_depth)
-    if joint.truncated:
-        raise TruncatedError("target exploration truncated")
+    encoded = [translate(s) for s in source.complete("source exploration").states]
+    joint = explore_many(encoded, max_states=max_states, max_depth=max_depth).complete("target exploration")
     classes = weak_bisim_classes(joint, frozenset({"success"}))
     root_class = [classes[n] for n in joint.roots]
     start = joint.roots[source.root]
@@ -412,7 +407,7 @@ def _correspondence(
     # derivative when reachable, else to a bisimilar state
     max_factor = 0
     completeness = True
-    for i in range(len(source.states)):
+    for i in range(len(source.work)):
         for step, j in source.successors(i):
             literal = joint.congruence[joint.roots[j]]
             dist = joint.distance(joint.roots[i], lambda n: joint.congruence[n] == literal)
@@ -474,6 +469,5 @@ def verify_name_invariance(m: Session, enc_id: str | EncodingId, sigma: dict[str
     if e.order_free:
         return syntax.canon_session(enc_renamed) == syntax.canon_session(renamed_enc)
     joint = explore_many([enc_renamed, renamed_enc], max_states=max_states, max_depth=max_depth)
-    if joint.truncated:
-        raise TruncatedError("name-invariance exploration truncated")
+    joint.complete("name-invariance exploration")
     return semantics.weak_bisimilar(joint, joint.roots[0], joint.roots[1])

@@ -247,11 +247,6 @@ def _scope(p: CmvProcess) -> list:
     return []
 
 
-def _subterms(p: CmvProcess) -> list[CmvProcess]:
-    """p and every term under it, in preorder, without recursion."""
-    return syntax._nodes(p, _scope)
-
-
 def parse_cmv(text: str) -> CmvProcess:
     return _CmvParser(text).parse_program()
 

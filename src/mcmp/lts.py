@@ -12,7 +12,7 @@ the state object when the graph's states are first read.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from functools import cached_property
 from operator import itemgetter
 
 from .syntax import McmpError, _record
@@ -151,6 +151,7 @@ class Terms:
             order = tuple((p, self.place[p]) for p, _ in parts)
             starts.append((tuple(key), ((self._shared.setdefault(order, order), (absent,) * len(key)), new)))
         graph = explore(starts, transitions, build, max_states, max_depth, view)
+        graph.table = self
         # the table interns no more: keep only what the graph and its checks
         # read, of the cache its keys
         self._lids = self._fids = self._shared = None
@@ -158,51 +159,43 @@ class Terms:
         return graph
 
 
-class States(Sequence):
-    """A graph's state objects, each made by view from its work when it is
-    first read; len() makes none."""
-
-    def __init__(self, work: list, view):
-        self._work, self._view = work, view
-        self._made: list = [None] * len(work)
-
-    def __len__(self) -> int:
-        return len(self._work)
-
-    def __getitem__(self, i: int):
-        state = self._made[i]  # IndexError past the end ends iteration
-        if state is None:
-            state = self._made[i] = self._view(self._work[i])
-        return state
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    def __add__(self, other) -> list:
-        return list(self) + list(other)
-
-    def __radd__(self, other) -> list:
-        return list(other) + list(self)
-
-    __hash__ = None
-
-
 @_record
 class Graph:
-    """States numbered in discovery order, edges in the order found."""
+    """What an exploration found, states numbered in discovery order.  The
+    state objects are made on first read and kept; the edge list is made
+    from the successor lists when read."""
 
-    states: Sequence
-    edges: list[tuple[int, object, int]]
-    roots: list[int]
-    truncated: bool
-    _succ: list[list[tuple[object, int]]]
+    work: list  # work[i] is what build made for state i
+    _succ: list[list[tuple[object, int]]]  # state i's (label, state) edges, in the order found
     # _parent[i] is (the state whose expansion found i, that edge's label)
     _parent: list[tuple[int, object] | None]
-    work: list  # work[i] is what build made for state i
+    roots: list[int]
+    truncated: str | None  # the bound that cut the run first, "states" or "depth"; None if none did
+    view: object = None  # makes state i from work[i]; without one, the work is the state
+    table: Terms | None = None  # the term table of a table-driven exploration
+
+    @cached_property
+    def states(self) -> list:
+        """State i is view(work[i])."""
+        return self.work if self.view is None else [self.view(w) for w in self.work]
+
+    @property
+    def edges(self) -> list[tuple[int, object, int]]:
+        """Every edge as (state, label, state), in the order found."""
+        return [(i, label, j) for i, succ in enumerate(self._succ) for label, j in succ]
 
     @property
     def root(self) -> int:
         return self.roots[0]
+
+    def complete(self, what: str) -> Graph:
+        """self when no bound cut the exploration short.  Otherwise raises
+        TruncatedError naming what was explored and the bound: a state cut
+        off lacks some or all of its successors, so a check would read it as
+        stuck or unsafe."""
+        if self.truncated:
+            raise TruncatedError(f"{what} truncated by the {self.truncated} bound")
+        return self
 
     def successors(self, i: int) -> list[tuple[object, int]]:
         return self._succ[i]
@@ -222,8 +215,9 @@ class Graph:
         """For each state, whether a state accept holds of is reachable from
         it: one breadth-first pass backwards over the edges."""
         preds: list[list[tuple[object, int]]] = [[] for _ in self.work]
-        for i, label, j in self.edges:
-            preds[j].append((label, i))
+        for i, succ in enumerate(self._succ):
+            for label, j in succ:
+                preds[j].append((label, i))
         hit = [False] * len(preds)
         for i, _ in _bfs([i for i in range(len(preds)) if accept(i)], preds.__getitem__):
             hit[i] = True
@@ -240,7 +234,7 @@ class Graph:
 
     def has_cycle(self, i: int | None = None) -> bool:
         """Some cycle is reachable from i (from anywhere when i is None)."""
-        starts = range(len(self.states)) if i is None else [i]
+        starts = range(len(self.work)) if i is None else [i]
         return topological_order(starts, self.successors) is None
 
 
@@ -291,16 +285,14 @@ def topological_order(starts, successors) -> list | None:
     return order
 
 
-def memo(cache: dict | None, key, compute, *terms):
-    """compute(*terms), memoised in cache under key when a cache is given.
+def memo(cache: dict, key, compute, *terms):
+    """compute(*terms), memoised in cache under key.
 
     Explorers keep one cache per exploration and key a pair's steps by the
     participants' places and the lids of their terms (see Terms).  A key is
     stored only the second time it is met: along chains and loops no pair
     recurs, and storing every first sight kept each known successor's terms
     alive for nothing."""
-    if cache is None:
-        return compute(*terms)
     entry = cache.get(key)
     if entry:
         return entry[1]
@@ -323,34 +315,31 @@ def explore(roots, step, build, max_states: int | None = None, max_depth: int | 
     for key, seed in roots:
         if key not in index:
             if max_states is not None and len(work) >= max_states:
-                raise TruncatedError("state budget exhausted while interning roots")
+                raise TruncatedError("the roots do not fit in the states bound")
             index[key] = len(work)
             work.append(build(seed, key))
     root_ids = [index[key] for key, _ in roots]
     succ: list[list[tuple[object, int]]] = [[] for _ in work]
     parent: list[tuple[int, object] | None] = [None] * len(work)
     depth = [0] * len(work)  # steps from the roots
-    edges: list[tuple[int, object, int]] = []
-    truncated = False
+    truncated = None
     # the loop meets the states appended as it runs: they are numbered as
     # they are found, which is breadth-first order
     for i, w in enumerate(work):
         found = step(w)
         if max_depth is not None and depth[i] >= max_depth and found:
-            truncated = True
+            truncated = truncated or "depth"
             break
         for label, key, seed in found:
             j = index.get(key)
             if j is None:
                 if max_states is not None and len(work) >= max_states:
-                    truncated = True
+                    truncated = "states"
                     continue
                 j = index[key] = len(work)
                 work.append(build(seed, key))
                 succ.append([])
                 parent.append((i, label))
                 depth.append(depth[i] + 1)
-            edges.append((i, label, j))
             succ[i].append((label, j))
-    states = work if view is None else States(work, view)
-    return Graph(states, edges, root_ids, truncated, succ, parent, work)
+    return Graph(work, succ, parent, root_ids, truncated, view)

@@ -343,9 +343,6 @@ def canon_context(delta: LocalContext) -> tuple:
 
 @_record
 class ContextGraph(lts.Graph):
-    # the exploration's term table: work[i] is (order, lids) of contexts[i]
-    table: lts.Terms | None = None
-
     @property
     def contexts(self) -> list[LocalContext]:
         return self.states
@@ -374,16 +371,7 @@ def explore_contexts(delta: LocalContext, max_states: int | None = None, max_dep
     # no two synchronisations from one context are the same edge
     table, pair = _table(delta)
     graph = table.explore([delta.entries], End(), pair, None, LocalContext, False, max_states, max_depth)
-    return ContextGraph(**vars(graph), table=table)
-
-
-def _explore_complete(delta: LocalContext, max_states: int | None, max_depth: int | None) -> ContextGraph:
-    # a context cut off by a bound lacks some or all of its successors, so it
-    # would read as unsafe or stuck
-    graph = explore_contexts(delta, max_states, max_depth)
-    if graph.truncated:
-        raise lts.TruncatedError("context exploration truncated")
-    return graph
+    return ContextGraph(**vars(graph))
 
 
 def is_safe(delta: LocalContext, max_states: int | None = None, max_depth: int | None = None):
@@ -392,7 +380,7 @@ def is_safe(delta: LocalContext, max_states: int | None = None, max_depth: int |
     under reachability.  Returns (ok, counterexample or None); the
     counterexample's path is a shortest one to an unsafe context.  Raises
     TruncatedError when a bound cuts the exploration short."""
-    graph = _explore_complete(delta, max_states, max_depth)
+    graph = explore_contexts(delta, max_states, max_depth).complete("context exploration")
     t = graph.table
     # whether p's output to q is unsafe depends on their types alone, so
     # each pair of types that met is checked once
@@ -418,7 +406,7 @@ def is_deadlock_free(delta: LocalContext, max_states: int | None = None, max_dep
     """Every reachable stuck context is all-end.  Returns (ok, evidence); the
     evidence's path is a shortest one to a stuck context.  Raises
     TruncatedError when a bound cuts the exploration short."""
-    graph = _explore_complete(delta, max_states, max_depth)
+    graph = explore_contexts(delta, max_states, max_depth).complete("context exploration")
     t = graph.table
     for i, (order, lids) in enumerate(graph.work):
         if graph.successors(i):

@@ -13,7 +13,7 @@ import itertools
 import json
 
 from . import lts, semantics
-from .semantics import Step, TruncatedError, explore
+from .semantics import Step, explore
 from .syntax import McmpError, Session, _record
 
 lcmv = None  # imported by _cmv_alternatives for the first lcmv program, not per call
@@ -150,9 +150,7 @@ def is_electoral(
     states.  Returns (flag, counterexample path or None); the counterexample
     is the first failing path of a depth-first walk that tries a state's
     last successor first."""
-    graph = explore(m, max_states=max_states, max_depth=max_depth)
-    if graph.truncated:
-        raise TruncatedError("electoral check needs a complete graph")
+    graph = explore(m, max_states=max_states, max_depth=max_depth).complete("exploration for the electoral check")
     order = lts.topological_order([graph.root], graph.successors)
     if order is None:
         raise McmpError("electoral check needs a convergent session")

@@ -7,10 +7,11 @@ finite graphs.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from operator import itemgetter
 
 from . import lts
-from .lts import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, TruncatedError
+from .lts import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES
 from .syntax import (
     BoolVal,
     Choice,
@@ -251,8 +252,13 @@ def distributable_components(m: Session) -> list[Session]:
 
 @_record
 class StateGraph(lts.Graph):
-    # congruence[i] == congruence[j] iff canon_session(states[i]) == canon_session(states[j])
-    congruence: list[int] = ()
+    @cached_property
+    def congruence(self) -> list[int]:
+        """congruence[i] == congruence[j] iff canon_session(states[i]) ==
+        canon_session(states[j]): the distinct keys of the resolved states,
+        numbered."""
+        fid, classes = self.table.fid, {}
+        return [classes.setdefault(tuple(fid[lid] for lid in lids), len(classes)) for _, lids in self.work]
 
     def to_dot(self, state_label=None) -> str:
         lines = ["digraph states {"]
@@ -270,7 +276,7 @@ class StateGraph(lts.Graph):
     def to_json(self) -> str:
         data = {
             "roots": self.roots,
-            "truncated": self.truncated,
+            "truncated": self.truncated is not None,
             "states": [
                 {"id": i, "session": {n: render_process(p) for n, p in s.parts}}
                 for i, s in enumerate(self.states)
@@ -316,10 +322,7 @@ def explore_many(ms: list[Session], max_states: int = DEFAULT_MAX_STATES, max_de
 
     graph = table.explore([m.parts for m in ms], Nil(), comm, cond, Session, True, max_states, max_depth)
     table.cache = None  # no check reads which pairs met
-    # congruence numbers the distinct keys of the resolved states
-    classes: dict[tuple, int] = {}
-    congruence = [classes.setdefault(tuple(table.fid[lid] for lid in lids), len(classes)) for _, lids in graph.work]
-    return StateGraph(**vars(graph), congruence=congruence)
+    return StateGraph(**vars(graph))
 
 
 def _targets(proc: Process) -> list[str] | None:
@@ -331,9 +334,7 @@ def _targets(proc: Process) -> list[str] | None:
 def is_convergent(graph: StateGraph) -> bool:
     """True iff the graph is acyclic (states are canonical, so any cycle is a
     real divergence)."""
-    if graph.truncated:
-        raise TruncatedError("cannot decide convergence on a truncated graph")
-    return not graph.has_cycle()
+    return not graph.complete("exploration for the convergence check").has_cycle()
 
 
 def may_succeed(graph: StateGraph, i: int) -> bool:
@@ -343,8 +344,7 @@ def may_succeed(graph: StateGraph, i: int) -> bool:
 def must_succeed(graph: StateGraph, i: int) -> bool:
     """Every maximal path from i passes a success state.  Paths stop at
     success states, so a cycle that lies only behind one does not count."""
-    if graph.truncated:
-        raise TruncatedError("must-succeed needs a complete graph")
+    graph.complete("exploration for must-succeed")
 
     def successors(j: int) -> list[tuple[Step, int]]:
         return [] if has_success(graph.states[j]) else graph.successors(j)
@@ -358,14 +358,12 @@ def must_succeed(graph: StateGraph, i: int) -> bool:
 def maximal_executions(m: Session, max_states: int = DEFAULT_MAX_STATES, max_depth: int = DEFAULT_MAX_DEPTH):
     """Number of maximal paths in the canonical graph and the terminal
     states; requires a finite convergent graph."""
-    graph = explore(m, max_states=max_states, max_depth=max_depth)
-    if graph.truncated:
-        raise TruncatedError("exploration truncated")
+    graph = explore(m, max_states=max_states, max_depth=max_depth).complete("exploration")
     order = lts.topological_order([graph.root], graph.successors)
     if order is None:
         raise McmpError("maximal executions undefined on divergent sessions")
     # the graph has one root, so every state in it is in the order
-    counts = [1] * len(graph.states)
+    counts = [1] * len(graph.work)
     for i in reversed(order):
         if graph.successors(i):
             counts[i] = sum(counts[j] for _, j in graph.successors(i))
@@ -387,10 +385,9 @@ def weak_bisim_classes(graph: StateGraph, observables: frozenset[str] = frozense
     of a strongly connected component reach the same states, so what they
     reach is gathered once per component, each after the components it
     leads to: observables as unions, classes as bitmasks."""
-    if graph.truncated:
-        raise TruncatedError("bisimulation needs a complete graph")
-    components = lts.components(range(len(graph.states)), graph.successors)
-    comp = [0] * len(graph.states)
+    graph.complete("exploration for bisimulation")
+    components = lts.components(range(len(graph.work)), graph.successors)
+    comp = [0] * len(graph.work)
     for c, members in enumerate(components):
         for i in members:
             comp[i] = c

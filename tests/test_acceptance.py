@@ -11,7 +11,6 @@ import time
 import pytest
 
 from mcmp import encode, lcmv, ltypes, patterns, semantics, syntax, typecheck
-from mcmp.cli import lcmv_correspondence
 from mcmp.ltypes import LocalContext, End
 from mcmp.syntax import Nil, Session, Success, parse_ltype, parse_session
 
@@ -183,7 +182,7 @@ def test_criterion_6_encodings():
         for name in corpus.ENCODING_FIXTURES[enc_id]:
             if enc_id == "lcmv-mcbs":
                 program = lcmv.parse_cmv(corpus.text(name))
-                report = lcmv_correspondence(program, max_states=5000, max_depth=128)
+                report = lcmv.verify_correspondence(program, max_states=5000, max_depth=128)
             else:
                 m, _ = corpus.load(name)
                 report = encode.verify_correspondence(m, enc_id)

@@ -235,7 +235,7 @@ def test_max_depth_bounds_cmv_sources(tmp_path, capsys):
     path.write_text(_cmv_chain(100))
     argv = ["--json", "verify-encoding", str(path), "--via", "lcmv-mcbs"]
     code, out = run(capsys, *argv, "--max-depth", "3")
-    assert code == 3 and json.loads(out) == {"error": "source exploration truncated", "truncated": True}
+    assert code == 3 and json.loads(out) == {"error": "source exploration truncated by the depth bound", "truncated": True}
     code, out = run(capsys, *argv)
     assert code == 0 and json.loads(out)["passed"]
     # the default depth, 256, bounds a longer chain
@@ -365,9 +365,15 @@ def test_detect_reads_cmv_programs(fixture_dir, capsys, tmp_path):
     assert code == 2 and ".cmv" in json.loads(out)["error"] and not dot.exists()
 
 
+# bounds that cut the explorations of _contract_cases short, and the name
+# each exit-3 message gives the bound
+BOUND_CUTS = {("--max-states", "2"): "states", ("--max-depth", "1"): "depth"}
+
+
 def _contract_cases():
     """Every command on every fixture, every encoding for encode and
-    verify-encoding, with the fixture given by file name."""
+    verify-encoding, with the fixture given by file name; and each exploring
+    command cut short by each bound."""
     for name in sorted(corpus.SESSIONS + corpus.UNTYPED):
         path = f"{name}.mcmp"
         for command in ("check", "safety", "df", "simulate", "classify"):
@@ -387,6 +393,15 @@ def _contract_cases():
     yield ["simulate", "ping.mcmp", "--max-steps", "-3"]
     yield ["safety", "ping.mcmp", "--max-states", "0"]
     yield ["detect", "ping.mcmp", "--pattern", "m", "--max-depth", "-1"]
+    # election5 cuts every exploration, ping.mcmp's source fits and its
+    # target does not
+    for bound in BOUND_CUTS:
+        for command in ("check", "safety", "df"):
+            yield [command, "election5.mcmp", *bound]
+        yield ["electoral", "election5.mcmp", "--station", "station", "--label", "elect", *bound]
+        for name in ("election5.mcmp", "ping.mcmp"):
+            yield ["verify-encoding", name, "--via", "scbs-bs", *bound]
+        yield ["verify-encoding", "cmv_chain.cmv", "--via", "lcmv-mcbs", *bound]
 
 
 @pytest.mark.parametrize("argv", list(_contract_cases()), ids=" ".join)
@@ -404,4 +419,7 @@ def test_cli_contract(fixture_dir, capsys, argv):
     least = {"--max-steps": 0, "--max-states": 1, "--max-depth": 1}
     if any(a in least and int(b) < least[a] for a, b in zip(argv, argv[1:])):
         assert code == 2 and data["error"], out
+    for bound in zip(argv, argv[1:]):
+        if bound in BOUND_CUTS:
+            assert code == 3 and f"the {BOUND_CUTS[bound]} bound" in data["error"], out
     assert run(capsys, *argv) == (code, out)

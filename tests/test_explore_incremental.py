@@ -295,7 +295,7 @@ def _assert_same_graph(ms, **bounds):
     assert g.states == states
     assert g.edges == edges
     assert g.roots == roots
-    assert g.truncated == truncated
+    assert bool(g.truncated) == truncated
     # congruence numbers the distinct keys: a bijection between the two
     keys = [syntax.canon_session(s) for s in g.states]
     pairs = set(zip(g.congruence, keys))
@@ -535,7 +535,8 @@ def test_exploration_keeps_no_term_alive():
 def _reference_dot(ms):
     """The DOT text of the reference graph of ms."""
     states, edges, roots, truncated = reference_explore(ms)
-    return semantics.StateGraph(states, edges, roots, truncated, [], [], []).to_dot()
+    succ = [[(step, d) for s, step, d in edges if s == i] for i in range(len(states))]
+    return semantics.StateGraph(work=states, _succ=succ, _parent=[], roots=roots, truncated=truncated).to_dot()
 
 
 def test_merged_state_keeps_first_paths_terms(tmp_path):

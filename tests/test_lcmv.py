@@ -1,7 +1,6 @@
 import pytest
 
 from mcmp import lcmv, semantics, syntax
-from mcmp.cli import lcmv_correspondence
 from mcmp.lcmv import (
     CChoice,
     CmvTypeError,
@@ -15,6 +14,7 @@ from mcmp.lcmv import (
     parse_cmv,
     reduce_cmv,
     render_cmv,
+    verify_correspondence,
 )
 
 import corpus
@@ -160,7 +160,7 @@ def test_encode_is_deterministic_across_calls():
 def test_correspondence_on_lcmv_fixtures():
     for name in corpus.ENCODING_FIXTURES["lcmv-mcbs"]:
         p = parse_cmv(corpus.text(name))
-        report = lcmv_correspondence(p, max_states=5000, max_depth=128)
+        report = verify_correspondence(p, max_states=5000, max_depth=128)
         assert report.passed(), (name, report.to_json())
         assert report.max_emulation_factor <= 2, name
 
@@ -183,7 +183,7 @@ def test_check_classifies_merged_occurrences(text):
     then_views = [classes[path] for path in _choice_paths(cond.then, "0.then")]
     assert then_views[0] == "external"
     assert [classes[path] for path in _choice_paths(cond.els, "0.else")] == then_views
-    report = lcmv_correspondence(p, max_states=5000, max_depth=128)
+    report = verify_correspondence(p, max_states=5000, max_depth=128)
     assert report.passed(), report.to_json()
 
 

@@ -471,7 +471,7 @@ def test_substitution_shares_untouched_subterms():
     checked = 0
     for text in PROGRAMS:
         p = lcmv.parse_cmv(text)
-        for q in lcmv._subterms(p):
+        for q in syntax._nodes(p, lcmv._scope):
             for var in sorted({"v0", "v1", "q", "z", "w"} | set(lcmv._free_of(q))):
                 for value in (NatVal(3), BoolVal(False)):
                     got = lcmv._subst_val(q, value, var)
@@ -586,4 +586,4 @@ def test_parser_reads_long_chains_without_recursion():
     p = _chain(5000)
     # two choices per message, the two tails, the parallel composition and
     # the restriction
-    assert len(lcmv._subterms(p)) == 2 * 5000 + 4
+    assert len(syntax._nodes(p, lcmv._scope)) == 2 * 5000 + 4

@@ -6,13 +6,14 @@ import sys
 
 import pytest
 
-from mcmp import lts
+from mcmp import lts, semantics, syntax
 
 
 def explore(successors, roots=(0,), **bounds):
     """Explore from roots, where successors(s) lists the states s steps to;
     an edge's label is the pair (s, t).  Also returns the keys build was
-    called for, in order."""
+    called for, in order.  The graph's edges are its successor lists, in
+    order."""
     built = []
 
     def step(s):
@@ -23,7 +24,9 @@ def explore(successors, roots=(0,), **bounds):
         built.append(key)
         return seed
 
-    return lts.explore([(r, r) for r in roots], step, build, **bounds), built
+    g = lts.explore([(r, r) for r in roots], step, build, **bounds)
+    assert g.edges == [(i, label, j) for i in range(len(g.work)) for label, j in g.successors(i)]
+    return g, built
 
 
 def pairs(g):
@@ -42,7 +45,7 @@ def test_chain_deeper_than_the_recursion_limit():
     assert N > sys.getrecursionlimit()
     g, built = explore(chain(N))
     assert g.states == list(range(N)) and built == list(range(N))
-    assert not g.truncated
+    assert g.truncated is None
     assert g.reachable(0) == list(range(N))
     assert g.reachable(N - 1) == [N - 1]
     assert g.distance(0, lambda j: g.states[j] == N - 1) == N - 1
@@ -95,43 +98,58 @@ def test_roots_that_share_states():
 def test_max_states_cuts_successors():
     # a binary tree whose every state also steps back to 0
     g, built = explore(lambda s: [2 * s + 1, 2 * s + 2, 0], max_states=5)
-    assert g.truncated
+    assert g.truncated == "states"
     assert g.states == [0, 1, 2, 3, 4] and built == [0, 1, 2, 3, 4]
     # edges to known states stay, edges to states past the budget go
     assert pairs(g) == [(0, 1), (0, 2), (0, 0), (1, 3), (1, 4), (1, 0), (2, 0), (3, 0), (4, 0)]
 
 
 def test_max_states_cuts_roots():
-    with pytest.raises(lts.TruncatedError):
+    with pytest.raises(lts.TruncatedError, match="states bound"):
         explore(chain(10), roots=(0, 1, 2), max_states=2)
     g, _ = explore(chain(10), roots=(0, 0, 1), max_states=2)
-    assert g.roots == [0, 0, 1] and g.states == [0, 1] and g.truncated
+    assert g.roots == [0, 0, 1] and g.states == [0, 1] and g.truncated == "states"
 
 
 def test_max_depth_cut():
     g, _ = explore(chain(10), max_depth=3)
     # the states 3 steps away are found but not expanded
-    assert g.states == [0, 1, 2, 3] and g.truncated
+    assert g.states == [0, 1, 2, 3] and g.truncated == "depth"
     assert g.successors(3) == []
     g, _ = explore(chain(4), max_depth=4)
-    assert g.states == [0, 1, 2, 3] and not g.truncated
+    assert g.states == [0, 1, 2, 3] and g.truncated is None
+
+
+def test_the_first_bound_that_cuts_is_named():
+    # the state bound drops 2, found from the root; then 1, one step deep,
+    # has successors at the depth bound
+    g, _ = explore(lambda s: [2 * s + 1, 2 * s + 2], max_states=2, max_depth=1)
+    assert g.states == [0, 1] and g.truncated == "states"
+    with pytest.raises(lts.TruncatedError, match="^the search truncated by the states bound$"):
+        g.complete("the search")
+    g, _ = explore(lambda s: [2 * s + 1, 2 * s + 2], max_states=3, max_depth=1)
+    assert g.states == [0, 1, 2] and g.truncated == "depth"
+    with pytest.raises(lts.TruncatedError, match="^the search truncated by the depth bound$"):
+        g.complete("the search")
+    g, _ = explore(chain(3))
+    assert g.complete("the search") is g
 
 
 def test_max_depth_reached_by_a_final_state_does_not_cut():
     # state 3 lies exactly 3 steps deep and has no successor
     g, _ = explore(chain(4), max_depth=3)
-    assert g.states == [0, 1, 2, 3] and not g.truncated
+    assert g.states == [0, 1, 2, 3] and g.truncated is None
     # a state at the bound with a successor, even a known one, cuts
     g, _ = explore(lambda s: [s + 1] if s < 3 else [0], max_depth=3)
-    assert g.states == [0, 1, 2, 3] and g.truncated and g.successors(3) == []
+    assert g.states == [0, 1, 2, 3] and g.truncated == "depth" and g.successors(3) == []
     # the bound is checked for every state at it, not only the first
     g, _ = explore(lambda s: {0: [1, 2], 2: [3]}.get(s, []), max_depth=1)
-    assert g.states == [0, 1, 2] and g.truncated
+    assert g.states == [0, 1, 2] and g.truncated == "depth"
 
 
 def test_unbounded_by_default():
     g, _ = explore(chain(3000))
-    assert len(g.states) == 3000 and not g.truncated
+    assert len(g.states) == 3000 and g.truncated is None
 
 
 def test_path_is_a_shortest_path():
@@ -221,8 +239,18 @@ def test_states_are_made_when_first_read():
         made.append(work)
         return ("state", work)
 
-    states = lts.States([3, 1, 2], view)
-    assert len(states) == 3 and made == []
-    assert states[1] == ("state", 1) and states[1] is states[1] and made == [1]
-    assert states == [("state", 3), ("state", 1), ("state", 2)] and made == [1, 3, 2]
-    assert [0] + states == [0, ("state", 3), ("state", 1), ("state", 2)]
+    g = lts.explore([(0, 0)], lambda s: [((s, t), t, t) for t in (s + 1, 0) if t < 3], lambda seed, _: seed, view=view)
+    assert len(g.work) == 3 and g.successors(1) == [((1, 2), 2), ((1, 0), 0)]
+    assert g.has_cycle() and g.path(2) == [(0, 1), (1, 2)] and made == []
+    states = g.states
+    assert states == [("state", 0), ("state", 1), ("state", 2)] and made == [0, 1, 2]
+    assert g.states is states and made == [0, 1, 2]
+    # without a view, the work is the state
+    g, _ = explore(chain(3))
+    assert g.states is g.work
+
+
+def test_congruence_is_derived_once():
+    g = semantics.explore(syntax.parse_session("role p = q!a(tt).q!a(tt).0\nrole q = p?a(x).p?a(y).0\n"))
+    congruence = g.congruence
+    assert congruence == [0, 1, 2] and g.congruence is congruence
