@@ -302,9 +302,10 @@ def memo(cache: dict, key, compute, *terms):
 def explore(roots, step, build, max_states: int | None = None, max_depth: int | None = None, view=None, stop=None) -> Graph:
     """Breadth-first exploration from roots, given as (key, seed) pairs;
     roots with equal keys are one state.  Past max_states states, edges to
-    new states are dropped, and states max_depth steps from the roots have
-    their steps listed but are not expanded; either cut marks the graph
-    truncated, the depth bound only when such a state has a step.  Roots
+    new states are dropped, and states max_depth steps from the roots are
+    not expanded; either cut marks the graph truncated, the depth bound only
+    when such a state has a step.  So the steps of a state at the depth
+    bound are listed only until the graph is marked truncated.  Roots
     that do not fit in max_states raise TruncatedError.  stop(i, work[i],
     the steps of i), when given, is called for each state added, before any
     bound acts on it, and ends the run, leaving the graph not whole, at the
@@ -327,10 +328,13 @@ def explore(roots, step, build, max_states: int | None = None, max_depth: int | 
     # the loop meets the states appended as it runs: they are numbered as
     # they are found, which is breadth-first order
     for i, w in enumerate(work):
+        at_bound = max_depth is not None and depth[i] >= max_depth
+        if at_bound and truncated and stop is None:
+            break  # every later state is at the bound too, and nothing reads its steps
         found = step(w)
         if stop is not None and stop(i, w, found):
             break
-        if max_depth is not None and depth[i] >= max_depth:
+        if at_bound:
             truncated = truncated or ("depth" if found else None)
             continue
         for label, key, seed in found:

@@ -147,6 +147,25 @@ def test_max_depth_reached_by_a_final_state_does_not_cut():
     assert g.states == [0, 1, 2] and g.truncated == "depth"
 
 
+def test_steps_at_the_depth_bound_are_listed_until_the_cut_is_known():
+    # the root steps to 100 states at the bound, each with a successor: the
+    # first of them marks the graph truncated, and the other 99 go unlisted
+    listed = []
+
+    def successors(s):
+        listed.append(s)
+        return list(range(1, 101)) if s == 0 else [s + 100]
+
+    g, _ = explore(successors, max_depth=1)
+    assert listed == [0, 1] and g.truncated == "depth"
+    assert g.states == list(range(101)) and all(g.successors(i) == [] for i in range(1, 101))
+    # a stop hook reads every state's steps, so all are listed
+    listed.clear()
+    g = lts.explore([(0, 0)], lambda s: [((s, t), t, t) for t in successors(s)], lambda seed, key: seed,
+                    max_depth=1, stop=lambda i, w, found: False)
+    assert listed == list(range(101)) and g.truncated == "depth" and len(g.work) == 101
+
+
 def test_unbounded_by_default():
     g, _ = explore(chain(3000))
     assert len(g.states) == 3000 and g.truncated is None
