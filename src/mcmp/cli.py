@@ -43,23 +43,24 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args) -> int:
+    """Run the command and emit its verdict, or the error that stopped it.
+    The exit code: OK when the property holds or the command checks none,
+    FAIL when it fails (the output gives the witness), USAGE on a usage,
+    input or parse error, and TRUNCATED when a bound cut the analysis
+    short."""
     try:
-        return args.run(args)
-    except (syntax.ParseError, FileNotFoundError) as e:
-        _emit(args, {"error": str(e)}, str(e))
-        return USAGE
-    except lts.TruncatedError as e:
-        _emit(args, {"error": str(e), "truncated": True}, f"truncated: {e}")
-        return TRUNCATED
-    except RecursionError:
+        holds, payload, human = args.run(args)
+        code = FAIL if holds is False else OK
+    except (lts.TruncatedError, RecursionError) as e:
         # the type checker, subtyping, form comparison and the .cmv translation
         # recurse once per prefix
-        message = "nesting depth: the input nests deeper than the recursion limit allows"
-        _emit(args, {"error": message, "truncated": True}, f"truncated: {message}")
-        return TRUNCATED
-    except (syntax.McmpError, ValueError) as e:
-        _emit(args, {"error": str(e)}, f"error: {e}")
-        return USAGE
+        message = "nesting depth: the input nests deeper than the recursion limit allows" if isinstance(e, RecursionError) else str(e)
+        payload, human, code = {"error": message, "truncated": True}, f"truncated: {message}", TRUNCATED
+    except (syntax.McmpError, ValueError, FileNotFoundError) as e:
+        bare = isinstance(e, (syntax.ParseError, FileNotFoundError))
+        payload, human, code = {"error": str(e)}, str(e) if bare else f"error: {e}", USAGE
+    _emit(args, payload, human)
+    return code
 
 
 def _global_flags(suppress: bool) -> argparse.ArgumentParser:
@@ -74,71 +75,51 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
     return shared
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mcmp", description=__doc__, parents=[_global_flags(False)])
-    shared = _global_flags(True)
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("check", parents=[shared], help="type-check a session against its declared context")
-    p.add_argument("file")
-    p.set_defaults(run=cmd_check)
-
-    p = sub.add_parser("safety", parents=[shared], help="check the declared context is safe")
-    p.add_argument("file")
-    p.set_defaults(run=cmd_safety)
-
-    p = sub.add_parser("df", parents=[shared], help="check the declared context is deadlock-free")
-    p.add_argument("file")
-    p.set_defaults(run=cmd_df)
-
-    p = sub.add_parser("simulate", parents=[shared], help="run reductions, first enabled step each time")
-    p.add_argument("file")
-    p.add_argument("--max-steps", type=int, default=64)
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(run=cmd_simulate)
-
-    p = sub.add_parser("encode", parents=[shared], help="translate a session by one of the encodings")
-    p.add_argument("file")
-    p.add_argument("--via", required=True, type=_encoding, metavar="ID")
-    p.set_defaults(run=cmd_encode)
-
-    p = sub.add_parser("verify-encoding", parents=[shared], help="run the good-encoding harness")
-    p.add_argument("file")
-    p.add_argument("--via", required=True, type=_encoding, metavar="ID")
-    p.set_defaults(run=cmd_verify)
-
-    p = sub.add_parser("detect", parents=[shared], help="search for a synchronisation pattern")
-    p.add_argument("file")
-    p.add_argument("--pattern", required=True, choices=["m", "star"])
-    p.set_defaults(run=cmd_detect)
-
-    p = sub.add_parser("classify", parents=[shared], help="list the subcalculi a session belongs to")
-    p.add_argument("file")
-    p.set_defaults(run=cmd_classify)
-
-    p = sub.add_parser("electoral", parents=[shared], help="check every maximal execution elects one leader")
-    p.add_argument("file")
-    p.add_argument("--station", required=True)
-    p.add_argument("--label", required=True)
-    p.set_defaults(run=cmd_electoral)
-
-    p = sub.add_parser("cmv", help="linear mixed-sessions front end")
-    cmv_sub = p.add_subparsers(dest="cmv_command")
-    q = cmv_sub.add_parser("check", parents=[shared], help="classify choices as internal/external")
-    q.add_argument("file")
-    q.set_defaults(run=cmd_cmv_check)
-    q = cmv_sub.add_parser("encode", parents=[shared], help="translate into mixed-choice binary sessions")
-    q.add_argument("file")
-    q.set_defaults(run=cmd_cmv_encode)
-
-    return parser
-
-
 def _encoding(name: str) -> str:
     from .encode import ENCODINGS  # checked here, so that no other command loads the encodings
     if name not in ENCODINGS:
         raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {', '.join(map(repr, sorted(ENCODINGS)))})")
     return name
+
+
+_VIA = ("--via", {"required": True, "type": _encoding, "metavar": "ID"})
+
+# Each subcommand once, in the order help lists them: its name, its help,
+# the arguments it takes after FILE, and the name of the cmd_* function that
+# runs it, looked up when the parser is built.  A two-word name is a command
+# of the group its first word names; a group runs no function of its own.
+COMMANDS = (
+    ("check", "type-check a session against its declared context", (), "cmd_check"),
+    ("safety", "check the declared context is safe", (), "cmd_safety"),
+    ("df", "check the declared context is deadlock-free", (), "cmd_df"),
+    ("simulate", "run reductions, first enabled step each time",
+     (("--max-steps", {"type": int, "default": 64}), ("--trace", {"action": "store_true"})), "cmd_simulate"),
+    ("encode", "translate a session by one of the encodings", (_VIA,), "cmd_encode"),
+    ("verify-encoding", "run the good-encoding harness", (_VIA,), "cmd_verify"),
+    ("detect", "search for a synchronisation pattern", (("--pattern", {"required": True, "choices": ["m", "star"]}),), "cmd_detect"),
+    ("classify", "list the subcalculi a session belongs to", (), "cmd_classify"),
+    ("electoral", "check every maximal execution elects one leader",
+     (("--station", {"required": True}), ("--label", {"required": True})), "cmd_electoral"),
+    ("cmv", "linear mixed-sessions front end", (), None),
+    ("cmv check", "classify choices as internal/external", (), "cmd_cmv_check"),
+    ("cmv encode", "translate into mixed-choice binary sessions", (), "cmd_cmv_encode"),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="mcmp", description=__doc__, parents=[_global_flags(False)])
+    shared = _global_flags(True)
+    groups = {"": parser.add_subparsers(dest="command")}
+    for name, summary, arguments, run in COMMANDS:
+        group, _, last = name.rpartition(" ")
+        if run is None:
+            groups[name] = groups[group].add_parser(name, help=summary).add_subparsers(dest=f"{name}_command")
+            continue
+        p = groups[group].add_parser(last, parents=[shared], help=summary)
+        for flag, options in (("file", {}), *arguments):
+            p.add_argument(flag, **options)
+        p.set_defaults(run=globals()[run])
+    return parser
 
 
 def _read(path: str) -> str:
@@ -183,36 +164,33 @@ def _write_dot(args, graph) -> None:
             handle.write(graph.to_dot())
 
 
-def cmd_check(args) -> int:
+# Each command returns its verdict for _run to emit: whether the property
+# holds (None when it checks none), the --json payload and the human text.
+
+
+def cmd_check(args):
     from . import typecheck
     session, context = _load_session(args, need_types=True)
     errors = typecheck.check_session(session, context, args.max_states, args.max_depth)
-    payload = {"ok": not errors, "errors": [e.to_json() for e in errors]}
-    if errors:
-        lines = "\n".join(f"  {e.kind} at {e.location}: {e.message}" for e in errors)
-        _emit(args, payload, f"ill-typed:\n{lines}")
-        return FAIL
-    _emit(args, payload, "well-typed")
-    return OK
+    lines = "".join(f"\n  {e.kind} at {e.location}: {e.message}" for e in errors)
+    return not errors, {"ok": not errors, "errors": [e.to_json() for e in errors]}, f"ill-typed:{lines}" if errors else "well-typed"
 
 
-def cmd_safety(args) -> int:
+def cmd_safety(args):
     from . import ltypes
     _, context = _load_session(args, need_types=True)
     ok, witness = ltypes.is_safe(context, args.max_states, args.max_depth)
-    _emit(args, {"safe": ok, "witness": witness}, "safe" if ok else f"not safe: {witness}")
-    return OK if ok else FAIL
+    return ok, {"safe": ok, "witness": witness}, "safe" if ok else f"not safe: {witness}"
 
 
-def cmd_df(args) -> int:
+def cmd_df(args):
     from . import ltypes
     _, context = _load_session(args, need_types=True)
     ok, witness = ltypes.is_deadlock_free(context, args.max_states, args.max_depth)
-    _emit(args, {"deadlock_free": ok, "witness": witness}, "deadlock-free" if ok else f"not deadlock-free: {witness}")
-    return OK if ok else FAIL
+    return ok, {"deadlock_free": ok, "witness": witness}, "deadlock-free" if ok else f"not deadlock-free: {witness}"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     from . import semantics
     if args.max_steps < 0:
         raise ValueError("--max-steps must not be negative")
@@ -235,19 +213,17 @@ def cmd_simulate(args) -> int:
     # neither inaction nor success
     stuck = not transitions and any(not isinstance(p, (syntax.Nil, syntax.Success)) for _, p in resolved.parts)
     if args.dot:
-        graph = semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth)
-        _write_dot(args, graph)
+        _write_dot(args, semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth))
     payload = {
         "trace": trace,
         "stuck": stuck,
         "final": {n: syntax.render_process(p) for n, p in current.parts},
         "success": semantics.has_success(current),
     }
-    _emit(args, payload, f"{len(trace)} step(s); final:\n{syntax.render_session(current)}")
-    return OK
+    return None, payload, f"{len(trace)} step(s); final:\n{syntax.render_session(current)}"
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args):
     from . import encode
     session, context = _load_session(args)
     order = encode.build_order(session)
@@ -262,17 +238,12 @@ def cmd_encode(args) -> int:
     if size > encode.MAX_ENCODE_TEXT:
         raise lts.TruncatedError(f"the target's text has {size} characters, past encode's output bound of {encode.MAX_ENCODE_TEXT >> 20} MiB")
     text = syntax.render_session(target, target_context)
-    payload = {
-        "target": text,
-        "via": args.via,
-        "order": {p: sorted(f"{a}<{b}" for a, b in pairs) for p, pairs in order.items()},
-        "reserved_labels": list(syntax.RESERVED_LABELS),
-    }
-    _emit(args, payload, text + "# order: " + json.dumps(payload["order"], sort_keys=True))
-    return OK
+    shown = {p: sorted(f"{a}<{b}" for a, b in pairs) for p, pairs in order.items()}
+    payload = {"target": text, "via": args.via, "order": shown, "reserved_labels": list(syntax.RESERVED_LABELS)}
+    return None, payload, text + "# order: " + json.dumps(shown, sort_keys=True)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.via == "lcmv-mcbs":
         from . import lcmv
         program = lcmv.parse_cmv(_read(args.file))
@@ -280,14 +251,12 @@ def cmd_verify(args) -> int:
     else:
         from . import encode
         session, _ = _load_session(args)
-        report = encode.verify_correspondence(
-            session, args.via, max_states=args.max_states, max_depth=args.max_depth
-        )
-    _emit(args, json.loads(report.to_json()), report.to_json())
-    return OK if report.passed() else FAIL
+        report = encode.verify_correspondence(session, args.via, max_states=args.max_states, max_depth=args.max_depth)
+    text = report.to_json()
+    return report.passed(), json.loads(text), text
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args):
     from . import patterns, semantics
     cmv = args.file.endswith(".cmv")
     if cmv and args.dot:
@@ -301,50 +270,39 @@ def cmd_detect(args) -> int:
     if not cmv:
         _write_dot(args, semantics.explore(term, max_states=args.max_states, max_depth=args.max_depth))
     if witness is None:
-        _emit(args, {"found": False}, f"no {args.pattern} pattern")
-        return FAIL
-    _emit(args, {"found": True, "witness": json.loads(witness.to_json())}, witness.to_json())
-    return OK
+        return False, {"found": False}, f"no {args.pattern} pattern"
+    return True, {"found": True, "witness": json.loads(witness.to_json())}, witness.to_json()
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     session, _ = _load_session(args)
     members = sorted(syntax.classify(session))
-    _emit(args, {"subcalculi": members}, " ".join(members))
-    return OK
+    return None, {"subcalculi": members}, " ".join(members)
 
 
-def cmd_electoral(args) -> int:
+def cmd_electoral(args):
     from . import patterns, semantics
     session, _ = _load_session(args)
-    ok, witness = patterns.is_electoral(
-        session, args.station, args.label, max_states=args.max_states, max_depth=args.max_depth
-    )
-    if args.dot:
-        _write_dot(args, semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth))
-    _emit(args, {"electoral": ok, "witness": witness}, "electoral" if ok else f"not electoral: {witness}")
-    return OK if ok else FAIL
+    graph = semantics.explore(session, max_states=args.max_states, max_depth=args.max_depth)
+    ok, witness = patterns.is_electoral_graph(graph, args.station, args.label)
+    _write_dot(args, graph)
+    return ok, {"electoral": ok, "witness": witness}, "electoral" if ok else f"not electoral: {witness}"
 
 
-def cmd_cmv_check(args) -> int:
+def cmd_cmv_check(args):
     from . import lcmv
     program = lcmv.parse_cmv(_read(args.file))
     try:
         classes = lcmv.check_cmv(program)
     except lcmv.CmvTypeError as e:
-        _emit(args, {"ok": False, "error": str(e)}, f"untypable: {e}")
-        return FAIL
-    payload = {"ok": True, "choices": classes}
-    _emit(args, payload, "linear and classifiable: " + json.dumps(payload["choices"], sort_keys=True))
-    return OK
+        return False, {"ok": False, "error": str(e)}, f"untypable: {e}"
+    return True, {"ok": True, "choices": classes}, "linear and classifiable: " + json.dumps(classes, sort_keys=True)
 
 
-def cmd_cmv_encode(args) -> int:
+def cmd_cmv_encode(args):
     from . import lcmv
-    target = lcmv.encode_lcmv_to_mcbs(lcmv.parse_cmv(_read(args.file)))
-    text = syntax.render_session(target)
-    _emit(args, {"target": text, "via": "lcmv-mcbs"}, text)
-    return OK
+    text = syntax.render_session(lcmv.encode_lcmv_to_mcbs(lcmv.parse_cmv(_read(args.file))))
+    return None, {"target": text, "via": "lcmv-mcbs"}, text
 
 
 if __name__ == "__main__":

@@ -150,7 +150,12 @@ def is_electoral(
     states.  Returns (flag, counterexample path or None); the counterexample
     is the first failing path of a depth-first walk that tries a state's
     last successor first."""
-    graph = explore(m, max_states=max_states, max_depth=max_depth).complete("exploration for the electoral check")
+    return is_electoral_graph(explore(m, max_states=max_states, max_depth=max_depth), station, label)
+
+
+def is_electoral_graph(graph: semantics.StateGraph, station: str, label: str):
+    """is_electoral on the explored state graph of the session."""
+    graph.complete("exploration for the electoral check")
     order = lts.topological_order([graph.root], graph.successors)
     if order is None:
         raise McmpError("electoral check needs a convergent session")

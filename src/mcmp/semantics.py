@@ -260,12 +260,10 @@ class StateGraph(lts.Graph):
         fid, classes = self.table.fid, {}
         return [classes.setdefault(tuple(fid[lid] for lid in lids), len(classes)) for _, lids in self.work]
 
-    def to_dot(self, state_label=None) -> str:
+    def to_dot(self) -> str:
         lines = ["digraph states {"]
         for i, s in enumerate(self.states):
-            label = state_label(s) if state_label else " | ".join(
-                f"{n}<{render_process(p)}>" for n, p in s.parts if not isinstance(p, Nil)
-            ) or "done"
+            label = " | ".join(f"{n}<{render_process(p)}>" for n, p in s.parts if not isinstance(p, Nil)) or "done"
             shape = "doublecircle" if i in self.roots else "ellipse"
             lines.append(f'  s{i} [label="{_dot_escape(label)}", shape={shape}];')
         for s, step, d in self.edges:

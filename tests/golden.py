@@ -162,9 +162,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv: list[str], tmp: Path) -> dict:
-    """Run one case in process, from the repository root with COLUMNS set,
-    and return its manifest entry."""
+def run(argv: list[str], tmp: Path) -> tuple[dict, dict]:
+    """Run one case in process, from the repository root with COLUMNS set.
+    Returns its manifest entry and what it wrote, by stream."""
     argv = [a.replace("$TMP", str(tmp)) for a in argv]
     dot = tmp / "graph.dot"
     if dot.exists():
@@ -181,12 +181,8 @@ def run(argv: list[str], tmp: Path) -> dict:
     for text in written.values():
         # an output that named the scratch directory would differ per run
         assert str(tmp) not in text, (argv, text)
-    return {
-        "exit": code,
-        "stdout": _sha(written["stdout"].encode()),
-        "stderr": _sha(written["stderr"].encode()),
-        "dot": _sha(written["dot"].encode()) if "dot" in written else None,
-    }
+    entry = {"exit": code, "dot": None, **{stream: _sha(text.encode()) for stream, text in written.items()}}
+    return entry, written
 
 
 @contextlib.contextmanager
@@ -217,7 +213,7 @@ def rewrite() -> int:
     entries = []
     with tempfile.TemporaryDirectory() as tmp, environment(Path(tmp)):
         for argv, by_argparse in cases():
-            entry = {"argv": argv, **run(argv, Path(tmp))}
+            entry = {"argv": argv, **run(argv, Path(tmp))[0]}
             if by_argparse:
                 entry["argparse"] = True
             entries.append(json.dumps(entry, sort_keys=True))

@@ -13,10 +13,10 @@ def test_outputs_match_the_golden_corpus(tmp_path):
     differ = []
     with golden.environment(tmp_path):
         for entry in manifest["cases"]:
-            got = golden.run(entry["argv"], tmp_path)
-            want = {k: entry[k] for k in got}
-            if entry.get("argparse") and not same_python:
-                got, want = got["exit"], want["exit"]
-            if got != want:
-                differ.append(" ".join(entry["argv"]))
+            got, written = golden.run(entry["argv"], tmp_path)
+            keys = ["exit"] if entry.get("argparse") and not same_python else list(got)
+            changed = [k for k in keys if got[k] != entry[k]]
+            if changed:
+                shown = "".join(f"\n  new {k}: {written.get(k, got[k])!r:.400}" for k in changed)
+                differ.append(" ".join(entry["argv"]) + shown)
     assert not differ, f"{len(differ)} of {len(manifest['cases'])} cases differ:\n" + "\n".join(differ)
