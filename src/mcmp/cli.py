@@ -172,8 +172,9 @@ def cmd_check(args):
     from . import typecheck
     session, context = _load_session(args, need_types=True)
     errors = typecheck.check_session(session, context, args.max_states, args.max_depth)
+    payload = {"ok": not errors, "errors": [e.to_json() for e in errors]}
     lines = "".join(f"\n  {e.kind} at {e.location}: {e.message}" for e in errors)
-    return not errors, {"ok": not errors, "errors": [e.to_json() for e in errors]}, f"ill-typed:{lines}" if errors else "well-typed"
+    return not errors, payload, f"ill-typed:{lines}" if errors else "well-typed"
 
 
 def cmd_safety(args):
