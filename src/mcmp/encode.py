@@ -142,7 +142,7 @@ class _Tables:
     """The o and i tables of the in-family encodings, with oi the o table
     applied to the top layer of the choice the i table builds (that choice
     is always separate).  A subclass supplies the term language, as scope
-    and rule (see syntax._substitute) and the choice node type choice, and
+    and rule (see syntax._rule) and the choice node type choice, and
     what the tables build with: head(b), a branch's peer and polarity;
     with_cont(b, cont); the announcements send(q, label, cont) and recv(q,
     label, cont); and guard(q, outs), the o table's outputs.
@@ -159,7 +159,7 @@ class _Tables:
         def node(q, subs: list):
             if type(q) is self.choice:
                 return self.translate_choice(tuple(zip(q.branches, subs)), view)
-            return self.rule(q, subs, (), None, None)
+            return self.rule(q, subs, None, None)
 
         return syntax._rebuild(term, self.scope, node, self._memos.setdefault(view, {}))
 
@@ -467,7 +467,7 @@ def verify_name_invariance(m: Session, enc_id: str | EncodingId, sigma: dict[str
     enc_renamed = encode(renamed, e)
     renamed_enc = syntax.apply_rename(encode(m, e), sigma)
     if e.order_free:
-        return syntax.canon_session(enc_renamed) == syntax.canon_session(renamed_enc)
+        return syntax.struct_congruent(enc_renamed, renamed_enc)
     joint = explore_many([enc_renamed, renamed_enc], max_states=max_states, max_depth=max_depth)
     joint.complete("name-invariance exploration")
     return semantics.weak_bisimilar(joint, joint.roots[0], joint.roots[1])

@@ -348,27 +348,27 @@ def _rebuild(components: list[CmvProcess]) -> CmvProcess:
 
 
 def _subst_val(p: CmvProcess, value: Value, var: str) -> CmvProcess:
-    """p[value/var], renaming a binder that would capture a variable value
-    as a process's substitution does (see syntax._substitute).  Every
-    subterm in which var is not free is returned as the same object, so a
-    step rebuilds only the path to var's occurrences."""
+    """p[value/var], refusing a capture as a process's substitution does
+    (see syntax._outside).  Every subterm in which var is not free is
+    returned as the same object, so a step rebuilds only the path to var's
+    occurrences."""
     if var not in _free_of(p):
         return p
     avoid = (value.name,) if isinstance(value, Var) else ()
-    return syntax._substitute(p, var, value, _scope, _rule, _free_of, avoid)
+    return syntax._rebuild(p, _scope, lambda q, subs: _rule(q, subs, var, value), {}, syntax._outside(var, avoid))
 
 
-def _rule(p: CmvProcess, subs: list, binders: list, var: str, value: Value) -> CmvProcess:
-    """p with the subterms subs under binders, and with value for var where
-    var stands in p itself."""
+def _rule(p: CmvProcess, subs: list, var: str, value: Value) -> CmvProcess:
+    """p with the subterms subs, and with value for var where var stands in
+    p itself."""
     kind = type(p)
     if kind is CChoice:
         new = []
-        for b, cont, binder in zip(p.branches, subs, binders):
+        for b, cont in zip(p.branches, subs):
             if b.polarity == "!":
                 new.append(CBranch(b.label, "!", payload=value if b.payload == Var(var) else b.payload, cont=cont))
             else:
-                new.append(b if cont is b.cont and binder == b.var else CBranch(b.label, "?", var=binder, cont=cont))
+                new.append(b if cont is b.cont else CBranch(b.label, "?", var=b.var, cont=cont))
         return CChoice(p.endpoint, tuple(new))
     if kind is CCond:
         return CCond(value if p.guard == Var(var) else p.guard, subs[0], subs[1])

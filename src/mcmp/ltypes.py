@@ -137,12 +137,14 @@ def well_formed(t: LocalType) -> bool:
 
 
 def tsubst(t: LocalType, repl: LocalType, var: str) -> LocalType:
-    """t[repl/var] (see syntax._substitute).  Every subterm in which var is
-    not free is returned as the same object, so it keeps its form."""
-    return syntax._substitute(t, var, repl, _scope, _rule, ftv, ())
+    """t[repl/var] (see syntax._outside), checking no capture, for the
+    contexts explored are closed, and filling no slots, for subtyping unfolds
+    fresh types.  Every subterm in which var is not free is returned as the
+    same object, so it keeps its form."""
+    return syntax._rebuild(t, _scope, lambda u, subs: _rule(u, subs, var, repl), {}, syntax._outside(var, ()))
 
 
-def _rule(t: LocalType, subs: list, binders: list, var: str, repl: LocalType) -> LocalType:
+def _rule(t: LocalType, subs: list, var: str, repl: LocalType) -> LocalType:
     """t with the subterms subs, and repl for var if t is var; t itself, and
     each of its branches, when nothing in it changed."""
     kind = type(t)

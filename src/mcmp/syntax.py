@@ -227,61 +227,60 @@ _CLOSED: frozenset = frozenset()
 def free_names(proc: Process) -> frozenset:
     """The names free in proc: a value variable as itself, a process
     variable X as ("X", X).  Each node's set is computed once, children
-    first and without recursion (see _fill_slots); a node with the same
+    first and without recursion (see _free_of); a node with the same
     names as a child shares the child's set, and closed nodes share one
     empty set."""
     return _free_of(proc, _scope, _fill_free)
 
 
 def _free_of(p, scope, fill) -> frozenset:
-    """p's _free slot, in the language that scope describes, after filling
-    the unset slots at and below p with fill (see _fill_slots)."""
+    """p's _free slot, in the language that scope describes, after calling
+    fill, children first (see _rebuild), on p and on every node below it
+    whose slot is unset; such a node keeps no form yet.  A node with a set
+    slot has set slots below it, so each node is filled once."""
     try:
         return p._free
     except AttributeError:
-        _fill_slots(p, scope, fill)
+        def node(q, subs: list) -> None:
+            fill(q)
+            object.__setattr__(q, "_key", None)
+
+        _rebuild(p, scope, node, {}, lambda k, binder: hasattr(k, "_free"))
         return p._free
 
 
-def _fill_slots(p, scope, fill) -> None:
-    """Call fill on p and on every node below it whose _free slot is unset,
-    children first (scope(node) lists a node's) and without recursion, and
-    keep no form for it yet.  fill sets _free, so a node met twice in a
-    shared term is filled once."""
-    todo = [p]
-    while todo:
-        q = todo[-1]
-        if hasattr(q, "_free"):  # met twice in a shared term
-            todo.pop()
-            continue
-        missing = [k for k, _ in scope(q) if not hasattr(k, "_free")]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        fill(q)
-        object.__setattr__(q, "_key", None)
-
-
-def _rebuild(p, scope, node, memo: dict):
+def _rebuild(p, scope, node, memo: dict, skip=None):
     """node(p, subs), where subs holds the results for p's subterms in the
     order scope(p) lists them, each computed the same way: children first
-    and without recursion.  memo maps id(q) to (q, q's result), so a subterm
-    met twice, in p or in an earlier call with the same memo, is done once,
-    and no id in it is reused while memo lives."""
-    todo = [p]
-    while todo:
-        q = todo[-1]
-        if id(q) in memo:  # met twice in a shared term
-            todo.pop()
-            continue
-        missing = [k for k, _ in scope(q) if id(k) not in memo]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        memo[id(q)] = (q, node(q, [memo[id(k)][1] for k, _ in scope(q)]))
-    return memo[id(p)][1]
+    and without recursion.  scope(q) lists q's subterms, each with the
+    binder it sits under or None, and a subterm k under binder for which
+    skip(k, binder) holds is its own result and is not entered.  memo maps
+    id(q) to (q, q's result), so a subterm met twice, in p or in an earlier
+    call with the same memo, is done once, and no id in it is reused while
+    memo lives."""
+    if id(p) in memo:
+        return memo[id(p)][1]
+    # q is the node whose subterms' results subs holds so far, and items
+    # iterates over the rest of its subterms; stack holds the nodes above it
+    q, items, subs = p, iter(scope(p)), []
+    stack = []
+    while True:
+        for k, binder in items:
+            if skip is not None and skip(k, binder):
+                subs.append(k)
+            elif id(k) in memo:  # met twice in a shared term
+                subs.append(memo[id(k)][1])
+            else:
+                stack.append((q, items, subs))
+                q, items, subs = k, iter(scope(k)), []
+                break
+        else:
+            new = node(q, subs)
+            memo[id(q)] = (q, new)
+            if not stack:
+                return new
+            q, items, subs = stack.pop()
+            subs.append(new)
 
 
 def _nodes(p, scope) -> list:
@@ -357,35 +356,52 @@ def _with_value(names: frozenset, v: Value) -> frozenset:
 
 
 def substitute_value(proc: Process, value: Value, var: str) -> Process:
-    """Capture-avoiding substitution proc[value/var] (see _substitute).
-    Every subterm in which var is not free is kept as the same object."""
+    """proc[value/var] (see _outside).  Every subterm in which var is not
+    free is kept as the same object, and a subterm met twice is rebuilt
+    once."""
     if var not in free_names(proc):
         return proc
     avoid = (value.name,) if isinstance(value, Var) else ()
-    return _substitute(proc, var, value, _scope, _rule, free_names, avoid)
+    return _rebuild(proc, _scope, lambda q, subs: _rule(q, subs, var, value), {}, _outside(var, avoid))
 
 
 def substitute_proc(proc: Process, repl: Process, var: str) -> Process:
-    """proc[repl/var] on process variables.  Every subterm in which var is
-    not free is kept as the same object."""
-    if ("X", var) not in free_names(proc):
+    """proc[repl/var] on process variables, as substitute_value is."""
+    name = ("X", var)
+    if name not in free_names(proc):
         return proc
-    return _substitute(proc, ("X", var), repl, _scope, _rule, free_names, ())
+    return _rebuild(proc, _scope, lambda q, subs: _rule(q, subs, name, repl), {}, _outside(name, free_names(repl)))
 
 
-def _rule(p: Process, subs: list, binders: list, name, repl) -> Process:
-    """p with the subterms subs under binders, and with repl for name where
-    name stands in p itself, as a process variable or a value."""
+def _outside(name, avoid):
+    """The skip predicate (see _rebuild) of a substitution for name: a
+    subterm under a binder named name, or whose _free slot is set and lacks
+    name, is kept.  avoid holds the replacement's free names, and a binder
+    among them over a subterm in which name is free would capture them, so
+    it raises McmpError: the calculi substitute closed terms.  A caller
+    that passes names sets the slots first, so only an occurrence raises."""
+    def skip(k, binder) -> bool:
+        names = getattr(k, "_free", None)
+        if binder == name or names is not None and name not in names:
+            return True
+        if binder in avoid:
+            var, bound = (n[1] if type(n) is tuple else n for n in (name, binder))
+            raise McmpError(f"substituting for {var} under the binder {bound} would capture the free {bound}")
+        return False
+
+    return skip
+
+
+def _rule(p: Process, subs: list, name, repl) -> Process:
+    """p with the subterms subs, and with repl for name where name stands in
+    p itself, as a process variable or a value."""
     kind = type(p)
     if kind is Choice:
         new = []
-        for b, cont, binder in zip(p.branches, subs, binders):
+        for b, cont in zip(p.branches, subs):
             pre = b.prefix
-            if pre.polarity == "!":
-                if type(pre.payload) is Var and pre.payload.name == name:
-                    pre = Prefix(pre.target, "!", pre.label, payload=repl)
-            elif binder != pre.var:
-                pre = Prefix(pre.target, "?", pre.label, var=binder)
+            if pre.polarity == "!" and type(pre.payload) is Var and pre.payload.name == name:
+                pre = Prefix(pre.target, "!", pre.label, payload=repl)
             new.append(b if pre is b.prefix and cont is b.cont else Branch(pre, cont))
         return Choice(tuple(new))
     if kind is Cond:
@@ -393,59 +409,6 @@ def _rule(p: Process, subs: list, binders: list, name, repl) -> Process:
     if kind is Rec:
         return Rec(p.var, subs[0])
     return repl if kind is ProcVar and ("X", p.name) == name else p
-
-
-def _substitute(p, name, repl, scope, rule, free, avoid):
-    """p with repl for the free occurrences of name, in the language that
-    scope and rule describe: scope(node) lists a node's subterms, each with
-    the binder it sits under or None, and rule(node, subs, binders, name,
-    repl) builds a node from its new subterms subs, which sit under
-    binders, with repl for name where name stands in the node itself.  The
-    walk keeps as the same object a subterm under a binder named name, and
-    one whose _free slot is set and lacks name.
-
-    A binder in avoid (the names free in repl) that sits over an occurrence
-    of name is renamed to <binder>_<n>, for the smallest n that makes a name
-    not free below it (free(node) gives those names and fills the slots), so
-    the same term always gets the same name.  The walk always enters p, so
-    a caller whose rule rebuilds every node it is given first checks that
-    name is free in p.  Computed children first and without recursion."""
-    # q is the node being rebuilt from the new subterms subs made so far,
-    # and items iterates over the rest of its subterms; stack holds the
-    # nodes above it, and a renamed subterm's frame (None, name, repl,
-    # avoid) says which substitution to make in it next
-    q, items, subs, binders = p, iter(scope(p)), [], []
-    stack = []
-    while True:
-        for sub, binder in items:
-            names = getattr(sub, "_free", None)
-            if binder == name or (names is not None and name not in names):
-                subs.append(sub)
-                binders.append(binder)
-                continue
-            stack.append((q, items, subs, binders))
-            if binder in avoid:
-                taken = free(sub)
-                binders.append(_fresh(f"{binder}_", taken))
-                if binder in taken:
-                    stack.append((None, name, repl, avoid))
-                    name, repl, avoid = binder, Var(binders[-1]), (binders[-1],)
-            else:
-                binders.append(binder)
-            q, items, subs, binders = sub, iter(scope(sub)), [], []
-            break
-        else:
-            new = rule(q, subs, binders, name, repl)
-            if not stack:
-                return new
-            frame = stack.pop()
-            if frame[0] is None:  # new is a renamed subterm: now substitute into it
-                _, name, repl, avoid = frame
-                free(new)
-                q, items, subs, binders = new, iter(scope(new)), [], []
-            else:
-                q, items, subs, binders = frame
-                subs.append(new)
 
 
 def _fresh(stem: str, taken) -> str:
@@ -529,7 +492,7 @@ def _canon_walk(p, scope, form, fill) -> tuple:
     describe: scope(node) lists a node's subterms, each with the binder it
     sits under or None, form(node, env, forms) builds a node's form from its
     subterms' forms under env, the binders around it, innermost last, and
-    fill sets a node's slots (see _fill_slots).  A bound name is ("b", i)
+    fill sets a node's slots (see _free_of).  A bound name is ("b", i)
     for the binder i binders further out (a de Bruijn index), and a free
     name stays a name, so a subterm's form does not depend on how deep it
     sits.
@@ -545,7 +508,7 @@ def _canon_walk(p, scope, form, fill) -> tuple:
         if p._key is not None:
             return p._key
     except AttributeError:  # a node whose slots are unset
-        _fill_slots(p, scope, fill)
+        _free_of(p, scope, fill)
     # q is the node being built, under the binders env, from the forms of
     # its subterms subs made so far; stack holds the nodes above it
     q, env, subs, forms = p, (), scope(p), []
@@ -599,11 +562,28 @@ def canon_session(m: Session) -> tuple:
 
 
 def alpha_equal(p: Process, q: Process) -> bool:
-    return canon_process(p) == canon_process(q)
+    return _same_form(canon_process(p), canon_process(q))
 
 
 def struct_congruent(m1: Session, m2: Session) -> bool:
-    return canon_session(m1) == canon_session(m2)
+    return _same_form(canon_session(m1), canon_session(m2))
+
+
+def _same_form(a: tuple, b: tuple) -> bool:
+    """a == b for two forms, compared pair by pair from a stack, since tuple
+    == recurses once per level; a shared subform is compared by identity."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is tuple and type(b) is tuple:
+            if len(a) != len(b):
+                return False
+            todo += zip(a, b)
+        elif a != b:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +601,7 @@ def apply_rename(m: Session, sigma: dict[str, str]) -> Session:
 
     def node(p: Process, subs: list) -> Process:
         if type(p) is not Choice:
-            return _rule(p, subs, (), None, None)
+            return _rule(p, subs, None, None)
         new = []
         for b, k in zip(p.branches, subs):
             pre = b.prefix

@@ -166,6 +166,33 @@ def test_deep_nesting_is_truncation_not_traceback(tmp_path):
         assert json.loads(done.stdout).get("truncated", False) == (code == 3)
 
 
+def test_simulate_refuses_a_capturing_unfolding(tmp_path, capsys):
+    # p's recursion is open in y, and its unfolding would put that y under
+    # p's own input of y: a usage error, not a run on a captured term
+    path = tmp_path / "open.mcmp"
+    path.write_text("role p = rec X. q!b(y). q?c(y). X\nrole q = rec Y. p?b(z). p!c(5). Y\n")
+    code, out = run(capsys, "--json", "simulate", str(path))
+    assert (code, json.loads(out)) == (2, {"error": "substituting for X under the binder y would capture the free y"})
+
+
+def test_verify_encoding_compares_deep_forms(tmp_path):
+    # the distributability check compares the forms of 1200-prefix
+    # processes, which tuple == would do one C recursion per prefix
+    n = 1200
+    path = tmp_path / "chain1200.mcmp"
+    path.write_text(
+        f"role p = {''.join(f'q!l{i}(tt).' for i in range(n))}ok\n"
+        f"role q = {''.join(f'p?l{i}(x{i}).' for i in range(n))}0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "mcmp.cli", "--json", "--max-depth", "3000", "verify-encoding", str(path),
+            "--via", "scbs-bs"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout)["passed"]
+
+
 def test_check_decides_long_loops(tmp_path):
     # a loop's process variable has the very type its recursion is checked
     # against, which is not subtyped against itself, so nothing recurses

@@ -573,12 +573,16 @@ def test_deep_programs_substitute_and_print_without_recursion():
     assert lcmv.render_cmv(got) == text[len("(new x y)("):-1]
 
 
-def test_reduction_renames_a_capturing_binder():
-    # z, the value sent, reaches the conditional under the input binder z,
-    # which is renamed as a process's substitution renames it
+def test_reduction_refuses_a_capturing_binder():
+    # z, the value sent, would reach the conditional under the input binder
+    # z: refused, as a process's substitution refuses it
     p = lcmv.parse_cmv("(new x y)(lin x (a!z.0) | lin y (a?w. lin y (b?z. if w then 0 else ok)))")
+    with pytest.raises(McmpError, match="substituting for w under the binder z would capture"):
+        lcmv.cmv_enabled(p)
+    # the same value past a binder that does not sit over w
+    p = lcmv.parse_cmv("(new x y)(lin x (a!z.0) | lin y (a?w. lin y (b?v. if w then 0 else ok)))")
     [(_, succ)] = lcmv.cmv_enabled(p)
-    assert lcmv.render_cmv(succ) == "(new x y)(lin y (b?z_0.if z then 0 else ok))"
+    assert lcmv.render_cmv(succ) == "(new x y)(lin y (b?v.if z then 0 else ok))"
     assert lcmv._free_of(succ) == {"z"}
 
 

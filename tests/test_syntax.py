@@ -126,25 +126,25 @@ def test_substitute_value_identity_when_not_free():
 
 
 def test_substitute_value_capture_avoiding():
-    # substituting y for x must not be captured by the ?-binder on y
-    p = parse_process("q?y(z).q!l(x).0")
+    # substituting y for x under the ?-binder on y would capture y: refused,
+    # with the variable and the binder named
     body = parse_process("q?w(y).q!l(x).0")
-    q = substitute_value(body, Var("y"), "x")
-    bound = q.branches[0].prefix.var
-    assert bound != "y"
-    inner = q.branches[0].cont
-    assert inner.branches[0].prefix.payload == Var("y")
+    with pytest.raises(syntax.McmpError, match="substituting for x under the binder y would capture"):
+        substitute_value(body, Var("y"), "x")
+    # a binder over no occurrence of x captures nothing
+    q = substitute_value(parse_process("q!l(x).q?w(y).q!m(y).0"), Var("y"), "x")
+    assert syntax.render_process(q) == "q!l(y).q?w(y).q!m(y).0"
 
 
-def test_substitute_value_renames_binders_deterministically():
-    # the fresh name depends on the term alone, not on earlier substitutions
+def test_substitute_value_refuses_capture_deterministically():
+    # the refusal depends on the term alone, and no binder is renamed
     body = parse_process("q?w(y).q!l(x).0")
-    first = substitute_value(body, Var("y"), "x")
-    assert first.branches[0].prefix.var == "y_0"
-    assert substitute_value(body, Var("y"), "x") == first
-    # a candidate free in the body is skipped
-    crowded = substitute_value(parse_process("q?w(y).q!l(x).q!m(y_0).0"), Var("y"), "x")
-    assert crowded.branches[0].prefix.var == "y_1"
+    for _ in range(2):
+        with pytest.raises(syntax.McmpError, match="for x under the binder y "):
+            substitute_value(body, Var("y"), "x")
+    crowded = parse_process("q?w(y).q!l(x).q!m(y_0).0")
+    with pytest.raises(syntax.McmpError, match="for x under the binder y "):
+        substitute_value(crowded, Var("y"), "x")
 
 
 def test_substitute_proc_and_unfold():
@@ -153,6 +153,30 @@ def test_substitute_proc_and_unfold():
     unfolded = unfold_rec(rec)
     assert isinstance(unfolded, Choice)
     assert isinstance(unfolded.branches[0].cont, syntax.Rec)
+
+
+def test_unfold_refuses_a_capture():
+    # the recursion is open in y, and its body's input of y sits over X
+    rec = parse_process("rec X. q!b(y). q?c(y). X")
+    with pytest.raises(syntax.McmpError, match="substituting for X under the binder y would capture the free y"):
+        unfold_rec(rec)
+    with pytest.raises(syntax.McmpError, match="binder y "):
+        syntax.head_normal(rec)
+    # closed, or with the input elsewhere, it unfolds
+    assert syntax.render_process(unfold_rec(parse_process("rec X. q!b(tt). q?c(y). X"))) == (
+        "q!b(tt).q?c(y).(rec X.q!b(tt).q?c(y).X)")
+    assert syntax.render_process(unfold_rec(parse_process("rec X. q?c(y). q!b(y). X"))) == (
+        "q?c(y).q!b(y).(rec X.q?c(y).q!b(y).X)")
+
+
+def test_deep_forms_compare_without_recursion():
+    # tuple == recurses once per level of the two forms
+    text = "".join(f"q!l{i}(tt)." for i in range(1200)) + "0"
+    assert alpha_equal(parse_process(text), parse_process(text))
+    assert not alpha_equal(parse_process(text), parse_process(text[:-1] + "ok"))
+    chain = parse_session(f"role p = {text} role q = p?a(x).0")
+    assert struct_congruent(chain, parse_session(f"role q = p?a(y).0 role p = {text}"))
+    assert not struct_congruent(chain, parse_session(f"role q = p?a(y).ok role p = {text}"))
 
 
 def test_unfold_p10_guarded():

@@ -6,10 +6,11 @@ which numbers a bound name by the depth of its binder from the root of the
 term, so that no form of a subterm can be reused under another context."""
 
 import random
+import re
 
 import pytest
 
-from mcmp import encode, ltypes, semantics, syntax
+from mcmp import encode, lcmv, ltypes, semantics, syntax
 from mcmp.syntax import (
     FF,
     TT,
@@ -117,8 +118,9 @@ def oracle_free_procs(proc):
 
 
 def oracle_substitute(proc, value, var):
-    """proc[value/var], rebuilding the whole term, with the same renaming of
-    capturing binders as the library."""
+    """proc[value/var], rebuilding the whole term and renaming a capturing
+    binder to <binder>_<n>, as alpha_variant needs; the library refuses a
+    capture instead (see oracle_captures)."""
 
     def subst_v(v):
         return value if isinstance(v, Var) and v.name == var else v
@@ -151,6 +153,24 @@ def oracle_substitute(proc, value, var):
         return p
 
     return walk(proc)
+
+
+def oracle_captures(proc, value, var):
+    """Whether proc[value/var] would put value, a variable, under an input
+    of its name: one that sits over a free occurrence of var."""
+    match proc:
+        case Choice(branches):
+            subs = [(b.cont, b.prefix.var) for b in branches]
+        case Cond(_, t, e):
+            subs = [(t, None), (e, None)]
+        case Rec(_, body):
+            subs = [(body, None)]
+        case _:
+            return False
+    return isinstance(value, Var) and any(
+        binder != var and (binder == value.name and var in oracle_free_values(k) or oracle_captures(k, value, var))
+        for k, binder in subs
+    )
 
 
 def rebuild(p):
@@ -342,13 +362,20 @@ def test_free_names_match_reference():
 
 def test_substitution_matches_reference_and_shares_untouched_terms():
     rng = random.Random(3)
+    refused = 0
     for t in random_terms(seed=7):
         for s in subterms(t):
             var = rng.choice(VALUE_NAMES + ("u",))
             value = rng.choice((TT, NatVal(4), Var("x"), Var("y")))
+            if oracle_captures(s, value, var):
+                refused += 1
+                with pytest.raises(syntax.McmpError, match=f"substituting for {var} under the binder {value.name} "):
+                    substitute_value(s, value, var)
+                continue
             got = substitute_value(s, value, var)
             assert oracle_canon(got) == oracle_canon(oracle_substitute(s, value, var))
             assert (got is s) == (var not in oracle_free_values(s))
+    assert refused > 10
 
 
 def test_substitute_returns_the_term_when_the_variable_is_not_free():
@@ -363,43 +390,83 @@ def test_substitute_returns_the_term_when_the_variable_is_not_free():
     assert unfolded.branches[1].cont.then is body.branches[0].cont
 
 
+def test_a_shared_continuation_is_rebuilt_once():
+    # both branches hold one continuation object, in each term language
+    k = syntax.parse_process("q!o(x).0")
+    p = Choice((Branch(Prefix("q", "?", "a", var="z"), k), Branch(Prefix("q", "?", "b", var="w"), k)))
+    got = substitute_value(p, TT, "x")
+    assert got.branches[0].cont is got.branches[1].cont
+    assert syntax.render_process(got.branches[0].cont) == "q!o(tt).0"
+    k = syntax.parse_ltype("p!a(bool).t")
+    shared = ltypes.TChoice((ltypes.TBranch("q", "!", "a", "nat", k), ltypes.TBranch("q", "!", "b", "nat", k)))
+    got = ltypes.tsubst(shared, ltypes.End(), "t")
+    assert got.branches[0].cont is got.branches[1].cont
+    assert ltypes.render_type(got.branches[0].cont) == "p!a(bool).end"
+    c = lcmv.CChoice("x", (lcmv.CBranch("a", "!", payload=Var("v"), cont=lcmv.Inact()),))
+    ch = lcmv.CChoice("y", (lcmv.CBranch("a", "?", var="z", cont=c), lcmv.CBranch("b", "?", var="w", cont=c)))
+    got = lcmv._subst_val(ch, NatVal(3), "v")
+    assert got.branches[0].cont is got.branches[1].cont
+    assert lcmv.render_cmv(got.branches[0].cont) == "lin x (a!3.0)"
+
+
 def test_deep_terms_substitute_and_print_without_recursion():
     # 5000 inputs over an output of x: the substitution rebuilds every node
     # above it, and the innermost binder, y0, would capture a value y0
     p = Choice((Branch(Prefix("q", "!", "out", payload=Var("x")), Nil()),))
     for i in range(5000):
         p = Choice((Branch(Prefix("q", "?", f"l{i}", var=f"y{i}"), p),))
-    for value, tail in ((NatVal(7), "q?l0(y0).q!out(7).0"), (Var("y0"), "q?l0(y0_0).q!out(y0).0")):
-        got = substitute_value(p, value, "x")
-        text = syntax.render_process(got)
-        assert text.startswith("q?l4999(y4999).q?l4998(y4998).") and text.endswith(tail)
-        assert text.count(".") == 5001
+    got = substitute_value(p, NatVal(7), "x")
+    text = syntax.render_process(got)
+    assert text.startswith("q?l4999(y4999).q?l4998(y4998).") and text.endswith("q?l0(y0).q!out(7).0")
+    assert text.count(".") == 5001
+    with pytest.raises(syntax.McmpError, match="substituting for x under the binder y0 "):
+        substitute_value(p, Var("y0"), "x")
 
 
 def test_substitute_proc_matches_reference():
+    refused = 0
     for t in random_terms(seed=9):
         for s in subterms(t):
             if not isinstance(s, Rec):
                 continue
+            try:
+                expected = rebuild_unfold(s)
+            except syntax.McmpError as refusal:
+                refused += 1
+                with pytest.raises(syntax.McmpError, match=f"substituting for {s.var} under the binder (\\w+) ") as got:
+                    syntax.unfold_rec(s)
+                assert re.search(r"binder (\w+) ", str(got.value)).group(1) in refusal.args[1]
+                continue
             got = syntax.unfold_rec(s)
             assert (got is s.body) == (s.var not in oracle_free_procs(s.body))
-            assert oracle_canon(got) == oracle_canon(rebuild_unfold(s))
+            assert oracle_canon(got) == oracle_canon(expected)
+    assert refused > 5
 
 
 def rebuild_unfold(rec):
-    def walk(p):
+    """rec's body with rec for its variable, rebuilding the whole term.  A
+    binder over an occurrence of the variable that binds a name free in rec
+    would capture it: then McmpError, with the names of all such binders."""
+    free = oracle_free_values(rec) | {("X", x) for x in oracle_free_procs(rec)}
+    captured = set()
+
+    def walk(p, bound):
         match p:
             case ProcVar(name) if name == rec.var:
+                captured.update(bound & free)
                 return rec
             case Rec(x, body):
-                return p if x == rec.var else Rec(x, walk(body))
+                return p if x == rec.var else Rec(x, walk(body, bound | {("X", x)}))
             case Choice(branches):
-                return Choice(tuple(Branch(b.prefix, walk(b.cont)) for b in branches))
+                return Choice(tuple(Branch(b.prefix, walk(b.cont, bound | {b.prefix.var} - {None})) for b in branches))
             case Cond(g, t, e):
-                return Cond(g, walk(t), walk(e))
+                return Cond(g, walk(t, bound), walk(e, bound))
         return p
 
-    return walk(rec.body)
+    out = walk(rec.body, frozenset())
+    if captured:
+        raise syntax.McmpError("unfolding would capture", {b[1] if isinstance(b, tuple) else b for b in captured})
+    return out
 
 
 # ---------------------------------------------------------------------------
