@@ -52,8 +52,8 @@ def _run(args) -> int:
         holds, payload, human = args.run(args)
         code = FAIL if holds is False else OK
     except (lts.TruncatedError, RecursionError) as e:
-        # the type checker, subtyping, form comparison and the .cmv translation
-        # recurse once per prefix
+        # subtyping, the .cmv translation and detect's comparison of successor
+        # forms recurse once per prefix
         message = "nesting depth: the input nests deeper than the recursion limit allows" if isinstance(e, RecursionError) else str(e)
         payload, human, code = {"error": message, "truncated": True}, f"truncated: {message}", TRUNCATED
     except (syntax.McmpError, ValueError, FileNotFoundError) as e:
@@ -127,11 +127,11 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        _write(human + "\n")
+def _emit(args, payload: dict, human: str | dict) -> None:
+    """Write the payload as JSON under --json, else the human text, which a
+    command gives as a dict when it is JSON too."""
+    shown = payload if getattr(args, "json", False) else human
+    _write((shown if isinstance(shown, str) else json.dumps(shown, sort_keys=True, indent=2)) + "\n")
 
 
 def _write(text: str) -> None:
@@ -166,13 +166,14 @@ def _write_dot(args, graph) -> None:
 
 # Each command returns its verdict for _run to emit: whether the property
 # holds (None when it checks none), the --json payload and the human text.
+# The library hands over records and dicts; only _emit writes JSON.
 
 
 def cmd_check(args):
     from . import typecheck
     session, context = _load_session(args, need_types=True)
     errors = typecheck.check_session(session, context, args.max_states, args.max_depth)
-    payload = {"ok": not errors, "errors": [e.to_json() for e in errors]}
+    payload = {"ok": not errors, "errors": [syntax._fields(e) for e in errors]}
     lines = "".join(f"\n  {e.kind} at {e.location}: {e.message}" for e in errors)
     return not errors, payload, f"ill-typed:{lines}" if errors else "well-typed"
 
@@ -253,8 +254,8 @@ def cmd_verify(args):
         from . import encode
         session, _ = _load_session(args)
         report = encode.verify_correspondence(session, args.via, max_states=args.max_states, max_depth=args.max_depth)
-    text = report.to_json()
-    return report.passed(), json.loads(text), text
+    payload = {**syntax._fields(report), "passed": report.passed()}
+    return report.passed(), payload, payload
 
 
 def cmd_detect(args):
@@ -272,7 +273,8 @@ def cmd_detect(args):
         _write_dot(args, semantics.explore(term, max_states=args.max_states, max_depth=args.max_depth))
     if witness is None:
         return False, {"found": False}, f"no {args.pattern} pattern"
-    return True, {"found": True, "witness": json.loads(witness.to_json())}, witness.to_json()
+    fields = syntax._fields(witness)
+    return True, {"found": True, "witness": fields}, fields
 
 
 def cmd_classify(args):

@@ -8,8 +8,6 @@ parser rejects them), which keeps every encoding injective on labels.
 
 from __future__ import annotations
 
-import json
-
 from . import ltypes, semantics, syntax
 from .ltypes import LocalContext, LocalType, TBranch, TChoice
 from .lts import TruncatedError
@@ -349,9 +347,6 @@ class CorrespondenceReport:
             and self.distributability_preserved
             and self.max_emulation_factor <= self.step_bound
         )
-
-    def to_json(self) -> str:
-        return json.dumps({**{n: getattr(self, n) for n in self.__match_args__}, "passed": self.passed()}, sort_keys=True, indent=2)
 
 
 def verify_correspondence(

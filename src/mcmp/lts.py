@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .syntax import McmpError, _record
+from .syntax import McmpError, _record, _same_form
 
 DEFAULT_MAX_STATES = 10000  # the bounds a command explores within unless given others
 DEFAULT_MAX_DEPTH = 256
@@ -60,15 +60,22 @@ class Terms:
         self.peers: list[tuple | None] = []  # lid -> the places its head sends to, or None
         self.cache: dict = {}  # pair steps (see memo), keyed by every pair that met
         self._lids: dict[int, int] = {}
-        self._fids: dict = {}
+        self._forms: list = []  # fid -> its form
+        self._fids: dict[int, list[int]] = {}  # hash(form) -> the fids of the forms with that hash
         self._shared: dict[tuple, tuple] = {}  # one copy of each equal tuple of places
         self._canon, self._head, self._targets = canon, head, targets
 
     def fid_of(self, form) -> int:
-        fid = self._fids.get(form)
-        if fid is None:
-            fid = self._fids[form] = len(self._fids)
-        return fid
+        """form's fid.  A form is hashed once, and told from the others with
+        its hash by syntax._same_form, since tuple == recurses once per level."""
+        forms = self._forms
+        bucket = self._fids.setdefault(hash(form), [])
+        for fid in bucket:
+            if _same_form(forms[fid], form):
+                return fid
+        bucket.append(len(forms))
+        forms.append(form)
+        return bucket[-1]
 
     def lid(self, term, fid: int | None = None) -> int:
         """term's lid; fid, when given, is the fid of its form."""
@@ -153,7 +160,7 @@ class Terms:
         graph = explore(starts, transitions, build, max_states, max_depth, view, stop)
         graph.table = self
         # the table interns no more: keep only what the graph reads
-        self._lids = self._fids = self._shared = self.cache = None
+        self._lids = self._fids = self._forms = self._shared = self.cache = None
         return graph
 
 

@@ -10,10 +10,8 @@ assumed true, i.e. a greatest fixpoint).
 
 from __future__ import annotations
 
-import json
-
 from . import lts, syntax
-from .syntax import _record
+from .syntax import _fields, _record
 
 
 @_record(frozen=True, slots=True)
@@ -342,17 +340,6 @@ class ContextGraph(lts.Graph):
     def contexts(self) -> list[LocalContext]:
         return self.states
 
-    def to_json(self) -> str:
-        data = {
-            "root": self.root,
-            "contexts": [
-                {"id": i, "entries": {p: render_type(t) for p, t in d.entries}}
-                for i, d in enumerate(self.contexts)
-            ],
-            "edges": [{"from": s, "action": _act_json(a), "to": d} for s, a, d in self.edges],
-        }
-        return json.dumps(data, sort_keys=True, indent=2)
-
 
 def explore_contexts(delta: LocalContext, max_states: int | None = None, max_depth: int | None = None, stop=None) -> ContextGraph:
     """Every context reachable from delta, identified by canon_context, in
@@ -381,7 +368,7 @@ def is_safe(delta: LocalContext, max_states: int | None = None, max_depth: int |
     def offending(work, found, table, unsafe):
         # a pair is checked when a context first holds it, and the run ends at
         # the first unsafe context, so each unsafe output met is this one's
-        return unsafe and {"offending": _act_json(min(unsafe)[2])}
+        return unsafe and {"offending": _fields(min(unsafe)[2])}
 
     return _verdict(delta, max_states, max_depth, offending)
 
@@ -417,11 +404,7 @@ def _verdict(delta: LocalContext, max_states, max_depth, bad):
         graph.complete("context exploration")
         return True, None
     i, evidence = hit[0]
-    return False, {"path": [_act_json(a) for a in graph.path(i)], **evidence}
-
-
-def _act_json(a: TypeAction) -> dict:
-    return {"kind": a.kind, "subject": a.subject, "peer": a.peer, "label": a.label, "payload": a.payload}
+    return False, {"path": [_fields(a) for a in graph.path(i)], **evidence}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ non-neighbouring pairs are distributable.
 from __future__ import annotations
 
 import itertools
-import json
 
 from . import lts, semantics
 from .semantics import Step, explore
@@ -26,18 +25,6 @@ class PatternWitness:
     # per step, the participants it consumes (component positions for lcmv)
     consumed: tuple[tuple[str | int, ...], ...]
     conflict_edges: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "steps": list(self.steps),
-                "consumed": [list(c) for c in self.consumed],
-                "conflict_edges": [list(e) for e in self.conflict_edges],
-            },
-            sort_keys=True,
-            indent=2,
-        )
 
 
 def _session_alternatives(m: Session):

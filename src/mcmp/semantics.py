@@ -6,7 +6,6 @@ finite graphs.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from operator import itemgetter
 
@@ -270,21 +269,6 @@ class StateGraph(lts.Graph):
             lines.append(f'  s{s} -> s{d} [label="{_dot_escape(step.describe())}"];')
         lines.append("}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        data = {
-            "roots": self.roots,
-            "truncated": self.truncated is not None,
-            "states": [
-                {"id": i, "session": {n: render_process(p) for n, p in s.parts}}
-                for i, s in enumerate(self.states)
-            ],
-            "edges": [
-                {"from": s, "step": step.describe(), "consumed": sorted(step.consumed), "to": d}
-                for s, step, d in self.edges
-            ],
-        }
-        return json.dumps(data, sort_keys=True, indent=2)
 
 
 def _dot_escape(text: str) -> str:

@@ -55,6 +55,11 @@ def _record(cls=None, /, *, frozen: bool = False, slots: bool = False, eq: bool 
     return cls
 
 
+def _fields(record) -> dict:
+    """A record's fields by name, in __match_args__ order."""
+    return {n: getattr(record, n) for n in record.__match_args__}
+
+
 def _repr(self) -> str:
     return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
 

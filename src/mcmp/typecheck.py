@@ -7,7 +7,7 @@ from __future__ import annotations
 
 
 from . import ltypes, syntax
-from .ltypes import End, LocalContext, LocalType, TChoice, head, subtype, well_formed
+from .ltypes import End, LocalContext, LocalType, TChoice, ftv, head, subtype, well_formed
 from .syntax import (
     BoolVal,
     Choice,
@@ -55,9 +55,6 @@ class CheckError:
     location: str
     message: str
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "location": self.location, "message": self.message}
-
 
 class TypeCheckError(syntax.McmpError):
     def __init__(self, errors: list[CheckError]):
@@ -80,41 +77,54 @@ def type_value(gamma: SharedContext, v: Value) -> str:
 
 
 def check_process(gamma: SharedContext, proc: Process, t: LocalType, where: str = "") -> list[CheckError]:
-    """Syntax-directed checking; returns an empty list when proc has type t."""
-    errors: list[CheckError] = []
+    """Syntax-directed checking; returns an empty list when proc has type t.
+    The goals (gamma, process, type, location) wait on a stack, each node's
+    errors between its subgoals, so the errors come out in the order of a
+    recursive walk."""
     if not well_formed(t):
         return [CheckError("label-clash", where, "declared type is not well-formed (duplicate label per prefix)")]
-    _check(gamma, proc, t, where or "process", errors)
+    if free := ftv(t):
+        return [CheckError("unknown-var", where, f"declared type has free type variables {', '.join(sorted(free))}")]
+    errors: list[CheckError] = []
+    todo = [(gamma, proc, t, where or "process")]
+    while todo:
+        goal = todo.pop()
+        if type(goal) is CheckError:
+            errors.append(goal)
+        else:
+            todo += reversed(_check(*goal))
     return errors
 
 
-def _check(gamma: SharedContext, proc: Process, t: LocalType, where: str, errors: list[CheckError]) -> None:
+def _check(gamma: SharedContext, proc: Process, t: LocalType, where: str) -> list:
+    """The errors and subgoals of one goal, in the order they are reported."""
+    out: list = []
     h = head(t)
     match proc:
         case Nil() | Success():
             if not isinstance(h, End):
-                errors.append(CheckError("not-subtype", where, f"{where}: terminated process needs type end, not {ltypes.render_type(t)}"))
+                out.append(CheckError("not-subtype", where, f"{where}: terminated process needs type end, not {ltypes.render_type(t)}"))
         case ProcVar(name):
             declared = gamma.proc_type(name)
             if declared is None:
-                errors.append(CheckError("unknown-var", where, f"{where}: unbound process variable {name}"))
+                out.append(CheckError("unknown-var", where, f"{where}: unbound process variable {name}"))
             elif declared is not t and not subtype(declared, t):  # subtyping is reflexive
-                errors.append(CheckError("not-subtype", where, f"{where}: process variable {name} has type {ltypes.render_type(declared)}, not a subtype of {ltypes.render_type(t)}"))
+                out.append(CheckError("not-subtype", where, f"{where}: process variable {name} has type {ltypes.render_type(declared)}, not a subtype of {ltypes.render_type(t)}"))
         case Rec(x, body):
-            _check(gamma.bind_proc(x, t), body, t, where, errors)
+            out.append((gamma.bind_proc(x, t), body, t, where))
         case Cond(guard, then, els):
             try:
                 gt = type_value(gamma, guard)
                 if gt != "bool":
-                    errors.append(CheckError("payload-mismatch", where, f"{where}: conditional guard has type {gt}, expected bool"))
+                    out.append(CheckError("payload-mismatch", where, f"{where}: conditional guard has type {gt}, expected bool"))
             except TypeCheckError as e:
-                errors.extend(e.errors)
-            _check(gamma, then, t, where + "/then", errors)
-            _check(gamma, els, t, where + "/else", errors)
+                out.extend(e.errors)
+            out.append((gamma, then, t, where + "/then"))
+            out.append((gamma, els, t, where + "/else"))
         case Choice(branches):
             if not isinstance(h, TChoice):
-                errors.append(CheckError("not-subtype", where, f"{where}: choice cannot have type {ltypes.render_type(t)}"))
-                return
+                out.append(CheckError("not-subtype", where, f"{where}: choice cannot have type {ltypes.render_type(t)}"))
+                return out
             declared = {(b.target, b.polarity, b.label): b for b in h.branches}
             for b in branches:
                 pre = b.prefix
@@ -122,26 +132,27 @@ def _check(gamma: SharedContext, proc: Process, t: LocalType, where: str, errors
                 decl = declared.get(key)
                 if decl is None:
                     kind = "missing-branch"
-                    errors.append(CheckError(kind, where, f"{where}: no declared branch for {pre.target}{pre.polarity}{pre.label}"))
+                    out.append(CheckError(kind, where, f"{where}: no declared branch for {pre.target}{pre.polarity}{pre.label}"))
                     continue
                 if pre.polarity == "!":
                     try:
                         vt = type_value(gamma, pre.payload)
                         if vt != decl.payload:
-                            errors.append(CheckError("payload-mismatch", where, f"{where}: payload of {pre.target}!{pre.label} has type {vt}, declared {decl.payload}"))
+                            out.append(CheckError("payload-mismatch", where, f"{where}: payload of {pre.target}!{pre.label} has type {vt}, declared {decl.payload}"))
                             continue
                     except TypeCheckError as e:
-                        errors.extend(e.errors)
+                        out.extend(e.errors)
                         continue
-                    _check(gamma, b.cont, decl.cont, where + f"/{pre.target}!{pre.label}", errors)
+                    out.append((gamma, b.cont, decl.cont, where + f"/{pre.target}!{pre.label}"))
                 else:
-                    _check(gamma.bind_value(pre.var, decl.payload), b.cont, decl.cont, where + f"/{pre.target}?{pre.label}", errors)
+                    out.append((gamma.bind_value(pre.var, decl.payload), b.cont, decl.cont, where + f"/{pre.target}?{pre.label}"))
             offered = {(b.prefix.target, b.prefix.polarity, b.prefix.label) for b in branches}
             for key, decl in declared.items():
                 if decl.polarity == "?" and key not in offered:
-                    errors.append(CheckError("uncovered-input-branch", where, f"{where}: declared input branch {decl.target}?{decl.label} has no summand"))
+                    out.append(CheckError("uncovered-input-branch", where, f"{where}: declared input branch {decl.target}?{decl.label} has no summand"))
         case _:
             raise TypeError(proc)
+    return out
 
 
 def check_session(m: Session, delta: LocalContext, max_states: int | None = None, max_depth: int | None = None) -> list[CheckError]:

@@ -186,7 +186,7 @@ def test_criterion_6_encodings():
             else:
                 m, _ = corpus.load(name)
                 report = encode.verify_correspondence(m, enc_id)
-            assert report.passed(), (enc_id, name, report.to_json())
+            assert report.passed(), (enc_id, name, report.failures)
             assert report.max_emulation_factor <= bound, (enc_id, name, report.max_emulation_factor)
     # golden clauses: every figure row reproduced on a hand-picked input
     m = parse_session("role p = q!l1(tt).0 + q!l2(tt).0 role q = p?l1(x).0 + p?l2(x).0")

@@ -145,7 +145,8 @@ def test_negative_max_steps_is_a_usage_error(fixture_dir, capsys):
 
 def test_deep_nesting_is_truncation_not_traceback(tmp_path):
     # a 1200-message chain parses, for the parser reads a run of prefixes in
-    # a loop, but it nests deeper than the type checker's recursion allows
+    # a loop, and the type checker walks it from a stack; a 1200-message .cmv
+    # chain nests deeper than the .cmv translation's recursion allows
     n = 1200
     p = [f"q!l{i}(tt)" if i % 2 == 0 else f"q?l{i}(x{i})" for i in range(n)]
     q = [f"p?l{i}(x{i})" if i % 2 == 0 else f"p!l{i}(ff)" for i in range(n)]
@@ -156,14 +157,37 @@ def test_deep_nesting_is_truncation_not_traceback(tmp_path):
         f"role p = {'.'.join(p)}.ok\nrole q = {'.'.join(q)}.0\n"
         f"types {{\n  p: {'.'.join(tp)}.end\n  q: {'.'.join(tq)}.end\n}}\n"
     )
+    cmv = tmp_path / "chain.cmv"
+    cmv.write_text(bench_gen().cmv_chain(random.Random(1), n).text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
-    for command, code in (("check", 3), ("simulate", 0)):
-        argv = [sys.executable, "-m", "mcmp.cli", "--json", command, str(path)]
+    for command, code in ((["--max-depth", "3000", "check", path], 0), (["simulate", path], 0), (["cmv", "check", cmv], 3)):
+        argv = [sys.executable, "-m", "mcmp.cli", "--json", *map(str, command)]
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
         assert json.loads(done.stdout).get("truncated", False) == (code == 3)
+
+
+def test_check_decides_a_2000_message_chain(tmp_path, capsys):
+    # the type checker walks its goals from a stack, so no depth of prefixes
+    # is too deep for it
+    path = tmp_path / "chain2000.mcmp"
+    path.write_text(bench_gen().chain(random.Random(1), 2000).text)
+    code, out = run(capsys, "--json", "--max-depth", "5000", "check", str(path))
+    assert (code, json.loads(out)) == (0, {"ok": True, "errors": []})
+
+
+def test_detect_tells_deep_equal_forms_apart(tmp_path, capsys):
+    # p and q hold the same 1200-prefix process, parsed twice: the term table
+    # meets two distinct, equal forms, which tuple == compares one C
+    # recursion per prefix
+    n = 1200
+    chain = ".".join(f"r!l{i}(tt)" for i in range(n)) + ".ok"
+    path = tmp_path / "twin.mcmp"
+    path.write_text(f"role p = {chain}\nrole q = {chain}\nrole r = {'.'.join(f'p?l{i}(x{i})' for i in range(n))}.0\n")
+    code, out = run(capsys, "--json", "--max-depth", "3000", "detect", str(path), "--pattern", "m")
+    assert (code, json.loads(out)) == (1, {"found": False})
 
 
 def test_simulate_refuses_a_capturing_unfolding(tmp_path, capsys):
@@ -403,7 +427,13 @@ def test_detect_reads_cmv_programs(fixture_dir, capsys, tmp_path):
     path = str(fixture_dir / "cmv_m_witness.cmv")
     code, out = run(capsys, "--json", "detect", path, "--pattern", "m")
     expected = patterns.detect_m(lcmv.parse_cmv((fixture_dir / "cmv_m_witness.cmv").read_text()))
-    assert code == 0 and json.loads(out) == {"found": True, "witness": json.loads(expected.to_json())}
+    witness = {
+        "kind": expected.kind,
+        "steps": list(expected.steps),
+        "consumed": [list(c) for c in expected.consumed],
+        "conflict_edges": [list(e) for e in expected.conflict_edges],
+    }
+    assert code == 0 and json.loads(out) == {"found": True, "witness": witness}
     # detect draws no state graph for a .cmv program: --dot is a usage error
     dot = tmp_path / "graph.dot"
     code, out = run(capsys, "--json", "--dot", str(dot), "detect", path, "--pattern", "m")

@@ -279,7 +279,7 @@ def test_correspondence_on_a_300_message_chain():
     m = chain_session(random.Random(3), 300)
     for enc_id in ("scbs-bs", "smp-mp"):
         report = verify_correspondence(m, enc_id, max_depth=1000)
-        assert report.passed(), report.to_json()
+        assert report.passed(), report.failures
 
 
 def test_render_length_is_the_length_of_the_text():
@@ -386,7 +386,7 @@ def test_correspondence_on_fixtures(enc_id):
     for name in corpus.ENCODING_FIXTURES[enc_id]:
         m, _ = corpus.load(name)
         report = verify_correspondence(m, enc_id)
-        assert report.passed(), (name, report.to_json())
+        assert report.passed(), (name, report.failures)
         assert report.max_emulation_factor <= bound
 
 
@@ -402,7 +402,7 @@ def test_correspondence_on_recursive_fixtures(name, enc_id):
     # the components that distributability encodes on their own
     m, _ = corpus.load(name)
     report = verify_correspondence(m, enc_id)
-    assert report.passed(), report.to_json()
+    assert report.passed(), report.failures
 
 
 def loop_session(k):
@@ -426,7 +426,7 @@ def test_correspondence_on_loops(enc_id, k):
     m = loop_session(k)
     assert len(semantics.explore(m).states) == k + 1
     report = verify_correspondence(m, enc_id)
-    assert report.passed(), report.to_json()
+    assert report.passed(), report.failures
 
 
 def chain_session(rng, k):
@@ -637,12 +637,13 @@ def test_name_invariance_identity_all():
             assert verify_name_invariance(m, enc_id, ident)
 
 
-def test_report_json_shape():
-    m, _ = corpus.load("ping")
-    report = verify_correspondence(m, "scbs-bs")
+def test_report_json_shape(capsys):
     import json
 
-    data = json.loads(report.to_json())
+    from mcmp import cli
+
+    assert cli.main(["--json", "verify-encoding", str(corpus.FIXTURES / "ping.mcmp"), "--via", "scbs-bs"]) == 0
+    data = json.loads(capsys.readouterr().out)
     for key in (
         "completeness",
         "soundness",

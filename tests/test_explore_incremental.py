@@ -154,7 +154,7 @@ def reference_is_safe(delta):
     for i in sorted(paths):
         act = _unsafe_output(contexts[i])
         if act is not None:
-            return False, {"path": [ltypes._act_json(a) for a in paths[i]], "offending": ltypes._act_json(act)}
+            return False, {"path": [syntax._fields(a) for a in paths[i]], "offending": syntax._fields(act)}
     return True, None
 
 
@@ -164,7 +164,7 @@ def reference_is_deadlock_free(delta):
     for i in sorted(paths):
         bad = _stuck(contexts[i])
         if bad:
-            return False, {"path": [ltypes._act_json(a) for a in paths[i]], "stuck": bad}
+            return False, {"path": [syntax._fields(a) for a in paths[i]], "stuck": bad}
     return True, None
 
 
@@ -181,7 +181,7 @@ def _depths(edges, root):
 def _replay(delta, path):
     """The context that the actions of path lead to from delta."""
     for act in path:
-        delta = next(succ for a, succ in reference_context_steps(delta) if ltypes._act_json(a) == act)
+        delta = next(succ for a, succ in reference_context_steps(delta) if syntax._fields(a) == act)
     return delta
 
 

@@ -161,7 +161,7 @@ def test_correspondence_on_lcmv_fixtures():
     for name in corpus.ENCODING_FIXTURES["lcmv-mcbs"]:
         p = parse_cmv(corpus.text(name))
         report = verify_correspondence(p, max_states=5000, max_depth=128)
-        assert report.passed(), (name, report.to_json())
+        assert report.passed(), (name, report.failures)
         assert report.max_emulation_factor <= 2, name
 
 
@@ -184,7 +184,7 @@ def test_check_classifies_merged_occurrences(text):
     assert then_views[0] == "external"
     assert [classes[path] for path in _choice_paths(cond.els, "0.else")] == then_views
     report = verify_correspondence(p, max_states=5000, max_depth=128)
-    assert report.passed(), report.to_json()
+    assert report.passed(), report.failures
 
 
 def _choice_paths(p, path):

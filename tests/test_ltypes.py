@@ -261,15 +261,6 @@ def test_explore_contexts_single_state():
     assert len(g.contexts) == 1 and not g.edges
 
 
-def test_context_graph_json_export():
-    d = ctx(p=T("q!l(bool).end"), q=T("p?l(bool).end"))
-    g = explore_contexts(d)
-    import json
-
-    data = json.loads(g.to_json())
-    assert data["root"] == 0 and len(data["contexts"]) == 2 and len(data["edges"]) == 1
-
-
 def test_explore_contexts_self_loop():
     d = ctx(p=T("rec t.q!l(bool).t"), q=T("rec t.p?l(bool).t"))
     g = explore_contexts(d)

@@ -1,9 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from mcmp import lcmv, patterns, semantics, syntax
+from mcmp import cli, lcmv, patterns, semantics, syntax
 from mcmp.patterns import detect_m, detect_star, is_electoral
 from mcmp.syntax import Nil, Session, classify, parse_session
 
@@ -56,11 +57,14 @@ def test_no_star_in_m_scmp():
     assert detect_star(m) is None
 
 
-def test_witness_json():
-    m, _ = corpus.load("m_scmp")
-    w = detect_m(m)
-    data = w.to_json()
-    assert '"kind": "m"' in data
+def test_witness_json(capsys):
+    path = str(corpus.FIXTURES / "m_scmp.mcmp")
+    assert cli.main(["detect", path, "--pattern", "m"]) == 0
+    assert '"kind": "m"' in capsys.readouterr().out
+    assert cli.main(["--json", "detect", path, "--pattern", "m"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["found"] and set(data["witness"]) == {"kind", "steps", "consumed", "conflict_edges"}
+    assert data["witness"]["kind"] == "m"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import dataclasses
 import gc
 import inspect
 import io
-import json
 import re
 import textwrap
 import weakref
@@ -189,11 +188,11 @@ def test_match_reads_the_fields():
             pytest.fail("the choice did not match")
 
 
-def test_report_json_is_the_dataclass_json(instances):
+def test_report_fields_are_the_dataclass_fields(instances):
     twin = TWINS[encode.CorrespondenceReport]
     for report in instances[encode.CorrespondenceReport]:
         same = twin(*[getattr(report, n) for n in report.__match_args__])
-        assert report.to_json() == json.dumps({**dataclasses.asdict(same), "passed": same.passed()}, sort_keys=True, indent=2)
+        assert list(syntax._fields(report).items()) == list(dataclasses.asdict(same).items())
     assert list(encode.CorrespondenceReport("e", True, True, True, True, True, 1, 2).failures) == []
 
 

@@ -400,10 +400,18 @@ def test_explore_deterministic():
     assert [(s, st.describe(), d) for s, st, d in g1.edges] == [(s, st.describe(), d) for s, st, d in g2.edges]
 
 
-def test_dot_and_json_exports():
+def test_explore_many_tells_deep_equal_forms_apart():
+    # two separately parsed copies of a 1200-message chain: the term table
+    # meets two distinct, equal forms, which tuple == compares one C
+    # recursion per prefix
+    n = 1200
+    text = "role p = " + "".join(f"q!l{i}(tt)." for i in range(n)) + "ok\nrole q = " + "".join(f"p?l{i}(x{i})." for i in range(n)) + "0\n"
+    g = explore_many([parse_session(text), parse_session(text)], max_depth=3000)
+    assert g.roots == [0, 0] and len(g.work) == n + 1 and g.truncated is None
+
+
+def test_dot_export():
     m, _ = corpus.load("mixed2")
     g = explore(m)
     dot = g.to_dot()
     assert dot.startswith("digraph") and "->" in dot
-    payload = g.to_json()
-    assert '"edges"' in payload and '"states"' in payload

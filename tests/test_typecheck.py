@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from mcmp import ltypes, semantics, typecheck
+from mcmp import cli, ltypes, semantics, typecheck
 from mcmp.ltypes import End, LocalContext, TBranch, TChoice, TRec, TVar
-from mcmp.syntax import NatVal, TT, Var, parse_ltype, parse_process, parse_session, parse_source
+from mcmp.syntax import TT, Branch, Choice, NatVal, Nil, Prefix, Var, parse_ltype, parse_process, parse_session, parse_source
 from mcmp.typecheck import (
     CheckError,
     SharedContext,
@@ -125,6 +125,38 @@ def test_ill_formed_declared_type_reported():
     )
     errs = check_process(SharedContext(), p, t)
     assert errs and errs[0].kind == "label-clash"
+
+
+def test_open_declared_type_refused_before_subtyping(capsys, tmp_path):
+    # unfolding the type would put the free s under the inner rec s, so the
+    # checker refuses the type before any subtyping
+    t = T("rec t.(q!a(bool).s + q!b(bool).rec s.q!c(bool).t)")
+    p = parse_process("rec X. q!b(tt). q!c(tt). q!b(tt). q!c(tt). X")
+    errs = check_process(SharedContext(), p, t, "p")
+    assert errs == [CheckError("unknown-var", "p", "declared type has free type variables s")]
+    # check keeps the exit code of the context check, which refuses it too
+    path = tmp_path / "open.mcmp"
+    path.write_text(
+        "role p = rec X. q!b(tt). q!c(tt). q!b(tt). q!c(tt). X\n"
+        "role q = rec Y. (p?a(x). Y + p?b(x). p?c(y). Y)\n"
+        "types {\n  p: rec t.(q!a(bool).s + q!b(bool).rec s.q!c(bool).t)\n  q: rec u.(p?a(bool).u + p?b(bool).p?c(bool).u)\n}\n"
+    )
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().out == "error: context entries must be closed, guarded and well-formed\n"
+
+
+def test_deep_errors_come_in_walk_order():
+    # each level reports a payload mismatch before its continuation's errors
+    # and an uncovered input after them: the mismatches top-down, then the
+    # uncovered inputs bottom-up, 1500 levels deeper than recursion allows
+    n = 1500
+    proc, t = Nil(), End()
+    for i in reversed(range(n)):
+        proc = Choice((Branch(Prefix("q", "!", "bad", NatVal(5)), Nil()), Branch(Prefix("q", "?", f"a{i}", var=f"x{i}"), proc)))
+        t = TChoice((TBranch("q", "!", "bad", "bool", End()), TBranch("q", "?", f"a{i}", "bool", t), TBranch("q", "?", f"z{i}", "bool", End())))
+    places = ["p" + "".join(f"/q?a{j}" for j in range(i)) for i in range(n)]
+    errs = check_process(SharedContext(), proc, t, "p")
+    assert [(e.kind, e.location) for e in errs] == [("payload-mismatch", w) for w in places] + [("uncovered-input-branch", w) for w in reversed(places)]
 
 
 def test_check_session_election():
