@@ -56,8 +56,8 @@ def _run(args) -> int:
         # forms recurse once per prefix
         message = "nesting depth: the input nests deeper than the recursion limit allows" if isinstance(e, RecursionError) else str(e)
         payload, human, code = {"error": message, "truncated": True}, f"truncated: {message}", TRUNCATED
-    except (syntax.McmpError, ValueError, FileNotFoundError) as e:
-        bare = isinstance(e, (syntax.ParseError, FileNotFoundError))
+    except (syntax.McmpError, ValueError, OSError) as e:  # OSError: FILE or --dot PATH unusable
+        bare = isinstance(e, (syntax.ParseError, OSError))
         payload, human, code = {"error": str(e)}, str(e) if bare else f"error: {e}", USAGE
     _emit(args, payload, human)
     return code

@@ -489,13 +489,15 @@ def cmv_has_success(p: CmvProcess) -> bool:
 
 def explore_cmv(p: CmvProcess, max_states: int = lts.DEFAULT_MAX_STATES, max_depth: int | None = None) -> lts.Graph:
     """Every state reachable from p within the bounds (see lts.explore),
-    identified by cmv_canon, in breadth-first order.  A subterm that several
-    states share keeps its form, so the form is computed once."""
+    identified by syntax.form_id of cmv_canon, in breadth-first order.  A
+    subterm that several states share keeps its form, so the form is
+    computed and numbered once."""
 
     def transitions(q: CmvProcess):
-        return [(step, cmv_canon(succ), succ) for step, succ in cmv_enabled(q)]
+        return [(step, syntax.form_id(cmv_canon(succ), ids, memo), succ) for step, succ in cmv_enabled(q)]
 
-    return lts.explore([(cmv_canon(p), p)], transitions, lambda q, _: q, max_states, max_depth)
+    ids, memo = {}, {}
+    return lts.explore([(syntax.form_id(cmv_canon(p), ids, memo), p)], transitions, lambda q, _: q, max_states, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 
-from .syntax import McmpError, _record, _same_form
+from .syntax import McmpError, _record, form_id
 
 DEFAULT_MAX_STATES = 10000  # the bounds a command explores within unless given others
 DEFAULT_MAX_DEPTH = 256
@@ -41,15 +41,15 @@ def _bfs(starts, successors):
 
 class Terms:
     """The terms of one exploration, numbered twice: a term gets a dense lid
-    by object identity, and each distinct canonical form canon(term) a dense
-    fid, so two terms have the same fid exactly when their forms are equal.
-    Each participant of names has a place, in sorted-name order, and a state
-    is the lid of the term at each place.  Once per lid, the table unfolds
-    the term to its head (head(term), which returns a term that needs no
-    unfolding as it is) and lists the places of the participants the head
-    sends to (targets(head), None when the head is not a choice).  The
-    table holds every term it numbers, so no id is reused while it lives;
-    explorers intern only the terms of the states they keep."""
+    by object identity, and each distinct canonical form canon(term) a fid
+    (syntax.form_id), so two terms have the same fid exactly when their
+    forms are equal.  Each participant of names has a place, in sorted-name
+    order, and a state is the lid of the term at each place.  Once per lid,
+    the table unfolds the term to its head (head(term), which returns a term
+    that needs no unfolding as it is) and lists the places of the
+    participants the head sends to (targets(head), None when the head is not
+    a choice).  The table holds every term it numbers, so no id is reused
+    while it lives; explorers intern only the terms of the states they keep."""
 
     def __init__(self, names, canon, head, targets):
         self.names = sorted(names)
@@ -60,22 +60,14 @@ class Terms:
         self.peers: list[tuple | None] = []  # lid -> the places its head sends to, or None
         self.cache: dict = {}  # pair steps (see memo), keyed by every pair that met
         self._lids: dict[int, int] = {}
-        self._forms: list = []  # fid -> its form
-        self._fids: dict[int, list[int]] = {}  # hash(form) -> the fids of the forms with that hash
+        self._fids: dict[tuple, int] = {}  # a form's key -> its fid (see syntax.form_id)
+        self._memo: dict[int, tuple] = {}  # id(form) -> (form, its fid), for every form and subform met
         self._shared: dict[tuple, tuple] = {}  # one copy of each equal tuple of places
         self._canon, self._head, self._targets = canon, head, targets
 
     def fid_of(self, form) -> int:
-        """form's fid.  A form is hashed once, and told from the others with
-        its hash by syntax._same_form, since tuple == recurses once per level."""
-        forms = self._forms
-        bucket = self._fids.setdefault(hash(form), [])
-        for fid in bucket:
-            if _same_form(forms[fid], form):
-                return fid
-        bucket.append(len(forms))
-        forms.append(form)
-        return bucket[-1]
+        """form's fid, its number by syntax.form_id over the table's forms."""
+        return form_id(form, self._fids, self._memo)
 
     def lid(self, term, fid: int | None = None) -> int:
         """term's lid; fid, when given, is the fid of its form."""
@@ -160,7 +152,7 @@ class Terms:
         graph = explore(starts, transitions, build, max_states, max_depth, view, stop)
         graph.table = self
         # the table interns no more: keep only what the graph reads
-        self._lids = self._fids = self._forms = self._shared = self.cache = None
+        self._lids = self._fids = self._memo = self._shared = self.cache = None
         return graph
 
 

@@ -288,6 +288,24 @@ def _rebuild(p, scope, node, memo: dict, skip=None):
             subs.append(new)
 
 
+_SUBFORM = object()  # stands in a form_id key for a subform, whose number follows
+
+
+def form_id(form: tuple, ids: dict, memo: dict) -> int:
+    """form's number among those numbered with ids and memo: two forms get
+    one number exactly when they are ==.  A tuple is numbered children
+    first (see _rebuild, whose memo this is), by the key of its items with
+    each subform replaced by _SUBFORM and the subforms' numbers appended;
+    ids maps each key to its number, in the order first met.  So each tuple
+    object is read once, and a key hashes and compares in O(its length)."""
+    return _rebuild(form, _subforms, lambda t, subs: ids.setdefault(
+        tuple(_SUBFORM if type(x) is tuple else x for x in t) + tuple(subs), len(ids)), memo)
+
+
+def _subforms(t: tuple) -> list:
+    return [(x, None) for x in t if type(x) is tuple]
+
+
 def _nodes(p, scope) -> list:
     """p and every node below it (scope(node) lists a node's subterms), in
     preorder and without recursion."""
@@ -567,28 +585,16 @@ def canon_session(m: Session) -> tuple:
 
 
 def alpha_equal(p: Process, q: Process) -> bool:
-    return _same_form(canon_process(p), canon_process(q))
+    return _same_id(canon_process(p), canon_process(q))
 
 
 def struct_congruent(m1: Session, m2: Session) -> bool:
-    return _same_form(canon_session(m1), canon_session(m2))
+    return _same_id(canon_session(m1), canon_session(m2))
 
 
-def _same_form(a: tuple, b: tuple) -> bool:
-    """a == b for two forms, compared pair by pair from a stack, since tuple
-    == recurses once per level; a shared subform is compared by identity."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is tuple and type(b) is tuple:
-            if len(a) != len(b):
-                return False
-            todo += zip(a, b)
-        elif a != b:
-            return False
-    return True
+def _same_id(a: tuple, b: tuple) -> bool:
+    ids, memo = {}, {}
+    return form_id(a, ids, memo) == form_id(b, ids, memo)
 
 
 # ---------------------------------------------------------------------------

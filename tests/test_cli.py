@@ -190,6 +190,18 @@ def test_detect_tells_deep_equal_forms_apart(tmp_path, capsys):
     assert (code, json.loads(out)) == (1, {"found": False})
 
 
+def test_unreadable_paths_are_usage_errors(tmp_path, fixture_dir):
+    # a FILE that is a directory, or a --dot PATH that cannot be written, is
+    # exit 2 with the error, not a traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    for argv in (["check", tmp_path], ["--dot", tmp_path, "detect", fixture_dir / "election5.mcmp", "--pattern", "m"]):
+        done = subprocess.run([sys.executable, "-m", "mcmp.cli", "--json", *map(str, argv)], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (2, ""), argv
+        assert "Is a directory" in json.loads(done.stdout)["error"]
+
+
 def test_simulate_refuses_a_capturing_unfolding(tmp_path, capsys):
     # p's recursion is open in y, and its unfolding would put that y under
     # p's own input of y: a usage error, not a run on a captured term
