@@ -13,7 +13,7 @@ import itertools
 
 from . import lts, semantics
 from .semantics import Step, explore
-from .syntax import McmpError, Session, _record
+from .syntax import McmpError, Session, _record, form_id
 
 lcmv = None  # imported by _cmv_alternatives for the first lcmv program, not per call
 
@@ -44,11 +44,20 @@ def _alternatives(term):
     return _cmv_alternatives(term)
 
 
+def _numbered(alts: list) -> list:
+    """alts with each successor key replaced by its number in one form_id numbering."""
+    ids, memo = {}, {}
+    return [(d, consumed, form_id(key, ids, memo)) for d, consumed, key in alts]
+
+
 def detect_m(term) -> PatternWitness | None:
     """First M witness among the root's enabled steps, in canonical step
     order; accepts sessions and lcmv programs."""
     alts = sorted(_alternatives(term))
     n = len(alts)
+    if n < 3:
+        return None
+    alts = _numbered(alts)
     for b in range(n):
         for a in range(n):
             if a == b:
@@ -57,8 +66,7 @@ def detect_m(term) -> PatternWitness | None:
                 if c == b:
                     continue
                 da, db, dc = alts[a], alts[b], alts[c]
-                succs = {da[2], db[2], dc[2]}
-                if len(succs) != 3:
+                if len({da[2], db[2], dc[2]}) != 3:
                     continue
                 if not (da[1] & db[1]) or not (db[1] & dc[1]):
                     continue
@@ -80,6 +88,7 @@ def detect_star(term) -> PatternWitness | None:
     n = len(alts)
     if n < 5:
         return None
+    alts = _numbered(alts)
     for combo in itertools.combinations(range(n), 5):
         group = [alts[k] for k in combo]
         if len({g[2] for g in group}) != 5:

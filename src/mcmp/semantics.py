@@ -176,12 +176,15 @@ def enabled_steps(m: Session) -> list[Step]:
 
 
 def successor_keys(m: Session) -> list[tuple[Step, tuple]]:
-    """Each enabled step of m with canon_session of apply_step(m, step),
-    re-canonicalising only the participants the step changes."""
+    """Each enabled step of m with canon_session of apply_step(m, step).  The
+    steps are listed first: a session with none is never canonicalised."""
     r = resolve(m)
+    steps = _transitions(r)
+    if not steps:
+        return []
     key = canon_session(r)
     out = []
-    for _, step, _, new in _transitions(r):
+    for _, step, _, new in steps:
         # only the entries of the participants step changes are replaced
         # (or dropped, for nil)
         succ = []

@@ -190,6 +190,24 @@ def test_detect_tells_deep_equal_forms_apart(tmp_path, capsys):
     assert (code, json.loads(out)) == (1, {"found": False})
 
 
+@pytest.mark.parametrize("pattern,summands", [("m", 3), ("star", 5)])
+def test_detect_tells_deep_equal_successors_apart(tmp_path, capsys, pattern, summands):
+    # every summand of p continues with the same 1200-prefix process,
+    # written out each time: the detector meets distinct, equal successor
+    # forms, which tuple == compares one C recursion per prefix
+    n = 1200
+    chain = ".".join(f"r!m{i}(tt)" for i in range(n)) + ".ok"
+    labels = "abcde"[:summands]
+    path = tmp_path / f"twin{summands}.mcmp"
+    path.write_text(
+        f"role p = {' + '.join(f'q!{a}(tt).{chain}' for a in labels)}\n"
+        f"role q = {' + '.join(f'p?{a}(x).0' for a in labels)}\n"
+        f"role r = {'.'.join(f'p?m{i}(x{i})' for i in range(n))}.0\n"
+    )
+    code, out = run(capsys, "--json", "--max-depth", "3000", "detect", str(path), "--pattern", pattern)
+    assert (code, json.loads(out)) == (1, {"found": False})
+
+
 def test_unreadable_paths_are_usage_errors(tmp_path, fixture_dir):
     # a FILE that is a directory, or a --dot PATH that cannot be written, is
     # exit 2 with the error, not a traceback

@@ -9,7 +9,7 @@ from mcmp.patterns import detect_m, detect_star, is_electoral
 from mcmp.syntax import Nil, Session, classify, parse_session
 
 import corpus
-from genutil import all_binary_processes, gen_session
+from genutil import all_binary_processes, gen_process, gen_session
 
 
 def test_m_witness_in_m_scmp():
@@ -249,3 +249,156 @@ def test_star_witness_matches_recomputation():
     steps = {s.describe(): s for s in semantics.enabled_steps(m)}
     for desc, caps in zip(w.steps, w.consumed):
         assert steps[desc].consumed == frozenset(caps)
+
+
+# ---------------------------------------------------------------------------
+# successor keys: a session with no step is never canonicalised, and the
+# detectors compare successors by form_id number as the tuple sets did
+
+
+def _counting_canon(monkeypatch):
+    calls, canon_session = [], semantics.canon_session
+
+    def counted(m):
+        calls.append(m)
+        return canon_session(m)
+
+    monkeypatch.setattr(semantics, "canon_session", counted)
+    return calls
+
+
+STUCK = [
+    "role p = 0",
+    "role p = ok",
+    "role p = q!a(tt).0\nrole q = r?b(x).0\nrole r = 0",
+    "role p = q!a(tt).0 + r!b(tt).0\nrole q = p!c(tt).0\nrole r = p!d(tt).ok",
+    "role p = rec X. q!a(tt).X\nrole q = rec Y. p!b(tt).Y",
+]
+
+
+@pytest.mark.parametrize("text", STUCK)
+def test_no_step_no_canonicalisation(monkeypatch, text):
+    m = parse_session(text)
+    assert semantics.enabled_steps(m) == []
+    calls = _counting_canon(monkeypatch)
+    assert semantics.successor_keys(m) == []
+    assert detect_m(m) is None and detect_star(m) is None
+    assert calls == []
+
+
+def test_a_step_canonicalises_once(monkeypatch):
+    # the counter sees the calls it should: one per successor_keys with steps
+    m, _ = corpus.load("m_scmp")
+    calls = _counting_canon(monkeypatch)
+    assert len(semantics.successor_keys(m)) >= 3
+    assert len(calls) == 1
+
+
+def _reference_alternatives(term):
+    # every successor built and canonicalised in full
+    if isinstance(term, Session):
+        return [(step.describe(), step.consumed, syntax.canon_session(semantics.apply_step(term, step)))
+                for step in semantics.enabled_steps(term)]
+    return [(step.describe(), step.consumed, lcmv.cmv_canon(succ)) for step, succ in lcmv.cmv_enabled(term)]
+
+
+def _reference_m(term):
+    # successors told apart as a set of canonical-form tuples
+    alts = sorted(_reference_alternatives(term))
+    n = len(alts)
+    for b in range(n):
+        for a in range(n):
+            for c in range(a + 1, n):
+                if b in (a, c):
+                    continue
+                da, db, dc = alts[a], alts[b], alts[c]
+                if len({da[2], db[2], dc[2]}) == 3 and da[1] & db[1] and db[1] & dc[1] and not da[1] & dc[1]:
+                    return patterns.PatternWitness(
+                        "m",
+                        (da[0], db[0], dc[0]),
+                        tuple(tuple(sorted(d[1])) for d in (da, db, dc)),
+                        ((0, 1), (1, 2)),
+                    )
+    return None
+
+
+def _reference_star(term):
+    alts = sorted(_reference_alternatives(term))
+    for combo in itertools.combinations(alts, 5):
+        if len({g[2] for g in combo}) != 5:
+            continue
+        for perm in patterns._cycle_orders():
+            ordered = [combo[k] for k in perm]
+            if all(((j - i) in (1, 4)) == bool(ordered[i][1] & ordered[j][1])
+                   for i in range(5) for j in range(i + 1, 5)):
+                return patterns.PatternWitness(
+                    "star",
+                    tuple(g[0] for g in ordered),
+                    tuple(tuple(sorted(g[1])) for g in ordered),
+                    tuple((i, (i + 1) % 5) for i in range(5)),
+                )
+    return None
+
+
+def _agrees_with_tuple_sets(term):
+    assert detect_m(term) == _reference_m(term)
+    assert detect_star(term) == _reference_star(term)
+
+
+def test_detectors_match_tuple_set_reference_on_fixtures():
+    found = 0
+    for name in corpus.SESSIONS + corpus.UNTYPED:
+        m, _ = corpus.load(name)
+        _agrees_with_tuple_sets(m)
+        found += detect_m(m) is not None
+    for name in corpus.CMV:
+        p = lcmv.parse_cmv(corpus.text(name))
+        _agrees_with_tuple_sets(p)
+        found += detect_m(p) is not None
+    assert found >= 2
+
+
+def _small_session(rng, names, labels=("l1", "l2")):
+    # up to four sends, most with a matching receive; the continuations are
+    # often nil, so different steps often reach the same state
+    branches = {p: [] for p in names}
+
+    def cont(p):
+        return rng.choice([Nil(), Nil(), syntax.Success(),
+                           gen_process(rng, [q for q in names if q != p], list(labels), 1, "mcmp")])
+
+    for _ in range(rng.randint(0, 4)):
+        p, q = rng.sample(names, 2)
+        label = rng.choice(labels)
+        branches[p].append(syntax.Branch(syntax.Prefix(q, "!", label, payload=syntax.TT), cont(p)))
+        if rng.random() < 0.8:
+            branches[q].append(syntax.Branch(syntax.Prefix(p, "?", label, var="x"), cont(q)))
+    return Session(tuple((p, syntax.Choice(tuple(bs)) if bs else Nil()) for p, bs in branches.items()))
+
+
+def test_detectors_match_tuple_set_reference_on_3_party_sessions():
+    # 400 seeded sessions for each count of enabled steps from 0 to 4
+    rng = random.Random(2813)
+    per_steps = dict.fromkeys(range(5), 0)
+    equal_successors = 0
+    while min(per_steps.values()) < 400:
+        m = _small_session(rng, ["p", "q", "r"])
+        keys = [key for _, key in semantics.successor_keys(m)]
+        if per_steps.get(len(keys), 400) >= 400:
+            continue
+        per_steps[len(keys)] += 1
+        _agrees_with_tuple_sets(m)
+        equal_successors += len(set(keys)) < len(keys)
+    assert equal_successors > 50
+
+
+def test_detectors_match_tuple_set_reference_on_4_party_sessions():
+    # with communications alone M needs four parties: its outer steps are
+    # distributable, two participants each
+    rng = random.Random(2814)
+    witnesses = 0
+    for _ in range(1000):
+        m = _small_session(rng, ["p", "q", "r", "s"])
+        _agrees_with_tuple_sets(m)
+        witnesses += detect_m(m) is not None
+    assert witnesses > 50
