@@ -52,8 +52,8 @@ def _run(args) -> int:
         holds, payload, human = args.run(args)
         code = FAIL if holds is False else OK
     except (lts.TruncatedError, RecursionError) as e:
-        # subtyping, the .cmv translation and detect's comparison of successor
-        # forms recurse once per prefix
+        # subtyping, the .cmv translation and tuple < on deep forms (sorted
+        # summands, tied .cmv steps in detect) recurse once per prefix
         message = "nesting depth: the input nests deeper than the recursion limit allows" if isinstance(e, RecursionError) else str(e)
         payload, human, code = {"error": message, "truncated": True}, f"truncated: {message}", TRUNCATED
     except (syntax.McmpError, ValueError, OSError) as e:  # OSError: FILE or --dot PATH unusable

@@ -5,6 +5,15 @@ A witness for M is a triple of steps a, b, c with pairwise different
 successors where b conflicts with both a and c while a and c are
 distributable.  A star is five steps in an odd conflict cycle whose
 non-neighbouring pairs are distributable.
+
+The detectors test that a .cmv program's steps reach pairwise different
+states, by the form_id numbers of their successors' cmv_canon forms, which
+do not name components.  For a session the conflict checks imply it.  A
+step replaces each consumed participant's resolved term by a smaller one
+or nil, so steps with different consumed sets reach sessions that are not
+structurally congruent; and two steps with equal consumed sets conflict
+with each other and with the same steps, which no two steps of an M triple
+or a star cycle do.
 """
 
 from __future__ import annotations
@@ -27,10 +36,6 @@ class PatternWitness:
     conflict_edges: tuple[tuple[int, int], ...]
 
 
-def _session_alternatives(m: Session):
-    return [(step.describe(), step.consumed, key) for step, key in semantics.successor_keys(m)]
-
-
 def _cmv_alternatives(p: lcmv.CmvProcess):
     global lcmv
     if lcmv is None:
@@ -40,19 +45,22 @@ def _cmv_alternatives(p: lcmv.CmvProcess):
 
 def _alternatives(term):
     if isinstance(term, Session):
-        return _session_alternatives(term)
+        return [(step.describe(), step.consumed) for step in semantics.enabled_steps(term)]
     return _cmv_alternatives(term)
 
 
 def _numbered(alts: list) -> list:
-    """alts with each successor key replaced by its number in one form_id numbering."""
+    """alts as (description, consumed, successor number) triples: a .cmv
+    step's successor form numbered in one form_id numbering, a session's
+    step by its position (see the module docstring)."""
     ids, memo = {}, {}
-    return [(d, consumed, form_id(key, ids, memo)) for d, consumed, key in alts]
+    return [(alt[0], alt[1], form_id(alt[2], ids, memo) if len(alt) == 3 else k) for k, alt in enumerate(alts)]
 
 
 def detect_m(term) -> PatternWitness | None:
     """First M witness among the root's enabled steps, in canonical step
-    order; accepts sessions and lcmv programs."""
+    order; accepts sessions and lcmv programs.  The steps' different
+    successors are tested for an lcmv program and implied for a session."""
     alts = sorted(_alternatives(term))
     n = len(alts)
     if n < 3:
@@ -83,7 +91,7 @@ def detect_m(term) -> PatternWitness | None:
 
 def detect_star(term) -> PatternWitness | None:
     """First star witness: five steps with pairwise different successors in
-    an odd conflict cycle, non-neighbours distributable."""
+    an odd conflict cycle, non-neighbours distributable (as in detect_m)."""
     alts = sorted(_alternatives(term))
     n = len(alts)
     if n < 5:

@@ -24,7 +24,7 @@ from .syntax import (
     Value,
     _record,
     canon_process,
-    canon_session,
+    form_id,
     head_normal,
     render_process,
     render_value,
@@ -114,9 +114,10 @@ def _comm_steps(p: str, pproc: Choice, q: str, qproc: Choice) -> list[Transition
     Steps with the same label and alpha-equal continuations are the same
     step, and only the first is kept."""
     out: list[Transition] = []
-    # continuations are compared, not hashed, and only against those of
-    # steps with the same label
+    # continuations are compared by form_id number, which no depth of form
+    # makes recurse, and only against those of steps with the same label
     same_label: dict[str, list[tuple[tuple, tuple]]] = {}
+    ids, memo = {}, {}
     for i, bp in enumerate(pproc.branches):
         if bp.prefix.polarity != "!" or bp.prefix.target != q:
             continue
@@ -126,8 +127,10 @@ def _comm_steps(p: str, pproc: Choice, q: str, qproc: Choice) -> list[Transition
             q_cont = substitute_value(bq.cont, bp.prefix.payload, bq.prefix.var)
             p_key, q_key = canon_process(bp.cont), canon_process(q_cont)
             conts = same_label.setdefault(bp.prefix.label, [])
-            if (p_key, q_key) in conts:
-                continue
+            if conts:
+                pair = (form_id(p_key, ids, memo), form_id(q_key, ids, memo))
+                if any((form_id(pk, ids, memo), form_id(qk, ids, memo)) == pair for pk, qk in conts):
+                    continue
             conts.append((p_key, q_key))
             step = Step(
                 kind="comm",
@@ -165,37 +168,11 @@ def _transitions(r: Session) -> list[Transition]:
     return out
 
 
-_NIL_KEY = canon_process(Nil())
-
-
 def enabled_steps(m: Session) -> list[Step]:
     """All enabled steps, deduplicated modulo structural congruence of the
     picked continuations (steps between the same participants with the same
     label and alpha-equal continuations are the same step)."""
     return [step for _, step, _, _ in _transitions(resolve(m))]
-
-
-def successor_keys(m: Session) -> list[tuple[Step, tuple]]:
-    """Each enabled step of m with canon_session of apply_step(m, step).  The
-    steps are listed first: a session with none is never canonicalised."""
-    r = resolve(m)
-    steps = _transitions(r)
-    if not steps:
-        return []
-    key = canon_session(r)
-    out = []
-    for _, step, _, new in steps:
-        # only the entries of the participants step changes are replaced
-        # (or dropped, for nil)
-        succ = []
-        for item in key:
-            k = new.get(item[0])
-            if k is None:
-                succ.append(item)
-            elif k != _NIL_KEY:
-                succ.append((item[0], k))
-        out.append((step, tuple(succ)))
-    return out
 
 
 def apply_step(m: Session, step: Step) -> Session:

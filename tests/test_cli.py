@@ -208,6 +208,25 @@ def test_detect_tells_deep_equal_successors_apart(tmp_path, capsys, pattern, sum
     assert (code, json.loads(out)) == (1, {"found": False})
 
 
+def test_steps_tell_deep_continuations_apart(tmp_path, capsys):
+    # p's two a-summands continue with 1200-prefix processes that differ only
+    # at their ends: the step list compares their forms by form_id number,
+    # where tuple == would recurse once per prefix
+    from mcmp import patterns, semantics, syntax
+
+    n = 1200
+    chain = ".".join(f"r!m{i}(tt)" for i in range(n))
+    text = (f"role p = q!a(tt).{chain}.ok + q!a(tt).{chain}.0\nrole q = p?a(x).0\n"
+            f"role r = {'.'.join(f'p?m{i}(x{i})' for i in range(n))}.0\n")
+    path = tmp_path / "twin_tt.mcmp"
+    path.write_text(text)
+    code, out = run(capsys, "--json", "simulate", str(path))
+    assert code == 0 and json.loads(out)["trace"][0] == "p->q:a(tt)"
+    m = syntax.parse_session(text)
+    assert len(semantics.enabled_steps(m)) == 2
+    assert patterns.detect_m(m) is None and patterns.detect_star(m) is None
+
+
 def test_unreadable_paths_are_usage_errors(tmp_path, fixture_dir):
     # a FILE that is a directory, or a --dot PATH that cannot be written, is
     # exit 2 with the error, not a traceback

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -27,6 +28,24 @@ def test_m_witness_in_cmv_plus():
     assert w is not None
     a, b, c = (set(cap) for cap in w.consumed)
     assert a & b and b & c and not (a & c)
+
+
+# two copies of one x/y pair: cmv_canon does not name components, so every
+# step reaches one state, though the steps on {0, 1}, {1, 2} and {2, 3}
+# pass the conflict checks
+DUP_CMV = "(new x y)(lin x (a!tt.0) | lin y (a?z.0) | lin x (a!tt.0) | lin y (a?z.0))\n"
+
+
+def test_no_m_in_cmv_steps_reaching_one_state(tmp_path, capsys):
+    p = lcmv.parse_cmv(DUP_CMV)
+    steps = lcmv.cmv_enabled(p)
+    assert {frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})} <= {step.consumed for step, _ in steps}
+    assert len({lcmv.cmv_canon(succ) for _, succ in steps}) == 1
+    assert detect_m(p) is None
+    path = tmp_path / "dup.cmv"
+    path.write_text(DUP_CMV)
+    assert cli.main(["--json", "detect", str(path), "--pattern", "m"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"found": False}
 
 
 def test_no_m_in_nil():
@@ -252,18 +271,21 @@ def test_star_witness_matches_recomputation():
 
 
 # ---------------------------------------------------------------------------
-# successor keys: a session with no step is never canonicalised, and the
-# detectors compare successors by form_id number as the tuple sets did
+# successors: the detectors never canonicalise a session, and decide as the
+# tuple sets of every successor's canonical form did
 
 
 def _counting_canon(monkeypatch):
-    calls, canon_session = [], semantics.canon_session
+    # every module's name for canon_session counts its calls
+    calls, canon_session = [], syntax.canon_session
 
     def counted(m):
         calls.append(m)
         return canon_session(m)
 
-    monkeypatch.setattr(semantics, "canon_session", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mcmp" and hasattr(module, "canon_session"):
+            monkeypatch.setattr(module, "canon_session", counted)
     return calls
 
 
@@ -281,17 +303,22 @@ def test_no_step_no_canonicalisation(monkeypatch, text):
     m = parse_session(text)
     assert semantics.enabled_steps(m) == []
     calls = _counting_canon(monkeypatch)
-    assert semantics.successor_keys(m) == []
     assert detect_m(m) is None and detect_star(m) is None
     assert calls == []
 
 
-def test_a_step_canonicalises_once(monkeypatch):
-    # the counter sees the calls it should: one per successor_keys with steps
-    m, _ = corpus.load("m_scmp")
+def test_detectors_never_canonicalise_a_session(monkeypatch):
+    sessions = {name: corpus.load(name)[0] for name in corpus.SESSIONS + corpus.UNTYPED}
     calls = _counting_canon(monkeypatch)
-    assert len(semantics.successor_keys(m)) >= 3
-    assert len(calls) == 1
+    m = sessions["m_scmp"]
+    # the counter sees the calls it should
+    assert syntax.struct_congruent(m, m) and len(calls) == 2
+    calls.clear()
+    assert detect_m(m) is not None
+    for m in sessions.values():
+        detect_m(m)
+        detect_star(m)
+    assert calls == []
 
 
 def _reference_alternatives(term):
@@ -383,11 +410,12 @@ def test_detectors_match_tuple_set_reference_on_3_party_sessions():
     equal_successors = 0
     while min(per_steps.values()) < 400:
         m = _small_session(rng, ["p", "q", "r"])
-        keys = [key for _, key in semantics.successor_keys(m)]
-        if per_steps.get(len(keys), 400) >= 400:
+        steps = len(semantics.enabled_steps(m))
+        if per_steps.get(steps, 400) >= 400:
             continue
-        per_steps[len(keys)] += 1
+        per_steps[steps] += 1
         _agrees_with_tuple_sets(m)
+        keys = [key for _, _, key in _reference_alternatives(m)]
         equal_successors += len(set(keys)) < len(keys)
     assert equal_successors > 50
 
